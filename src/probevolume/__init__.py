@@ -34,7 +34,6 @@ from .footprint_data import (
     read_footprints_csv,
     write_footprints_csv,
 )
-from .kernels import active_backend
 from .probe_simulator import (
     ExperimentReport,
     ScenarioConfig,
@@ -69,7 +68,6 @@ __all__ = [
     "SpeedDistribution",
     "VolumeEstimate",
     "VolumePdf",
-    "active_backend",
     "bernoulli_var_term",
     "crop_to_cordon",
     "cv",

@@ -16,7 +16,7 @@ import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from . import __version__, kernels
+from . import __version__
 from . import calibration as calib
 from . import (
     cordon_optimizer,
@@ -125,7 +125,7 @@ def _positive(name: str, value: float) -> float:
 def _load_dist(spec: str):
     try:
         return load_distribution(spec)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise OSError(f"cannot read distribution config {spec!r}: {exc}") from exc
     except ValueError as exc:
         raise ParameterError(str(exc)) from exc
@@ -392,6 +392,9 @@ def dispatch(config: RunConfig) -> int:
     except ParameterError as exc:
         _fail(str(exc), EXIT_BAD_PARAMETER)
         return EXIT_BAD_PARAMETER
+    except UnicodeDecodeError as exc:  # a ValueError, but an unreadable file
+        _fail(str(exc), EXIT_IO_FAILURE)
+        return EXIT_IO_FAILURE
     except ValueError as exc:
         _fail(str(exc), EXIT_BAD_PARAMETER)
         return EXIT_BAD_PARAMETER
@@ -429,9 +432,7 @@ def main(argv: list[str] | None = None) -> int:
         sys.stdout.write(_USAGE)
         return EXIT_OK
     if argv[0] == "--version":
-        sys.stdout.write(
-            f"probevolume {__version__} (kernel backend: {kernels.active_backend()})\n"
-        )
+        sys.stdout.write(f"probevolume {__version__}\n")
         return EXIT_OK
     sub = argv[0]
     if sub not in SUBCOMMANDS:

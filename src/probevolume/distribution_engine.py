@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import logging
 import math
 import warnings
 from dataclasses import dataclass
@@ -14,16 +13,11 @@ from . import kernels
 from .estimator import extra_record_prob
 from .speed_model import QuadratureError, SpeedDistribution, integrate_weighted
 
-log = logging.getLogger(__name__)
-
 # Breakpoint generation for the variance integral stops once the residual
 # contribution of everything below s is bounded under this value; the bound
 # is (s^2/4)*CDF(s) since the Bernoulli kernel never exceeds s^2/4. The
 # scaled effect on Var[m_hat] stays below m * (t/d)^2 * 1e-8.
 VARIANCE_TAIL_BOUND = 1e-8
-
-# Direct iterated convolution up to here; spectral convolution beyond.
-DIRECT_CONV_MAX_M = 64
 
 # A fold whose mass drifts from 1 by more than this triggers a warning.
 FOLD_DRIFT_WARN = 1e-4
@@ -199,51 +193,18 @@ def _check_normalized(pdf: VolumePdf, what: str) -> None:
         raise ValueError(f"{what}: pdf mass is {mass}, expected 1 within 1e-6")
 
 
-def _direct_powers(chat: np.ndarray, m: int):
-    """Yield (r, chat convolved r times) with per-fold renormalization."""
-    cur = chat.copy()
-    yield 1, cur
-    for r in range(2, m + 1):
-        cur = np.convolve(cur, chat)
-        total = float(np.sum(cur))
-        if abs(total - 1.0) > FOLD_DRIFT_WARN:
-            warnings.warn(
-                f"fold {r}: mass drifted to {total}; grid resolution may be inadequate",
-                RuntimeWarning,
-                stacklevel=3,
-            )
-        log.debug("fold %d renormalization factor %.17g", r, 1.0 / total)
-        cur = cur / total
-        yield r, cur
-
-
-def _spectral_power(chat: np.ndarray, r: int, out_len: int, nfft: int) -> np.ndarray:
-    spec = rfft(chat, nfft) ** r
-    full = irfft(spec, nfft)[:out_len]
-    np.clip(full, 0.0, None, out=full)
-    total = float(np.sum(full))
-    if abs(total - 1.0) > FOLD_DRIFT_WARN:
-        warnings.warn(
-            f"spectral fold {r}: mass drifted to {total}",
-            RuntimeWarning,
-            stacklevel=3,
-        )
-    return full / total
-
-
-def m_fold_pdf(single: VolumePdf, m: int, method: str = "auto") -> VolumePdf:
+def m_fold_pdf(single: VolumePdf, m: int) -> VolumePdf:
     """Density of the estimate from m probes: m-fold self-convolution.
 
-    The continuous part convolves on the shared grid; a zero atom q mixes in
-    binomially, with q^m staying at zero. ``method`` picks the convolution
-    path ("direct", "spectral", or "auto" which switches to spectral above
-    DIRECT_CONV_MAX_M); both paths agree within 1e-8 and that equivalence is
-    enforced by a test.
+    One probe's law is the zero atom q plus the cell masses c, with
+    generating function q + sum_i c_i z^i; the m-probe law is its m-th power,
+    which is the binomial mixture over how many probes left no record. It is
+    computed from one spectrum: q goes into cell 0, the rfft of those masses
+    is raised to the m-th power and inverted, and q^m, the chance that no
+    probe recorded, moves from cell 0 back to the atom.
     """
     if m < 1 or m != int(m):
         raise ValueError(f"m must be a positive integer, got {m}")
-    if method not in ("auto", "direct", "spectral"):
-        raise ValueError(f"unknown convolution method {method!r}")
     if single.grid_start != 0.0:
         raise ValueError(
             f"self-convolution needs a grid anchored at 0, got grid_start={single.grid_start}"
@@ -253,40 +214,27 @@ def m_fold_pdf(single: VolumePdf, m: int, method: str = "auto") -> VolumePdf:
         return single
 
     q = single.atom_at_zero
-    c_mass = single.cell_masses()
-    cont = float(np.sum(c_mass))
-    n = c_mass.size
-    out_cells = m * (n - 1) + 1
-    if cont <= 0.0:
-        # all mass in the atom: m probes still record nothing
-        return VolumePdf(0.0, single.grid_step, np.zeros(out_cells), 1.0)
-    chat = c_mass / cont
-
-    if method == "auto":
-        method = "direct" if m <= DIRECT_CONV_MAX_M else "spectral"
-
-    # binomial mixture over how many of the m probes left no record
-    coeffs = {}
-    for j in range(0, m):  # j probes silent, m - j contribute continuous mass
-        coeffs[m - j] = math.comb(m, j) * q**j * cont ** (m - j)
-
-    acc = np.zeros(out_cells, dtype=np.float64)
-    if method == "direct":
-        for r, power in _direct_powers(chat, m):
-            if r in coeffs:
-                acc[: power.size] += coeffs[r] * power
-    else:
-        nfft = next_fast_len(out_cells)
-        for r, coeff in coeffs.items():
-            acc[: r * (n - 1) + 1] += coeff * _spectral_power(
-                chat, r, r * (n - 1) + 1, nfft
-            )
-
+    masses = single.cell_masses()
+    masses[0] += q
+    out_cells = m * (masses.size - 1) + 1
+    nfft = next_fast_len(out_cells, real=True)
+    folded = irfft(rfft(masses, nfft) ** m, nfft)[:out_cells]
+    atom = q**m
+    folded[0] -= atom
+    # rounding in the transforms leaves ulp-sized negatives; clamp them
+    np.clip(folded, 0.0, None, out=folded)
+    total = atom + float(np.sum(folded))
+    if abs(total - 1.0) > FOLD_DRIFT_WARN:
+        warnings.warn(
+            f"{m}-fold density: mass drifted to {total}; grid resolution may be inadequate",
+            RuntimeWarning,
+            stacklevel=2,
+        )
     return VolumePdf(
         grid_start=0.0,
         grid_step=single.grid_step,
-        densities=acc / single.grid_step,
-        atom_at_zero=q**m,
+        densities=folded / single.grid_step,
+        atom_at_zero=atom,
     )
 
 

@@ -145,4 +145,7 @@ def write_footprints_csv(path: str | Path, records) -> None:
         writer = csv.writer(fh)
         writer.writerow(CSV_FIELDS)
         for rec in records:
-            writer.writerow([repr(rec.position), repr(rec.speed), rec.label or ""])
+            # float() first: under numpy 2 the repr of a numpy scalar is
+            # "np.float64(...)", which no CSV reader parses as a number
+            position, speed = float(rec.position), float(rec.speed)
+            writer.writerow([repr(position), repr(speed), rec.label or ""])

@@ -1,57 +1,16 @@
-"""Hot numeric kernels, compiled with numba when available.
+"""Hot numeric kernels: mixture pdf/cdf evaluation, pass counting, density
+band accumulation and the leave-pair-out calibration sweep.
 
-Every kernel has two implementations with identical semantics: a pure-numpy
-version (``*_np``) and an ``@njit`` version (``*_nb``). The active backend is
-chosen once at import time from the ``PROBEVOLUME_BACKEND`` environment
-variable:
-
-    auto   use numba if importable, else numpy (default)
-    numba  require numba, fail at import if missing
-    numpy  force the pure-numpy path
-
-Kernels are single-threaded on purpose: results must be bit-identical across
-reruns regardless of thread count, so no ``prange`` and no BLAS reductions.
-``benchmarks/bench_kernels.py`` compares the two paths.
+Each is one plain numpy function. Kernels are single-threaded on purpose:
+results must be bit-identical across reruns regardless of thread count.
 """
 
 from __future__ import annotations
 
 import math
-import os
 
 import numpy as np
 from scipy.special import erf as _sc_erf
-
-try:
-    from numba import njit
-
-    HAS_NUMBA = True
-except ImportError:  # pragma: no cover - exercised only on numba-less installs
-    HAS_NUMBA = False
-
-_BACKEND_ENV = "PROBEVOLUME_BACKEND"
-
-
-def _select_backend() -> str:
-    choice = os.environ.get(_BACKEND_ENV, "auto").strip().lower()
-    if choice not in ("auto", "numba", "numpy"):
-        raise ValueError(
-            f"{_BACKEND_ENV} must be one of auto|numba|numpy, got {choice!r}"
-        )
-    if choice == "numba" and not HAS_NUMBA:
-        raise ImportError(f"{_BACKEND_ENV}=numba but numba is not installed")
-    if choice == "auto":
-        return "numba" if HAS_NUMBA else "numpy"
-    return choice
-
-
-BACKEND = _select_backend()
-
-
-def active_backend() -> str:
-    """Name of the kernel backend selected at import time."""
-    return BACKEND
-
 
 _SQRT2 = math.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
@@ -67,7 +26,7 @@ _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 # ---------------------------------------------------------------------------
 
 
-def _mixture_pdf_np(s, means, sds, norms, lower, upper):
+def mixture_pdf(s, means, sds, norms, lower, upper):
     s = np.asarray(s, dtype=np.float64)
     out = np.zeros(s.shape, dtype=np.float64)
     mask = (s > lower) & (s <= upper)
@@ -78,7 +37,7 @@ def _mixture_pdf_np(s, means, sds, norms, lower, upper):
     return out
 
 
-def _mixture_cdf_np(s, means, sds, cdf_lo, cdf_w, lower, upper):
+def mixture_cdf(s, means, sds, cdf_lo, cdf_w, lower, upper):
     s = np.asarray(s, dtype=np.float64)
     x = np.clip(s, lower, upper)
     z = (x[:, None] - means[None, :]) / sds[None, :]
@@ -86,37 +45,11 @@ def _mixture_cdf_np(s, means, sds, cdf_lo, cdf_w, lower, upper):
     return (phi - cdf_lo[None, :]) @ cdf_w
 
 
-if HAS_NUMBA:
-
-    @njit(cache=True)
-    def _mixture_pdf_nb(s, means, sds, norms, lower, upper):  # pragma: no cover
-        out = np.zeros(s.shape[0], dtype=np.float64)
-        for i in range(s.shape[0]):
-            si = s[i]
-            if si <= lower or si > upper:
-                continue
-            acc = 0.0
-            for j in range(means.shape[0]):
-                z = (si - means[j]) / sds[j]
-                acc += norms[j] * _INV_SQRT_2PI * math.exp(-0.5 * z * z)
-            out[i] = acc
-        return out
-
-    @njit(cache=True)
-    def _mixture_cdf_nb(s, means, sds, cdf_lo, cdf_w, lower, upper):  # pragma: no cover
-        out = np.zeros(s.shape[0], dtype=np.float64)
-        for i in range(s.shape[0]):
-            x = s[i]
-            if x < lower:
-                x = lower
-            elif x > upper:
-                x = upper
-            acc = 0.0
-            for j in range(means.shape[0]):
-                z = (x - means[j]) / sds[j]
-                acc += cdf_w[j] * (0.5 * (1.0 + math.erf(z / _SQRT2)) - cdf_lo[j])
-            out[i] = acc
-        return out
+# Band accumulation evaluates the mixture through these import-time bindings,
+# so a caller that wraps or replaces the public kernels (profiling, test
+# doubles) sees only the calls made from outside this module.
+_mixture_pdf = mixture_pdf
+_mixture_cdf = mixture_cdf
 
 
 # ---------------------------------------------------------------------------
@@ -128,25 +61,10 @@ if HAS_NUMBA:
 # ---------------------------------------------------------------------------
 
 
-def _pass_counts_np(speeds, offsets, d, t):
+def pass_counts(speeds, offsets, d, t):
     first = speeds * offsets
     counts = 1.0 + np.floor((d - first) / (speeds * t))
     return np.where(first >= d, 0.0, counts)
-
-
-if HAS_NUMBA:
-
-    @njit(cache=True)
-    def _pass_counts_nb(speeds, offsets, d, t):  # pragma: no cover
-        n = speeds.shape[0]
-        out = np.empty(n, dtype=np.float64)
-        for i in range(n):
-            first = speeds[i] * offsets[i]
-            if first >= d:
-                out[i] = 0.0
-            else:
-                out[i] = 1.0 + math.floor((d - first) / (speeds[i] * t))
-        return out
 
 
 # ---------------------------------------------------------------------------
@@ -172,7 +90,7 @@ _GL8_X.setflags(write=False)
 _GL8_W.setflags(write=False)
 
 
-def _one_band_np(
+def _one_band(
     means, sds, norms, cdf_lo, cdf_w, lower, upper, d, t, step, n_cells, u
 ):
     """Grid deposits (masses, atom contribution) from speed band u alone."""
@@ -203,14 +121,12 @@ def _one_band_np(
     a = edges[:-1]
     b = edges[1:]
     width = b - a
-    delta = np.diff(
-        _mixture_cdf_np(edges, means, sds, cdf_lo, cdf_w, lower, upper)
-    )
+    delta = np.diff(_mixture_cdf(edges, means, sds, cdf_lo, cdf_w, lower, upper))
 
     # mass-weighted mean of p over each sub-interval via GL8 on g and g*p
     nodes = 0.5 * (a[:, None] + b[:, None]) + 0.5 * width[:, None] * _GL8_X
     flat = nodes.ravel()
-    gv = _mixture_pdf_np(flat, means, sds, norms, lower, upper).reshape(nodes.shape)
+    gv = _mixture_pdf(flat, means, sds, norms, lower, upper).reshape(nodes.shape)
     p_nodes = (d / (flat * t) - u).reshape(nodes.shape)
     g_int = gv @ _GL8_W
     gp_int = (gv * p_nodes) @ _GL8_W
@@ -232,7 +148,7 @@ def _one_band_np(
     return masses, atom
 
 
-def _band_masses_np(
+def band_masses(
     means, sds, norms, cdf_lo, cdf_w, lower, upper, d, t, step, n_cells, u_max
 ):
     masses = np.zeros(n_cells, dtype=np.float64)
@@ -240,7 +156,7 @@ def _band_masses_np(
     for u in range(0, u_max + 1):
         if u >= 1 and d / (t * u) <= lower:
             break  # this and all later bands sit below the support
-        band, band_atom = _one_band_np(
+        band, band_atom = _one_band(
             means, sds, norms, cdf_lo, cdf_w, lower, upper, d, t, step, n_cells, u
         )
         masses += band
@@ -250,7 +166,7 @@ def _band_masses_np(
     s_tail = d / (t * (u_max + 1))
     if s_tail > lower:
         lump = float(
-            _mixture_cdf_np(
+            _mixture_cdf(
                 np.asarray([s_tail]), means, sds, cdf_lo, cdf_w, lower, upper
             )[0]
         )
@@ -263,205 +179,34 @@ def _band_masses_np(
     return masses, atom
 
 
-if HAS_NUMBA:
-
-    @njit(cache=True)
-    def _band_masses_nb(
-        means, sds, norms, cdf_lo, cdf_w, lower, upper, d, t, step, n_cells, u_max
-    ):  # pragma: no cover
-        masses = np.zeros(n_cells, dtype=np.float64)
-        atom = 0.0
-        ncomp = means.shape[0]
-
-        for u in range(0, u_max + 1):
-            if u >= 1 and d / (t * u) <= lower:
-                break
-            if u == 0:
-                s_hi = upper
-                s_lo = max(lower, d / t)
-            else:
-                s_hi = min(upper, d / (t * u))
-                s_lo = max(lower, d / (t * (u + 1)))
-            if s_hi <= s_lo:
-                continue
-
-            slope1 = t * (u + 1) / d
-            n1_lo = int(math.floor(s_lo * slope1 / step + 0.5))
-            n1_hi = int(math.floor(s_hi * slope1 / step + 0.5))
-            n_edges = 2 + (n1_hi - n1_lo + 1)
-            if u >= 1:
-                slope0 = t * u / d
-                n0_lo = int(math.floor(s_lo * slope0 / step + 0.5))
-                n0_hi = int(math.floor(s_hi * slope0 / step + 0.5))
-                n_edges += n0_hi - n0_lo + 1
-            edges = np.empty(n_edges, dtype=np.float64)
-            ne = 0
-            edges[ne] = s_lo
-            ne += 1
-            edges[ne] = s_hi
-            ne += 1
-            for i in range(n1_lo, n1_hi + 1):
-                se = (i + 0.5) * step / slope1
-                if s_lo < se < s_hi:
-                    edges[ne] = se
-                    ne += 1
-            if u >= 1:
-                for i in range(n0_lo, n0_hi + 1):
-                    se = (i + 0.5) * step / slope0
-                    if s_lo < se < s_hi:
-                        edges[ne] = se
-                        ne += 1
-            ed = np.sort(edges[:ne])
-
-            prev_cdf = 0.0
-            for j in range(ncomp):
-                z = (ed[0] - means[j]) / sds[j]
-                prev_cdf += cdf_w[j] * (0.5 * (1.0 + math.erf(z / _SQRT2)) - cdf_lo[j])
-
-            for e in range(ed.shape[0] - 1):
-                a = ed[e]
-                b = ed[e + 1]
-                width = b - a
-                cur_cdf = 0.0
-                for j in range(ncomp):
-                    z = (b - means[j]) / sds[j]
-                    cur_cdf += cdf_w[j] * (
-                        0.5 * (1.0 + math.erf(z / _SQRT2)) - cdf_lo[j]
-                    )
-                delta = cur_cdf - prev_cdf
-                prev_cdf = cur_cdf
-                if width <= 0.0:
-                    continue
-
-                g_int = 0.0
-                gp_int = 0.0
-                mid = 0.5 * (a + b)
-                half = 0.5 * width
-                for q in range(_GL8_X.shape[0]):
-                    s = mid + half * _GL8_X[q]
-                    gval = 0.0
-                    if lower < s <= upper:
-                        for j in range(ncomp):
-                            z = (s - means[j]) / sds[j]
-                            gval += norms[j] * _INV_SQRT_2PI * math.exp(-0.5 * z * z)
-                    g_int += _GL8_W[q] * gval
-                    gp_int += _GL8_W[q] * gval * (d / (s * t) - u)
-                if g_int > 0.0:
-                    p_bar = gp_int / g_int
-                    if p_bar < 0.0:
-                        p_bar = 0.0
-                    elif p_bar > 1.0:
-                        p_bar = 1.0
-                else:
-                    p_bar = d / (mid * t) - u
-
-                i1 = int(math.floor(mid * t * (u + 1) / d / step + 0.5))
-                if i1 < 0:
-                    i1 = 0
-                elif i1 >= n_cells:
-                    i1 = n_cells - 1
-                masses[i1] += delta * p_bar
-                if u == 0:
-                    atom += delta * (1.0 - p_bar)
-                else:
-                    i0 = int(math.floor(mid * t * u / d / step + 0.5))
-                    if i0 < 0:
-                        i0 = 0
-                    elif i0 >= n_cells:
-                        i0 = n_cells - 1
-                    masses[i0] += delta * (1.0 - p_bar)
-
-        s_tail = d / (t * (u_max + 1))
-        if s_tail > lower:
-            x = s_tail if s_tail <= upper else upper
-            lump = 0.0
-            for j in range(ncomp):
-                z = (x - means[j]) / sds[j]
-                lump += cdf_w[j] * (0.5 * (1.0 + math.erf(z / _SQRT2)) - cdf_lo[j])
-            if lump > 0.0:
-                delta_m = 1.0 / (u_max + 1)
-                i_below = int(math.floor((1.0 - 0.5 * delta_m) / step + 0.5))
-                i_above = int(math.floor((1.0 + 0.5 * delta_m) / step + 0.5))
-                masses[i_below] += 0.5 * lump
-                masses[i_above] += 0.5 * lump
-        return masses, atom
-
-
 # ---------------------------------------------------------------------------
-# all-pairs through-origin calibration sweep
+# leave-pair-out through-origin calibration sweep
 #
 # For every pair (i, j) of "known" sites, fit volume = beta * m_hat through
 # the origin with weights w, predict the held-out sites, and take the mean
-# absolute percentage error over them. Returns the average over all pairs.
+# absolute percentage error over them. Returns the average over the pairs.
+# Pairs whose weighted m_hat energy is zero have no fit and are skipped.
 # ---------------------------------------------------------------------------
 
 
-def _all_pairs_mape_np(m_hats, volumes, weights):
+def all_pairs_mape(m_hats, volumes, weights, pairs=None):
+    """Mean held-out MAPE over ``pairs`` (default: every pair i < j)."""
     n = m_hats.shape[0]
+    if pairs is None:
+        i, j = np.triu_indices(n, k=1)
+    else:
+        i, j = np.asarray(pairs, dtype=np.int64).reshape(-1, 2).T
     wxy = weights * m_hats * volumes
     wxx = weights * m_hats * m_hats
-    denom = wxx[:, None] + wxx[None, :]
-    numer = wxy[:, None] + wxy[None, :]
+    denom = wxx[i] + wxx[j]
+    numer = wxy[i] + wxy[j]
     beta = np.where(denom > 0.0, numer / np.where(denom > 0.0, denom, 1.0), np.nan)
 
-    rel = np.abs(beta[:, :, None] * m_hats[None, None, :] - volumes[None, None, :])
-    rel /= volumes[None, None, :]
-    total = rel.sum(axis=2)
-    self_i = np.abs(beta * m_hats[:, None] - volumes[:, None]) / volumes[:, None]
-    self_j = np.abs(beta * m_hats[None, :] - volumes[None, :]) / volumes[None, :]
-    mape = (total - self_i - self_j) / (n - 2)
-
-    vals = mape[np.triu_indices(n, k=1)]
+    rel = np.abs(beta[:, None] * m_hats[None, :] - volumes[None, :])
+    rel /= volumes[None, :]
+    rows = np.arange(beta.size)
+    vals = (rel.sum(axis=1) - rel[rows, i] - rel[rows, j]) / (n - 2)
     ok = np.isfinite(vals)
     if not np.any(ok):
         return math.nan
     return float(np.mean(vals[ok]))
-
-
-if HAS_NUMBA:
-
-    @njit(cache=True)
-    def _all_pairs_mape_nb(m_hats, volumes, weights):  # pragma: no cover
-        n = m_hats.shape[0]
-        total = 0.0
-        pairs = 0
-        for i in range(n):
-            for j in range(i + 1, n):
-                denom = (
-                    weights[i] * m_hats[i] * m_hats[i]
-                    + weights[j] * m_hats[j] * m_hats[j]
-                )
-                if denom <= 0.0:
-                    continue
-                beta = (
-                    weights[i] * m_hats[i] * volumes[i]
-                    + weights[j] * m_hats[j] * volumes[j]
-                ) / denom
-                err = 0.0
-                for k in range(n):
-                    if k == i or k == j:
-                        continue
-                    err += abs(beta * m_hats[k] - volumes[k]) / volumes[k]
-                total += err / (n - 2)
-                pairs += 1
-        if pairs == 0:
-            return math.nan
-        return total / pairs
-
-
-# ---------------------------------------------------------------------------
-# dispatch
-# ---------------------------------------------------------------------------
-
-if BACKEND == "numba":
-    mixture_pdf = _mixture_pdf_nb
-    mixture_cdf = _mixture_cdf_nb
-    pass_counts = _pass_counts_nb
-    band_masses = _band_masses_nb
-    all_pairs_mape = _all_pairs_mape_nb
-else:
-    mixture_pdf = _mixture_pdf_np
-    mixture_cdf = _mixture_cdf_np
-    pass_counts = _pass_counts_np
-    band_masses = _band_masses_np
-    all_pairs_mape = _all_pairs_mape_np

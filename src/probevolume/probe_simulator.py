@@ -244,13 +244,9 @@ def run_regression_experiment(
     ols_weights = np.ones_like(wls_weights)
 
     n = len(sites)
-    if all_pairs:
-        n_pairs = n * (n - 1) // 2
-        pair_mask = None
-    else:
-        # cheap smoke mode: consecutive pairs only
-        pair_mask = [(i, i + 1) for i in range(n - 1)]
-        n_pairs = len(pair_mask)
+    # smoke mode sweeps consecutive pairs only
+    pairs = None if all_pairs else [(i, i + 1) for i in range(n - 1)]
+    n_pairs = n * (n - 1) // 2 if all_pairs else n - 1
 
     mape_ols = np.empty(trials, dtype=np.float64)
     mape_wls = np.empty(trials, dtype=np.float64)
@@ -261,12 +257,8 @@ def run_regression_experiment(
                 np.random.SeedSequence(seed, spawn_key=(trial, i))
             )
             m_hats[i] = _site_m_hat(site, rng)
-        if all_pairs:
-            mape_ols[trial] = kernels.all_pairs_mape(m_hats, volumes, ols_weights)
-            mape_wls[trial] = kernels.all_pairs_mape(m_hats, volumes, wls_weights)
-        else:
-            mape_ols[trial] = _pair_subset_mape(m_hats, volumes, ols_weights, pair_mask)
-            mape_wls[trial] = _pair_subset_mape(m_hats, volumes, wls_weights, pair_mask)
+        mape_ols[trial] = kernels.all_pairs_mape(m_hats, volumes, ols_weights, pairs)
+        mape_wls[trial] = kernels.all_pairs_mape(m_hats, volumes, wls_weights, pairs)
 
     wins = float(np.mean(mape_wls < mape_ols))
     return ExperimentReport(
@@ -280,24 +272,3 @@ def run_regression_experiment(
         mean_mape_wls=float(np.mean(mape_wls)),
         wls_win_fraction=wins,
     )
-
-
-def _pair_subset_mape(m_hats, volumes, weights, pairs) -> float:
-    n = m_hats.size
-    total = 0.0
-    used = 0
-    for i, j in pairs:
-        denom = weights[i] * m_hats[i] ** 2 + weights[j] * m_hats[j] ** 2
-        if denom <= 0.0:
-            continue
-        beta = (
-            weights[i] * m_hats[i] * volumes[i] + weights[j] * m_hats[j] * volumes[j]
-        ) / denom
-        err = sum(
-            abs(beta * m_hats[k] - volumes[k]) / volumes[k]
-            for k in range(n)
-            if k != i and k != j
-        )
-        total += err / (n - 2)
-        used += 1
-    return total / used if used else math.nan

@@ -52,6 +52,28 @@ class TestBasics:
         )
         assert code == EXIT_IO_FAILURE
 
+    @pytest.mark.parametrize(
+        "text,argv",
+        [
+            ("position_m,speed_mps,label\n1.0,20.0,caf\u00e9\n",
+             ["estimate", "--start", "0", "--d", "100", "--t", "1", "--footprints"]),
+            ("m_hat,adt\n1.0,60.0\n2.0,100.0\u00e9\n",
+             ["calibrate", "--method", "ols", "--pairs"]),
+            ('{"components": [], "name": "caf\u00e9"}',
+             ["precision", "--m", "1", "--d", "300", "--t", "4", "--dist"]),
+        ],
+        ids=["footprints", "pairs", "dist"],
+    )
+    def test_non_utf8_file_is_io_failure(self, capsys, tmp_path, text, argv):
+        path = tmp_path / "latin1.txt"
+        path.write_bytes(text.encode("latin-1"))
+        code, out, err = run_cli(capsys, *argv, str(path))
+        assert code == EXIT_IO_FAILURE
+        assert out == ""
+        doc = json.loads(err)
+        assert doc["code"] == EXIT_IO_FAILURE
+        assert "utf-8" in doc["error"]
+
     def test_invalid_value(self, capsys, tmp_path):
         path = tmp_path / "f.csv"
         path.write_text("position_m,speed_mps\n", encoding="utf-8")

@@ -155,7 +155,7 @@ class TestSingleProbePdf:
         d, t, step = 300.0, 4.0, 1e-3
         n_cells = 2001
         for u in range(1, 7):
-            got_mass, got_atom = kernels._one_band_np(
+            got_mass, got_atom = kernels._one_band(
                 park._means, park._sds, park._norms, park._cdf_lo, park._cdf_w,
                 park.lower, park.upper, d, t, step, n_cells, u,
             )
@@ -193,7 +193,7 @@ class TestSingleProbePdf:
         # short cordon: the u=0 band exists and its k=0 branch is the atom
         d, t, step = 30.0, 4.0, 1e-3
         n_cells = int(math.ceil(max(2.0, park.upper * t / d) / step)) + 10
-        got_mass, got_atom = kernels._one_band_np(
+        got_mass, got_atom = kernels._one_band(
             park._means, park._sds, park._norms, park._cdf_lo, park._cdf_w,
             park.lower, park.upper, d, t, step, n_cells, 0,
         )
@@ -235,11 +235,26 @@ class TestMFold:
         assert pdf.total_mass() == pytest.approx(1.0, abs=1e-6)
         assert pdf.atom_at_zero == pytest.approx(q**3, rel=1e-12)
 
-    def test_direct_and_spectral_agree(self, park):
-        single = single_probe_pdf(40.0, 1.0, park)
-        direct = m_fold_pdf(single, 8, method="direct")
-        spectral = m_fold_pdf(single, 8, method="spectral")
-        assert np.max(np.abs(direct.densities - spectral.densities)) < 1e-8
+    @pytest.mark.parametrize(
+        "d,t,step,m",
+        [(40.0, 1.0, 1e-3, 8), (30.0, 4.0, 1e-2, 3), (30.0, 4.0, 1e-2, 65)],
+    )
+    def test_matches_convolution_oracle(self, park, d, t, step, m):
+        # oracle: binomial mixture over the number r of probes that left a
+        # record, each term the normalized continuous part convolved r times
+        single = single_probe_pdf(d, t, park, grid_step=step)
+        q = single.atom_at_zero
+        c_mass = single.cell_masses()
+        cont = float(np.sum(c_mass))
+        want = np.zeros(m * (c_mass.size - 1) + 1)
+        power = np.ones(1)
+        for r in range(1, m + 1):
+            power = np.convolve(power, c_mass / cont)
+            want[: power.size] += math.comb(m, r) * q ** (m - r) * cont**r * power
+        got = m_fold_pdf(single, m)
+        assert got.densities.size == want.size
+        assert np.max(np.abs(got.densities - want / step)) < 1e-8
+        assert got.atom_at_zero == q**m
 
     def test_rejects_mismatched_grid(self, park):
         single = single_probe_pdf(300.0, 4.0, park)

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from probevolume.footprint_data import (
@@ -96,6 +97,20 @@ class TestCsv:
         back = read_footprints_csv(path)
         assert back.records == recs
         assert back.warnings == []
+
+    @pytest.mark.parametrize("scalar", [np.float64, np.float32])
+    def test_round_trip_numpy_scalars(self, tmp_path, scalar):
+        path = tmp_path / "f.csv"
+        recs = [
+            FootprintRecord(scalar(1.5), scalar(20.0)),
+            FootprintRecord(scalar(0.1), scalar(29.3), "july"),
+        ]
+        write_footprints_csv(path, recs)
+        back = read_footprints_csv(path)
+        assert back.warnings == []
+        assert [(r.position, r.speed, r.label) for r in back.records] == [
+            (float(r.position), float(r.speed), r.label) for r in recs
+        ]
 
     def test_bad_rows_skipped_with_line_numbers(self, tmp_path):
         path = tmp_path / "f.csv"

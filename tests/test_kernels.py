@@ -1,8 +1,7 @@
-"""Backend twins must agree; the env flag must pick the backend."""
+"""The leave-pair-out calibration sweep against a per-pair loop oracle."""
 
-import os
-import subprocess
-import sys
+import itertools
+import math
 
 import numpy as np
 import pytest
@@ -10,86 +9,73 @@ import pytest
 from probevolume import kernels
 
 
-needs_numba = pytest.mark.skipif(not kernels.HAS_NUMBA, reason="numba not installed")
+def loop_mape(m_hats, volumes, weights, pairs):
+    """Reference sweep: one through-origin fit and held-out MAPE per pair."""
+    n = m_hats.size
+    total = 0.0
+    used = 0
+    for i, j in pairs:
+        denom = weights[i] * m_hats[i] ** 2 + weights[j] * m_hats[j] ** 2
+        if denom <= 0.0:
+            continue
+        beta = (
+            weights[i] * m_hats[i] * volumes[i] + weights[j] * m_hats[j] * volumes[j]
+        ) / denom
+        err = sum(
+            abs(beta * m_hats[k] - volumes[k]) / volumes[k]
+            for k in range(n)
+            if k != i and k != j
+        )
+        total += err / (n - 2)
+        used += 1
+    return total / used if used else math.nan
 
 
-def _dist_args(dist):
-    return (dist._means, dist._sds, dist._norms, dist._cdf_lo, dist._cdf_w,
-            dist.lower, dist.upper)
+def random_case(rng):
+    n = int(rng.integers(3, 40))
+    x = rng.uniform(0.5, 120.0, n)
+    x[rng.random(n) < 0.1] = 0.0  # some sites with no records
+    y = rng.uniform(5.0, 900.0, n)
+    w = rng.uniform(0.01, 60.0, n)
+    return x, y, w
 
 
-@needs_numba
-class TestTwinAgreement:
-    def test_mixture_pdf(self, park):
-        s = np.linspace(-2.0, 45.0, 20000)
-        a = kernels._mixture_pdf_np(s, park._means, park._sds, park._norms, 0.0, 40.0)
-        b = kernels._mixture_pdf_nb(s, park._means, park._sds, park._norms, 0.0, 40.0)
-        np.testing.assert_allclose(a, b, rtol=1e-13, atol=1e-300)
-
-    def test_mixture_cdf(self, park):
-        s = np.linspace(-2.0, 45.0, 20000)
-        a = kernels._mixture_cdf_np(s, *(_dist_args(park)[:2] + (park._cdf_lo, park._cdf_w, 0.0, 40.0)))
-        b = kernels._mixture_cdf_nb(s, park._means, park._sds, park._cdf_lo, park._cdf_w, 0.0, 40.0)
-        np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-15)
-
-    def test_pass_counts_bitwise(self):
-        rng = np.random.default_rng(4)
-        speeds = rng.uniform(0.3, 45.0, 200_000)
-        offsets = rng.uniform(0.0, 4.0, 200_000)
-        a = kernels._pass_counts_np(speeds, offsets, 300.0, 4.0)
-        b = kernels._pass_counts_nb(speeds, offsets, 300.0, 4.0)
-        assert np.array_equal(a, b)
-
-    @pytest.mark.parametrize("d,t", [(300.0, 4.0), (40.0, 1.0), (30.0, 4.0)])
-    def test_band_masses(self, park, d, t):
-        step = 1e-3
-        n_cells = int(np.ceil(max(2.0, 40.0 * t / d * (1 + step)) / step)) + 1
-        args = _dist_args(park) + (d, t, step, n_cells, 2000)
-        m_np, a_np = kernels._band_masses_np(*args)
-        m_nb, a_nb = kernels._band_masses_nb(*args)
-        np.testing.assert_allclose(m_np, m_nb, rtol=1e-10, atol=1e-16)
-        assert a_np == pytest.approx(a_nb, abs=1e-14)
-
-    def test_all_pairs_mape(self):
+class TestAllPairsMape:
+    def test_matches_loop_oracle(self):
         rng = np.random.default_rng(8)
-        x = rng.uniform(0.5, 120.0, 34)
-        y = rng.uniform(5.0, 900.0, 34)
-        w = rng.uniform(0.01, 60.0, 34)
-        a = kernels._all_pairs_mape_np(x, y, w)
-        b = kernels._all_pairs_mape_nb(x, y, w)
-        assert a == pytest.approx(b, rel=1e-12)
+        for _ in range(200):
+            x, y, w = random_case(rng)
+            n = x.size
+            consecutive = [(i, i + 1) for i in range(n - 1)]
+            every = list(itertools.combinations(range(n), 2))
+            k = int(rng.integers(0, len(every) + 1))
+            some = [every[p] for p in rng.permutation(len(every))[:k]]
+            for pairs in (consecutive, every, some):
+                want = loop_mape(x, y, w, pairs)
+                got = kernels.all_pairs_mape(x, y, w, pairs)
+                if math.isnan(want):
+                    assert math.isnan(got)
+                else:
+                    assert got == pytest.approx(want, rel=1e-12)
 
-    def test_all_pairs_mape_skips_degenerate_pairs(self):
+    def test_default_is_every_pair(self):
+        rng = np.random.default_rng(9)
+        x, y, w = random_case(rng)
+        every = list(itertools.combinations(range(x.size), 2))
+        assert kernels.all_pairs_mape(x, y, w) == kernels.all_pairs_mape(x, y, w, every)
+
+    def test_skips_degenerate_pairs(self):
         x = np.array([0.0, 0.0, 2.0, 3.0])
         y = np.array([10.0, 20.0, 30.0, 40.0])
         w = np.ones(4)
-        a = kernels._all_pairs_mape_np(x, y, w)
-        b = kernels._all_pairs_mape_nb(x, y, w)
-        assert np.isfinite(a)
-        assert a == pytest.approx(b, rel=1e-12)
+        got = kernels.all_pairs_mape(x, y, w)
+        assert np.isfinite(got)
+        assert got == pytest.approx(loop_mape(x, y, w, itertools.combinations(range(4), 2)),
+                                    rel=1e-12)
 
-
-class TestBackendSelection:
-    def test_active_backend_reported(self):
-        assert kernels.active_backend() in ("numba", "numpy")
-
-    @pytest.mark.parametrize("backend", ["numpy", "numba"])
-    def test_env_flag(self, backend):
-        if backend == "numba" and not kernels.HAS_NUMBA:
-            pytest.skip("numba not installed")
-        env = dict(os.environ, PROBEVOLUME_BACKEND=backend)
-        out = subprocess.run(
-            [sys.executable, "-c",
-             "from probevolume.kernels import active_backend; print(active_backend())"],
-            env=env, capture_output=True, text=True, check=True,
-        )
-        assert out.stdout.strip() == backend
-
-    def test_bad_env_flag_rejected(self):
-        env = dict(os.environ, PROBEVOLUME_BACKEND="sparkles")
-        out = subprocess.run(
-            [sys.executable, "-c", "import probevolume.kernels"],
-            env=env, capture_output=True, text=True,
-        )
-        assert out.returncode != 0
-        assert "PROBEVOLUME_BACKEND" in out.stderr
+    def test_no_usable_pair_is_nan(self):
+        x = np.array([0.0, 0.0, 2.0])
+        y = np.array([10.0, 20.0, 30.0])
+        w = np.ones(3)
+        assert math.isnan(kernels.all_pairs_mape(x, y, w, [(0, 1)]))
+        assert math.isnan(kernels.all_pairs_mape(x, y, w, []))
