@@ -41,7 +41,6 @@ from .probe_simulator import (
     SiteConfig,
     run_regression_experiment,
     run_scenario,
-    simulate_pass,
 )
 from .speed_model import (
     SpeedComponent,
@@ -91,7 +90,6 @@ __all__ = [
     "run_regression_experiment",
     "run_scenario",
     "sample",
-    "simulate_pass",
     "single_probe_pdf",
     "variance",
     "vmr",

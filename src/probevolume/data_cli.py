@@ -13,7 +13,6 @@ import csv
 import json
 import math
 import sys
-from dataclasses import dataclass, field
 from pathlib import Path
 
 from . import __version__
@@ -25,7 +24,6 @@ from . import (
     footprint_data,
     probe_simulator,
 )
-from .speed_model import from_dict as dist_from_dict
 from .speed_model import load_distribution
 
 EXIT_OK = 0
@@ -33,32 +31,12 @@ EXIT_UNKNOWN_COMMAND = 2
 EXIT_BAD_PARAMETER = 3
 EXIT_IO_FAILURE = 4
 
-SUBCOMMANDS = (
-    "estimate",
-    "precision",
-    "pdf",
-    "optimize",
-    "simulate",
-    "experiment",
-    "calibrate",
-    "apply",
-)
-
 
 class ParameterError(Exception):
     """Invalid or missing CLI parameter."""
 
 
-@dataclass
-class RunConfig:
-    subcommand: str
-    parameters: dict = field(default_factory=dict)
-    output_paths: dict = field(default_factory=dict)
-
-
 # -- serialization -----------------------------------------------------------
-
-_OUTPUT_KEYS = ("out", "hist_out", "emit_footprints", "curve_out")
 
 
 def _fmt_float(x: float) -> str:
@@ -120,15 +98,6 @@ def _positive(name: str, value: float) -> float:
     if not (value > 0.0):
         raise ParameterError(f"--{name} must be positive, got {value}")
     return value
-
-
-def _load_dist(spec: str):
-    try:
-        return load_distribution(spec)
-    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise OSError(f"cannot read distribution config {spec!r}: {exc}") from exc
-    except ValueError as exc:
-        raise ParameterError(str(exc)) from exc
 
 
 def _build_parser(sub: str) -> _Parser:
@@ -216,7 +185,7 @@ def _run_precision(args) -> dict:
         raise ParameterError(f"--m must be >= 1, got {args.m}")
     _positive("d", args.d)
     _positive("t", args.t)
-    rep = distribution_engine.precision_report(args.m, args.d, args.t, _load_dist(args.dist))
+    rep = distribution_engine.precision_report(args.m, args.d, args.t, load_distribution(args.dist))
     return {
         "m": rep.m,
         "d": rep.d,
@@ -231,7 +200,7 @@ def _run_precision(args) -> dict:
 def _run_pdf(args) -> None:
     if args.m < 1:
         raise ParameterError(f"--m must be >= 1, got {args.m}")
-    dist = _load_dist(args.dist)
+    dist = load_distribution(args.dist)
     single = distribution_engine.single_probe_pdf(args.d, args.t, dist, args.grid_step)
     pdf = distribution_engine.m_fold_pdf(single, args.m)
     mean, var = distribution_engine.pdf_moments(pdf)
@@ -253,7 +222,7 @@ def _run_pdf(args) -> None:
 
 def _run_optimize(args) -> dict:
     report = cordon_optimizer.optimize_cordon(
-        args.dmax, args.t, _load_dist(args.dist), args.objective, args.m, args.step
+        args.dmax, args.t, load_distribution(args.dist), args.objective, args.m, args.step
     )
     if args.curve_out:
         with Path(args.curve_out).open("w", encoding="utf-8", newline="") as fh:
@@ -270,33 +239,8 @@ def _run_optimize(args) -> dict:
     }
 
 
-def _scenario_config(args) -> probe_simulator.ScenarioConfig:
-    if args.scenario in probe_simulator.SCENARIO_PRESETS:
-        doc = dict(probe_simulator.SCENARIO_PRESETS[args.scenario])
-    else:
-        path = Path(args.scenario)
-        if not path.exists():
-            raise ParameterError(
-                f"unknown scenario {args.scenario!r}: not a preset (s1, s2) and no such file"
-            )
-        doc = json.loads(path.read_text(encoding="utf-8"))
-    dist_spec = doc.get("dist", "park-i35")
-    dist = dist_from_dict(dist_spec) if isinstance(dist_spec, dict) else _load_dist(dist_spec)
-    try:
-        return probe_simulator.ScenarioConfig(
-            d=float(doc["d"]),
-            t=float(doc["t"]),
-            m=args.m,
-            dist=dist,
-            trials=args.trials,
-            seed=args.seed,
-        )
-    except (KeyError, ValueError) as exc:
-        raise ParameterError(f"bad scenario config: {exc}") from exc
-
-
 def _run_simulate(args) -> dict:
-    config = _scenario_config(args)
+    config = probe_simulator.load_scenario(args.scenario, args.m, args.trials, args.seed)
     samples, summary = probe_simulator.run_scenario(config)
     out = {
         "d": config.d,
@@ -384,28 +328,6 @@ _HANDLERS = {
 }
 
 
-def dispatch(config: RunConfig) -> int:
-    """Run one validated subcommand; returns the process exit code."""
-    args = argparse.Namespace(**config.parameters, **config.output_paths)
-    try:
-        result = _HANDLERS[config.subcommand](args)
-    except ParameterError as exc:
-        _fail(str(exc), EXIT_BAD_PARAMETER)
-        return EXIT_BAD_PARAMETER
-    except UnicodeDecodeError as exc:  # a ValueError, but an unreadable file
-        _fail(str(exc), EXIT_IO_FAILURE)
-        return EXIT_IO_FAILURE
-    except ValueError as exc:
-        _fail(str(exc), EXIT_BAD_PARAMETER)
-        return EXIT_BAD_PARAMETER
-    except OSError as exc:
-        _fail(str(exc), EXIT_IO_FAILURE)
-        return EXIT_IO_FAILURE
-    if result is not None:
-        _emit(result, getattr(args, "out", None))
-    return EXIT_OK
-
-
 def _fail(message: str, code: int) -> None:
     sys.stderr.write(dumps_json({"error": message, "code": code}) + "\n")
 
@@ -435,18 +357,27 @@ def main(argv: list[str] | None = None) -> int:
         sys.stdout.write(f"probevolume {__version__}\n")
         return EXIT_OK
     sub = argv[0]
-    if sub not in SUBCOMMANDS:
+    if sub not in _HANDLERS:
         _fail(f"unknown subcommand {sub!r}", EXIT_UNKNOWN_COMMAND)
         return EXIT_UNKNOWN_COMMAND
-    parser = _build_parser(sub)
     try:
-        ns = parser.parse_args(argv[1:])
+        args = _build_parser(sub).parse_args(argv[1:])
+        result = _HANDLERS[sub](args)
+        if result is not None:
+            _emit(result, args.out)
     except ParameterError as exc:
         _fail(str(exc), EXIT_BAD_PARAMETER)
         return EXIT_BAD_PARAMETER
-    params = vars(ns)
-    outputs = {k: params.pop(k) for k in list(params) if k in _OUTPUT_KEYS}
-    return dispatch(RunConfig(subcommand=sub, parameters=params, output_paths=outputs))
+    except UnicodeDecodeError as exc:  # a ValueError, but an unreadable file
+        _fail(str(exc), EXIT_IO_FAILURE)
+        return EXIT_IO_FAILURE
+    except ValueError as exc:
+        _fail(str(exc), EXIT_BAD_PARAMETER)
+        return EXIT_BAD_PARAMETER
+    except OSError as exc:
+        _fail(str(exc), EXIT_IO_FAILURE)
+        return EXIT_IO_FAILURE
+    return EXIT_OK
 
 
 if __name__ == "__main__":

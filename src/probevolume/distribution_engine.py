@@ -215,12 +215,22 @@ def m_fold_pdf(single: VolumePdf, m: int) -> VolumePdf:
 
     q = single.atom_at_zero
     masses = single.cell_masses()
+    support = np.flatnonzero(masses)
     masses[0] += q
     out_cells = m * (masses.size - 1) + 1
     nfft = next_fast_len(out_cells, real=True)
     folded = irfft(rfft(masses, nfft) ** m, nfft)[:out_cells]
     atom = q**m
     folded[0] -= atom
+    # the continuous part sums 1..m cells from first..last (exactly m without
+    # a zero atom), so it lies in first..m*last (m*first..m*last); outside
+    # that range the transforms leave only round-off, which is cleared
+    if support.size:
+        first, last = int(support[0]), int(support[-1])
+        folded[: first if q > 0.0 else m * first] = 0.0
+        folded[m * last + 1 :] = 0.0
+    else:
+        folded[:] = 0.0
     # rounding in the transforms leaves ulp-sized negatives; clamp them
     np.clip(folded, 0.0, None, out=folded)
     total = atom + float(np.sum(folded))

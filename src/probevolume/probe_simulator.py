@@ -1,6 +1,10 @@
 """Monte Carlo engines: single-cordon particle runs and the multi-site
 uniform-motion calibration experiment.
 
+Every probe pass, in both engines and in emitted footprints, is drawn by
+``_passes``: speeds, then entry offsets, then record counts, in that order
+from the caller's generator.
+
 The multi-site experiment replaces a car-following microsimulation with
 uniform linear motion per probe (speed drawn once per pass). That is exactly
 the assumption behind the theory, so the experiment validates the
@@ -9,20 +13,24 @@ calibration pipeline, not traffic realism.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
-from importlib import resources
-from pathlib import Path
 
 import numpy as np
 
 from . import kernels
 from .distribution_engine import vmr
 from .footprint_data import FootprintRecord
-from .speed_model import SpeedDistribution, load_distribution, sample_with_rng
+from .speed_model import (
+    SpeedDistribution,
+    from_dict,
+    load_distribution,
+    read_config,
+    sample_with_rng,
+)
 
-DEFAULT_HIST_BIN = 0.02
+# width of the m_hat histogram bins in a scenario summary
+HIST_BIN = 0.02
 
 SCENARIO_PRESETS = {
     "s1": {"d": 300.0, "t": 4.0, "dist": "park-i35"},
@@ -38,7 +46,6 @@ class ScenarioConfig:
     dist: SpeedDistribution
     trials: int
     seed: int
-    hist_bin: float = DEFAULT_HIST_BIN
 
     def __post_init__(self):
         if self.d <= 0.0 or self.t <= 0.0:
@@ -47,8 +54,6 @@ class ScenarioConfig:
             raise ValueError(f"m must be >= 0, got {self.m}")
         if self.trials < 1:
             raise ValueError(f"trials must be >= 1, got {self.trials}")
-        if self.hist_bin <= 0.0:
-            raise ValueError(f"hist_bin must be positive, got {self.hist_bin}")
 
 
 @dataclass(frozen=True)
@@ -91,48 +96,48 @@ class ExperimentReport:
     wls_win_fraction: float
 
 
-def simulate_pass(s: float, d: float, t: float, entry_offset: float) -> int:
-    """Record count of one probe pass; first record lands s*entry_offset in.
+def load_scenario(spec: str, m: int, trials: int, seed: int) -> ScenarioConfig:
+    """Scenario preset (s1, s2) or JSON config with d, t and an optional
+    ``dist`` (preset name, path or inline mixture; default park-i35)."""
+    doc = read_config(spec, SCENARIO_PRESETS, "scenario")
+    dist_spec = doc.get("dist", "park-i35")
+    dist = from_dict(dist_spec) if isinstance(dist_spec, dict) else load_distribution(dist_spec)
+    try:
+        return ScenarioConfig(
+            d=float(doc["d"]), t=float(doc["t"]), m=m, dist=dist, trials=trials, seed=seed
+        )
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        raise ValueError(f"bad scenario config: {exc}") from exc
 
-    The offset is the lag between entering the cordon and the next recording
-    tick, uniform on [0, t) for a random arrival.
-    """
-    if s <= 0.0 or d <= 0.0 or t <= 0.0:
-        raise ValueError(f"s, d, t must be positive, got ({s}, {d}, {t})")
-    if not (0.0 <= entry_offset < t):
-        raise ValueError(f"entry_offset must be in [0, t), got {entry_offset}")
-    first = s * entry_offset
-    if first >= d:
-        return 0
-    return 1 + int(math.floor((d - first) / (s * t)))
+
+def _passes(dist, n, d, t, rng):
+    """Speeds, entry offsets and record counts of n independent passes; the
+    offset, the lag from cordon entry to the next recording tick, is U[0, t)."""
+    speeds = sample_with_rng(dist, n, rng)
+    offsets = rng.random(n) * t
+    return speeds, offsets, kernels.pass_counts(speeds, offsets, d, t)
 
 
 def run_scenario(config: ScenarioConfig) -> tuple[np.ndarray, SimSummary]:
     """Draw config.trials estimates, each from m independent probe passes.
 
     One vectorized generator stream keyed by the seed: output is a pure
-    function of (config, seed).
+    function of (config, seed). Trial k uses passes k*m to (k+1)*m - 1.
     """
     rng = np.random.default_rng(config.seed)
-    if config.m == 0:
-        samples = np.zeros(config.trials, dtype=np.float64)
-    else:
-        total = config.trials * config.m
-        speeds = sample_with_rng(config.dist, total, rng)
-        offsets = rng.random(total) * config.t
-        counts = kernels.pass_counts(speeds, offsets, config.d, config.t)
-        samples = (config.t / config.d) * (speeds * counts).reshape(
-            config.trials, config.m
-        ).sum(axis=1)
-    return samples, summarize(samples, config.hist_bin)
+    speeds, _, counts = _passes(config.dist, config.trials * config.m, config.d, config.t, rng)
+    samples = (config.t / config.d) * (speeds * counts).reshape(
+        config.trials, config.m
+    ).sum(axis=1)
+    return samples, summarize(samples)
 
 
-def summarize(samples: np.ndarray, hist_bin: float = DEFAULT_HIST_BIN) -> SimSummary:
+def summarize(samples: np.ndarray) -> SimSummary:
     mean = float(np.mean(samples))
     var = float(np.var(samples, ddof=1)) if samples.size > 1 else 0.0
-    lo = math.floor(float(np.min(samples)) / hist_bin) * hist_bin
-    nbins = max(1, int(math.ceil((float(np.max(samples)) - lo) / hist_bin + 1e-9)))
-    edges = lo + hist_bin * np.arange(nbins + 1)
+    lo = math.floor(float(np.min(samples)) / HIST_BIN) * HIST_BIN
+    nbins = max(1, int(math.ceil((float(np.max(samples)) - lo) / HIST_BIN + 1e-9)))
+    edges = lo + HIST_BIN * np.arange(nbins + 1)
     counts, _ = np.histogram(samples, bins=edges)
     return SimSummary(
         mean=mean,
@@ -143,28 +148,27 @@ def summarize(samples: np.ndarray, hist_bin: float = DEFAULT_HIST_BIN) -> SimSum
     )
 
 
-def simulate_footprints(
-    config: ScenarioConfig,
-) -> tuple[list[FootprintRecord], float]:
-    """Footprints of the first trial, with one out-of-cordon record on each
-    side of every pass so downstream cropping is exercised.
+def simulate_footprints(config: ScenarioConfig) -> tuple[list[FootprintRecord], float]:
+    """Footprints of trial 0 of ``run_scenario(config)`` (the same passes, redrawn
+    from the same stream), with one out-of-cordon record on each side of every
+    pass so downstream cropping is exercised.
 
     Returns the records and the trial's estimate computed exactly as the
     estimator would (compensated sum of in-cordon speeds times t/d).
     """
     rng = np.random.default_rng(config.seed)
+    m = config.m
+    speeds, offsets, counts = _passes(config.dist, config.trials * m, config.d, config.t, rng)
     records: list[FootprintRecord] = []
     in_cordon_speeds: list[float] = []
-    if config.m > 0:
-        speeds = sample_with_rng(config.dist, config.m, rng)
-        offsets = rng.random(config.m) * config.t
-        for s, off in zip(speeds, offsets):
-            count = simulate_pass(float(s), config.d, config.t, float(off))
-            first = float(s) * float(off)
-            spacing = float(s) * config.t
-            for j in range(-1, count + 1):
-                records.append(FootprintRecord(position=first + j * spacing, speed=float(s)))
-            in_cordon_speeds.extend([float(s)] * count)
+    for s, off, count in zip(speeds[:m].tolist(), offsets[:m].tolist(), counts[:m].tolist()):
+        first = s * off
+        spacing = s * config.t
+        records.extend(
+            FootprintRecord(position=first + j * spacing, speed=s)
+            for j in range(-1, int(count) + 1)
+        )
+        in_cordon_speeds.extend([s] * int(count))
     m_hat = (config.t / config.d) * math.fsum(in_cordon_speeds)
     return records, m_hat
 
@@ -172,50 +176,31 @@ def simulate_footprints(
 # -- multi-site regression experiment ----------------------------------------
 
 
-def load_site_preset(name: str = "table2") -> list[SiteConfig]:
-    if name != "table2":
-        raise ValueError(f"unknown site preset {name!r}")
-    ref = resources.files("probevolume.presets").joinpath("table2_sites.json")
-    with ref.open("r", encoding="utf-8") as fh:
-        return sites_from_dict(json.load(fh))
-
-
-def sites_from_dict(doc: dict) -> list[SiteConfig]:
-    t = float(doc.get("t", 1.0))
+def load_sites(spec: str) -> list[SiteConfig]:
+    """Site preset table2 or JSON config: ``sites`` rows (site_id, adt, m, d,
+    ``dist`` preset name or path) and a shared ``t`` (default 1 s)."""
+    doc = read_config(spec, {"table2": "table2_sites.json"}, "site set")
     dists: dict[str, SpeedDistribution] = {}
     sites = []
-    for row in doc["sites"]:
-        key = row["dist"]
-        if key not in dists:
-            dists[key] = load_distribution(key)
-        sites.append(
-            SiteConfig(
-                site_id=str(row["site_id"]),
-                adt=float(row["adt"]),
-                m=int(row["m"]),
-                d=float(row["d"]),
-                dist=dists[key],
-                t=t,
+    try:
+        t = float(doc.get("t", 1.0))
+        for row in doc["sites"]:
+            key = row["dist"]
+            if key not in dists:
+                dists[key] = load_distribution(key)
+            sites.append(
+                SiteConfig(
+                    site_id=str(row["site_id"]),
+                    adt=float(row["adt"]),
+                    m=int(row["m"]),
+                    d=float(row["d"]),
+                    dist=dists[key],
+                    t=t,
+                )
             )
-        )
+    except (KeyError, TypeError, OverflowError) as exc:
+        raise ValueError(f"malformed site set config {spec!r}: {exc}") from exc
     return sites
-
-
-def load_sites(spec: str) -> list[SiteConfig]:
-    if spec == "table2":
-        return load_site_preset(spec)
-    path = Path(spec)
-    if path.exists():
-        with path.open("r", encoding="utf-8") as fh:
-            return sites_from_dict(json.load(fh))
-    raise ValueError(f"unknown site set {spec!r}: not a preset and no such file")
-
-
-def _site_m_hat(site: SiteConfig, rng: np.random.Generator) -> float:
-    speeds = sample_with_rng(site.dist, site.m, rng)
-    offsets = rng.random(site.m) * site.t
-    counts = kernels.pass_counts(speeds, offsets, site.d, site.t)
-    return (site.t / site.d) * float(np.sum(speeds * counts))
 
 
 def run_regression_experiment(
@@ -256,7 +241,8 @@ def run_regression_experiment(
             rng = np.random.default_rng(
                 np.random.SeedSequence(seed, spawn_key=(trial, i))
             )
-            m_hats[i] = _site_m_hat(site, rng)
+            speeds, _, counts = _passes(site.dist, site.m, site.d, site.t, rng)
+            m_hats[i] = (site.t / site.d) * float(np.sum(speeds * counts))
         mape_ols[trial] = kernels.all_pairs_mape(m_hats, volumes, ols_weights, pairs)
         mape_wls[trial] = kernels.all_pairs_mape(m_hats, volumes, wls_weights, pairs)
 

@@ -7,7 +7,7 @@ import math
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 from scipy.special import ndtr, ndtri
@@ -19,6 +19,7 @@ from . import kernels
 WEIGHT_SUM_TOL = 5e-3
 
 PRESET_NAMES = ("park-i35", "table2-60mph", "table2-30mph")
+_PRESET_FILES = {name: name.replace("-", "_") + ".json" for name in PRESET_NAMES}
 
 _GL32_X, _GL32_W = np.polynomial.legendre.leggauss(32)
 _GL32_X.setflags(write=False)
@@ -113,14 +114,6 @@ class SpeedDistribution:
         )
         return float(out[0]) if scalar else out
 
-    def mean(self) -> float:
-        """Mixture mean from the closed-form truncated-normal component means."""
-        a = (self.lower - self._means) / self._sds
-        b = (self.upper - self._means) / self._sds
-        phi = np.exp(-0.5 * np.square([a, b])) / math.sqrt(2.0 * math.pi)
-        comp = self._means + self._sds * (phi[0] - phi[1]) / self._cdf_span
-        return float(np.sum(self._weights * comp))
-
 
 def eval_pdf(dist: SpeedDistribution, s):
     """Mixture density g(s); zero outside the support (lower, upper]."""
@@ -171,14 +164,12 @@ def integrate_weighted(
     dist: SpeedDistribution,
     weight: Callable[[np.ndarray], np.ndarray],
     breakpoints: Sequence[float] = (),
-    nodes_per_piece: int = 32,
 ) -> float:
     """Integrate weight(s)*g(s) over the support with piecewise quadrature.
 
     The support is cut at the given breakpoints (clipped to it) plus fixed
     sd-anchored cuts around each component mean; every piece gets a
-    fixed-order Gauss-Legendre rule (default 32 nodes). ``weight`` must
-    accept an ndarray of speeds.
+    32-node Gauss-Legendre rule. ``weight`` must accept an ndarray of speeds.
     """
     pts = np.asarray(breakpoints, dtype=np.float64)
     if pts.size and np.any(np.diff(pts) < 0):
@@ -190,12 +181,8 @@ def integrate_weighted(
     half = 0.5 * np.diff(edges)
     mid = 0.5 * (edges[:-1] + edges[1:])
 
-    if nodes_per_piece == 32:
-        gl_x, gl_w = _GL32_X, _GL32_W
-    else:
-        gl_x, gl_w = np.polynomial.legendre.leggauss(nodes_per_piece)
-    nodes = (mid[:, None] + half[:, None] * gl_x).ravel()
-    wts = (half[:, None] * gl_w).ravel()
+    nodes = (mid[:, None] + half[:, None] * _GL32_X).ravel()
+    wts = (half[:, None] * _GL32_W).ravel()
 
     gv = kernels.mixture_pdf(
         nodes, dist._means, dist._sds, dist._norms, dist.lower, dist.upper
@@ -222,7 +209,7 @@ def from_dict(doc: dict) -> SpeedDistribution:
         )
         lower = float(doc["lower"])
         upper = float(doc["upper"])
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, OverflowError) as exc:
         raise ValueError(f"malformed speed distribution config: {exc}") from exc
     return SpeedDistribution(comps, lower, upper)
 
@@ -237,22 +224,41 @@ def to_dict(dist: SpeedDistribution) -> dict:
     }
 
 
-def load_preset(name: str) -> SpeedDistribution:
-    fname = name.replace("-", "_") + ".json"
-    ref = resources.files("probevolume.presets").joinpath(fname)
-    with ref.open("r", encoding="utf-8") as fh:
-        return from_dict(json.load(fh))
+def read_config(spec: str, presets: Mapping[str, str | dict], what: str) -> dict:
+    """Resolve a preset name or a JSON file path to a config object.
+
+    A preset maps to a packaged JSON file name or to the object itself.
+    A spec that names neither, or a document that is not a JSON object,
+    raises ``ValueError``; a file that cannot be read, decoded as UTF-8 or
+    parsed as JSON raises ``OSError``.
+    """
+    if not isinstance(spec, str):
+        raise ValueError(f"{what} must be a preset name or a file path, got {spec!r}")
+    preset = presets.get(spec)
+    if isinstance(preset, dict):
+        return dict(preset)
+    if preset is not None:
+        source = resources.files("probevolume.presets").joinpath(preset)
+    else:
+        source = Path(spec)
+        if not source.exists():
+            raise ValueError(
+                f"unknown {what} {spec!r}: not a preset "
+                f"({', '.join(presets)}) and no such file"
+            )
+    try:
+        doc = json.loads(source.read_text(encoding="utf-8"))
+    # ValueError: bad UTF-8 or bad JSON; RecursionError: nesting too deep
+    except (OSError, ValueError, RecursionError) as exc:
+        raise OSError(f"cannot read {what} config {spec!r}: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise ValueError(
+            f"malformed {what} config {spec!r}: expected a JSON object, "
+            f"got {type(doc).__name__}"
+        )
+    return doc
 
 
 def load_distribution(spec: str) -> SpeedDistribution:
     """Resolve a preset name or a JSON config path to a distribution."""
-    if spec in PRESET_NAMES:
-        return load_preset(spec)
-    path = Path(spec)
-    if path.exists():
-        with path.open("r", encoding="utf-8") as fh:
-            return from_dict(json.load(fh))
-    raise ValueError(
-        f"unknown speed distribution {spec!r}: not a preset "
-        f"({', '.join(PRESET_NAMES)}) and no such file"
-    )
+    return from_dict(read_config(spec, _PRESET_FILES, "speed distribution"))

@@ -26,7 +26,7 @@ from probevolume.distribution_engine import (
 )
 from probevolume.probe_simulator import (
     ScenarioConfig,
-    load_site_preset,
+    load_sites,
     run_regression_experiment,
     run_scenario,
 )
@@ -246,7 +246,7 @@ class TestCriterion6:
 
 class TestCriterion7:
     def test_table2_vmr_column(self):
-        sites = {s.site_id: s for s in load_site_preset("table2")}
+        sites = {s.site_id: s for s in load_sites("table2")}
         ok = True
         parts = []
         for sid, want in TABLE2_SPOT_VMR.items():
@@ -261,7 +261,7 @@ class TestCriterion8:
     def test_regression_experiment(self):
         t0 = time.perf_counter()
         report = run_regression_experiment(
-            load_site_preset("table2"), trials=500, all_pairs=True, seed=31415
+            load_sites("table2"), trials=500, all_pairs=True, seed=31415
         )
         elapsed = time.perf_counter() - t0
         ok = (

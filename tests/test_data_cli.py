@@ -84,6 +84,49 @@ class TestBasics:
         assert code == EXIT_BAD_PARAMETER
 
 
+_SIMULATE = ["simulate", "--m", "1", "--trials", "1", "--seed", "1", "--scenario"]
+_EXPERIMENT = ["experiment", "--trials", "1", "--seed", "1", "--sites"]
+_PRECISION = ["precision", "--m", "1", "--d", "300", "--t", "4", "--dist"]
+
+
+class TestConfigErrors:
+    @pytest.mark.parametrize(
+        "text,argv,code",
+        [
+            ('{"components": 3, "lower": 0, "upper": 40}', _EXPERIMENT, EXIT_BAD_PARAMETER),
+            ('{"sites": [{"site_id": "a"}]}', _EXPERIMENT, EXIT_BAD_PARAMETER),
+            ('{"sites": 3}', _EXPERIMENT, EXIT_BAD_PARAMETER),
+            ("[1, 2]", _EXPERIMENT, EXIT_BAD_PARAMETER),
+            ('{"d": 300, "t": 4, "dist": 5}', _SIMULATE, EXIT_BAD_PARAMETER),
+            ("[1]", _SIMULATE, EXIT_BAD_PARAMETER),
+            ("{not json", _PRECISION, EXIT_IO_FAILURE),
+            ("{not json", _SIMULATE, EXIT_IO_FAILURE),
+            ("{not json", _EXPERIMENT, EXIT_IO_FAILURE),
+        ],
+        ids=[
+            "sites-no-sites-key", "sites-row-missing-keys", "sites-not-a-list",
+            "sites-not-an-object", "scenario-dist-number", "scenario-not-an-object",
+            "dist-not-json", "scenario-not-json", "sites-not-json",
+        ],
+    )
+    def test_exit_code_and_json_error(self, capsys, tmp_path, text, argv, code):
+        path = tmp_path / "config.json"
+        path.write_text(text, encoding="utf-8")
+        got, out, err = run_cli(capsys, *argv, str(path))
+        assert got == code
+        assert out == ""
+        assert json.loads(err)["code"] == code
+        assert "Traceback" not in err
+
+    def test_unwritable_out_is_io_failure(self, capsys, tmp_path):
+        code, _, err = run_cli(
+            capsys, "apply", "--beta", "2", "--m-hat", "3",
+            "--out", str(tmp_path / "no" / "such" / "dir.json"),
+        )
+        assert code == EXIT_IO_FAILURE
+        assert json.loads(err)["code"] == EXIT_IO_FAILURE
+
+
 class TestPrecision:
     def test_park_values(self, capsys):
         doc = run_json(

@@ -256,6 +256,26 @@ class TestMFold:
         assert np.max(np.abs(got.densities - want / step)) < 1e-8
         assert got.atom_at_zero == q**m
 
+    @pytest.mark.parametrize(
+        "d,t,step,m",
+        [(300.0, 4.0, 1e-3, 8), (300.0, 4.0, 1e-3, 64), (5.0, 4.0, 1e-2, 8)],
+        ids=["no-atom-m8", "no-atom-m64", "atom-m8"],
+    )
+    def test_exact_zeros_outside_support(self, park, d, t, step, m):
+        # with the zero atom q, the continuous part of m probes starts at the
+        # single density's first cell; without it, at m times that cell
+        single = single_probe_pdf(d, t, park, grid_step=step)
+        cells = np.flatnonzero(single.densities)
+        first, last = int(cells[0]), int(cells[-1])
+        q = single.atom_at_zero
+        assert (q > 0.0) == (d == 5.0)
+        lo = first if q > 0.0 else m * first
+        pdf = m_fold_pdf(single, m)
+        got = pdf.densities
+        assert not np.any(got[:lo])
+        assert not np.any(got[m * last + 1 :])
+        assert pdf.total_mass() == pytest.approx(1.0, abs=1e-9)
+
     def test_rejects_mismatched_grid(self, park):
         single = single_probe_pdf(300.0, 4.0, park)
         shifted = VolumePdf(0.5, single.grid_step, single.densities, single.atom_at_zero)

@@ -3,34 +3,39 @@ import math
 import numpy as np
 import pytest
 
+from probevolume import kernels
 from probevolume.estimator import estimate_probe_volume, extra_record_prob, min_records
 from probevolume.footprint_data import CordonSpec, crop_to_cordon
 from probevolume.probe_simulator import (
     ScenarioConfig,
     SiteConfig,
-    load_site_preset,
+    load_sites,
     run_regression_experiment,
     run_scenario,
     simulate_footprints,
-    simulate_pass,
     summarize,
 )
 from probevolume.speed_model import SpeedComponent, SpeedDistribution
 
 
+def _counts(s, d, t, offsets):
+    offsets = np.asarray(offsets, dtype=np.float64)
+    return kernels.pass_counts(np.full(offsets.shape, s), offsets, d, t)
+
+
 class TestSimulatePass:
     def test_offset_zero(self):
         # records at 0+, 30, 60, 90
-        assert simulate_pass(30.0, 100.0, 1.0, 0.0) == 4
+        assert _counts(30.0, 100.0, 1.0, [0.0])[0] == 4
 
     def test_offset_near_t(self):
         # first record at ~30 m: records at 30-, 60-, 90-
-        assert simulate_pass(30.0, 100.0, 1.0, 1.0 - 1e-9) == 3
+        assert _counts(30.0, 100.0, 1.0, [1.0 - 1e-9])[0] == 3
 
     def test_expected_count_over_offsets(self):
         # E[count] over uniform offsets must equal 100/(30*1) = 10/3
         offsets = (np.arange(10_000) + 0.5) / 10_000
-        counts = [simulate_pass(30.0, 100.0, 1.0, float(o)) for o in offsets]
+        counts = _counts(30.0, 100.0, 1.0, offsets)
         assert np.mean(counts) == pytest.approx(10.0 / 3.0, abs=1e-3)
 
     def test_count_in_allowed_set(self):
@@ -40,24 +45,17 @@ class TestSimulatePass:
             d = float(rng.uniform(5.0, 400.0))
             t = float(rng.uniform(0.5, 6.0))
             off = float(rng.uniform(0.0, t))
-            count = simulate_pass(s, d, t, off)
+            count = _counts(s, d, t, [off])[0]
             n_min = min_records(s, d, t)
             assert count in (0, n_min, n_min + 1)
             if count == 0:
                 assert s * t > d
 
-    def test_rejects_bad_offset(self):
-        with pytest.raises(ValueError):
-            simulate_pass(30.0, 100.0, 1.0, 1.0)
-        with pytest.raises(ValueError):
-            simulate_pass(30.0, 100.0, 1.0, -0.1)
-
     def test_mean_count_matches_unbiasedness(self):
         # empirical mean over offsets ~ U[0,t) equals n_min + p
         rng = np.random.default_rng(99)
         s, d, t = 23.7, 210.0, 3.0
-        offs = rng.uniform(0.0, t, 200_000)
-        counts = np.array([simulate_pass(s, d, t, float(o)) for o in offs])
+        counts = _counts(s, d, t, rng.uniform(0.0, t, 200_000))
         want = min_records(s, d, t) + extra_record_prob(s, d, t)
         sigma = counts.std() / math.sqrt(counts.size)
         assert abs(counts.mean() - want) < 3.5 * sigma + 1e-9
@@ -107,6 +105,14 @@ class TestFootprints:
         est = estimate_probe_volume(crop.sample)
         assert est.m_hat == internal  # bit-for-bit through the CSV round trip
 
+    @pytest.mark.parametrize("trials", [1, 5])
+    def test_emits_trial_zero(self, park, trials):
+        cfg = ScenarioConfig(d=300.0, t=4.0, m=8, dist=park, trials=trials, seed=42)
+        samples, _ = run_scenario(cfg)
+        records, m_hat = simulate_footprints(cfg)
+        assert m_hat == pytest.approx(samples[0], rel=1e-12, abs=0.0)
+        assert len({r.speed for r in records}) == 8  # m passes, not trials * m
+
     def test_out_of_cordon_records_present(self, park):
         cfg = ScenarioConfig(d=300.0, t=4.0, m=4, dist=park, trials=1, seed=9)
         records, _ = simulate_footprints(cfg)
@@ -144,7 +150,7 @@ class TestRegressionExperiment:
         assert report.mean_mape_ols == pytest.approx(0.0, abs=1e-9)
 
     def test_rerun_is_bit_identical(self, park):
-        sites = load_site_preset("table2")[:6]
+        sites = load_sites("table2")[:6]
         a = run_regression_experiment(sites, trials=3, seed=11)
         b = run_regression_experiment(sites, trials=3, seed=11)
         assert a == b
@@ -168,7 +174,7 @@ class TestRegressionExperiment:
 
 class TestSitePreset:
     def test_loads_34_sites(self):
-        sites = load_site_preset("table2")
+        sites = load_sites("table2")
         assert len(sites) == 34
         assert all(site.t == 1.0 for site in sites)
         by_id = {site.site_id: site for site in sites}

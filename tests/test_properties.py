@@ -1,5 +1,7 @@
 """Randomized and property-based checks of the core invariants."""
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,6 +15,8 @@ from probevolume.distribution_engine import (
 )
 from probevolume.estimator import extra_record_prob, min_records
 from probevolume.footprint_data import CordonSpec, FootprintRecord, crop_to_cordon
+from probevolume.probe_simulator import load_scenario, load_sites
+from probevolume.speed_model import load_distribution
 
 from conftest import random_mixture
 
@@ -116,3 +120,45 @@ class TestCropProperties:
             n = len(crop_to_cordon(records, CordonSpec(start, length), t=1.0).sample.speeds)
             assert n >= previous
             previous = n
+
+
+# JSON values shaped like the three config kinds: their keys, small ints,
+# short strings, preset names, at most a few levels deep
+_CONFIG_KEYS = st.sampled_from(
+    ("components", "mean", "sd", "weight", "lower", "upper",
+     "sites", "site_id", "adt", "m", "d", "t", "dist")
+)
+_json_docs = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers(-3, 3)
+    | st.text(max_size=3)
+    | st.sampled_from(("park-i35", "table2-30mph")),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(_CONFIG_KEYS | st.text(max_size=2), inner, max_size=5),
+    max_leaves=10,
+)
+
+
+@pytest.fixture(scope="module")
+def config_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("config") / "config.json"
+
+
+class TestConfigLoaders:
+    @given(_json_docs)
+    @settings(max_examples=300, deadline=None)
+    def test_only_documented_errors_escape(self, config_path, doc):
+        # ValueError is exit 3 on the CLI and OSError exit 4; anything else
+        # would escape as a traceback
+        config_path.write_text(json.dumps(doc), encoding="utf-8")
+        loaders = (
+            load_distribution,
+            load_sites,
+            lambda spec: load_scenario(spec, 1, 1, 0),
+        )
+        for load in loaders:
+            try:
+                load(str(config_path))
+            except (ValueError, OSError):
+                pass
