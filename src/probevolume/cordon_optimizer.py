@@ -46,10 +46,10 @@ def objective_curve(
     """
     if kind not in OBJECTIVES:
         raise ValueError(f"objective kind must be one of {OBJECTIVES}, got {kind!r}")
-    if not (0.0 < d_min < d_max):
-        raise ValueError(f"need 0 < d_min < d_max, got ({d_min}, {d_max})")
-    if step <= 0.0:
-        raise ValueError(f"step must be positive, got {step}")
+    if not (0.0 < d_min < d_max < math.inf):
+        raise ValueError(f"need 0 < d_min < d_max < inf, got ({d_min}, {d_max})")
+    if not (0.0 < step < math.inf):
+        raise ValueError(f"step must be positive and finite, got {step}")
     if kind == "cv" and m < 1:
         raise ValueError(f"cv objective requires m >= 1, got {m}")
 
@@ -74,8 +74,8 @@ def optimize_cordon(
     Ties break toward larger d: more data points per probe at equal
     theoretical precision.
     """
-    if not (d_max > step > 0.0):
-        raise ValueError(f"need d_max > step > 0, got ({d_max}, {step})")
+    if not (math.inf > d_max > step > 0.0):
+        raise ValueError(f"need inf > d_max > step > 0, got ({d_max}, {step})")
     curve = objective_curve(step, d_max, step, t, dist, kind, m)
     best_d, best_val = curve[0]
     for d, value in curve[1:]:

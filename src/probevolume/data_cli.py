@@ -95,8 +95,8 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _positive(name: str, value: float) -> float:
-    if not (value > 0.0):
-        raise ParameterError(f"--{name} must be positive, got {value}")
+    if not (0.0 < value < math.inf):
+        raise ParameterError(f"--{name} must be positive and finite, got {value}")
     return value
 
 
@@ -163,12 +163,9 @@ def _build_parser(sub: str) -> _Parser:
 def _run_estimate(args) -> dict:
     _positive("d", args.d)
     _positive("t", args.t)
+    cordon = footprint_data.CordonSpec(args.start, args.d, args.label)
     read = footprint_data.read_footprints_csv(args.footprints, strict=args.strict)
-    crop = footprint_data.crop_to_cordon(
-        read.records,
-        footprint_data.CordonSpec(args.start, args.d, args.label),
-        args.t,
-    )
+    crop = footprint_data.crop_to_cordon(read.records, cordon, args.t)
     result = estimator.estimate_probe_volume(crop.sample)
     return {
         "m_hat": result.m_hat,
@@ -313,6 +310,8 @@ def _run_calibrate(args) -> dict:
 
 
 def _run_apply(args) -> dict:
+    if not (math.isfinite(args.beta) and math.isfinite(args.m_hat)):
+        raise ParameterError(f"--beta and --m-hat must be finite, got ({args.beta}, {args.m_hat})")
     return {"volume": args.beta * args.m_hat}
 
 

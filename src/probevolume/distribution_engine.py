@@ -99,8 +99,8 @@ def variance(m: int, d: float, t: float, dist: SpeedDistribution) -> float:
     """Var[m_hat] = (m t^2 / d^2) * integral of b(s,d,t) g(s) ds."""
     if m < 0 or m != int(m):
         raise ValueError(f"m must be a nonnegative integer, got {m}")
-    if d <= 0.0 or t <= 0.0:
-        raise ValueError(f"d and t must be positive, got ({d}, {t})")
+    if not (0.0 < d < math.inf and 0.0 < t < math.inf):
+        raise ValueError(f"d and t must be positive and finite, got ({d}, {t})")
     if m == 0:
         return 0.0
 
@@ -153,8 +153,8 @@ def single_probe_pdf(
     differences and only the Bernoulli split within each sub-interval uses
     quadrature, so total mass is conserved for any valid mixture.
     """
-    if d <= 0.0 or t <= 0.0 or grid_step <= 0.0:
-        raise ValueError(f"d, t, grid_step must be positive, got ({d}, {t}, {grid_step})")
+    if not all(0.0 < x < math.inf for x in (d, t, grid_step)):
+        raise ValueError(f"d, t, grid_step must be positive and finite: ({d}, {t}, {grid_step})")
     m_top = max(2.0, dist.upper * t / d * (1.0 + grid_step))
     n_cells = int(math.ceil(m_top / grid_step)) + 1
     if n_cells < 100:

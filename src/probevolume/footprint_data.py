@@ -28,8 +28,8 @@ class FootprintRecord:
     def __post_init__(self):
         if not math.isfinite(self.position):
             raise ValueError(f"position must be finite, got {self.position}")
-        if not (self.speed > 0.0):
-            raise ValueError(f"speed must be positive, got {self.speed}")
+        if not (0.0 < self.speed < math.inf):
+            raise ValueError(f"speed must be positive and finite, got {self.speed}")
 
 
 @dataclass(frozen=True)
@@ -41,8 +41,10 @@ class CordonSpec:
     label_filter: str | None = None
 
     def __post_init__(self):
-        if not (self.length > 0.0):
-            raise ValueError(f"cordon length must be positive, got {self.length}")
+        if not math.isfinite(self.start):
+            raise ValueError(f"cordon start must be finite, got {self.start}")
+        if not (0.0 < self.length < math.inf):
+            raise ValueError(f"cordon length must be positive and finite, got {self.length}")
 
 
 @dataclass(frozen=True)
@@ -54,10 +56,10 @@ class CordonSample:
     t: float
 
     def __post_init__(self):
-        if not (self.d > 0.0):
-            raise ValueError(f"d must be positive, got {self.d}")
-        if not (self.t > 0.0):
-            raise ValueError(f"t must be positive, got {self.t}")
+        if not (0.0 < self.d < math.inf):
+            raise ValueError(f"d must be positive and finite, got {self.d}")
+        if not (0.0 < self.t < math.inf):
+            raise ValueError(f"t must be positive and finite, got {self.t}")
         if any(s <= 0.0 for s in self.speeds):
             raise ValueError("all sampled speeds must be positive")
 
@@ -71,11 +73,14 @@ class CropResult:
 def crop_to_cordon(records, cordon: CordonSpec, t: float) -> CropResult:
     """Keep records with start < position <= start + length and matching label.
 
-    Records with non-positive speed are dropped (and counted) rather than
-    rejected; field data needs cleaning and the estimator requires s > 0.
+    In-cordon records with non-positive speed are dropped and counted in
+    ``dropped_nonpositive``. A ``FootprintRecord`` cannot hold such a speed,
+    so ``read_footprints_csv`` skips those rows and lists them in its
+    warnings (the first one raises under ``strict``); for CSV input the count
+    is therefore 0, and only duck-typed records can reach the drop.
     """
-    if not (t > 0.0):
-        raise ValueError(f"t must be positive, got {t}")
+    if not (0.0 < t < math.inf):
+        raise ValueError(f"t must be positive and finite, got {t}")
     lo = cordon.start
     hi = cordon.start + cordon.length
     kept: list[float] = []

@@ -73,9 +73,11 @@ def pass_counts(speeds, offsets, d, t):
 # The continuous part of the estimator density decomposes into speed bands
 # indexed by u >= 1 (guaranteed record count) plus the u = 0 band above d/t
 # whose no-extra-record branch is the point mass at zero. Within band u the
-# estimate is m_hat = s*t*(u+k)/d for the Bernoulli outcome k, so the band
-# is split at every s whose image under either k-map crosses a grid-cell
-# edge. Per sub-interval the g-mass is an exact CDF difference and only the
+# estimate is m_hat = s*t*(u+k)/d for the Bernoulli outcome k, so each
+# multiplier v = u+k maps bands v-1 and v onto m_hat. All resolved bands are
+# cut in one partition of the speed axis: at the band ends d/(t*v) and at
+# every s where some multiplier's image crosses a grid-cell edge inside its
+# two bands. Per piece the g-mass is an exact CDF difference and only the
 # k-split ratio uses quadrature, which keeps total mass exact for any
 # mixture, including near-degenerate ones. Bands with u > u_max span less
 # than half a cell around m_hat = 1, so their remaining mass is deposited in
@@ -84,83 +86,70 @@ def pass_counts(speeds, offsets, d, t):
 # unbiased to within a cell.
 # ---------------------------------------------------------------------------
 
-# Gauss-Legendre rule for the k-split ratio inside one sub-interval.
+# Gauss-Legendre rule for the k-split ratio inside one piece.
 _GL8_X, _GL8_W = np.polynomial.legendre.leggauss(8)
 _GL8_X.setflags(write=False)
 _GL8_W.setflags(write=False)
 
-
-def _one_band(
-    means, sds, norms, cdf_lo, cdf_w, lower, upper, d, t, step, n_cells, u
-):
-    """Grid deposits (masses, atom contribution) from speed band u alone."""
-    masses = np.zeros(n_cells, dtype=np.float64)
-    if u == 0:
-        s_hi = upper
-        s_lo = max(lower, d / t)
-    else:
-        s_hi = min(upper, d / (t * u))
-        s_lo = max(lower, d / (t * (u + 1)))
-    if s_hi <= s_lo:
-        return masses, 0.0
-
-    # merged split points: band ends plus cell-edge preimages of both maps
-    edges = [s_lo, s_hi]
-    for k in (0, 1):
-        if u + k == 0:
-            continue
-        slope = t * (u + k) / d
-        i_lo = int(math.floor(s_lo * slope / step + 0.5))
-        i_hi = int(math.floor(s_hi * slope / step + 0.5))
-        for i in range(i_lo, i_hi + 1):
-            se = (i + 0.5) * step / slope
-            if s_lo < se < s_hi:
-                edges.append(se)
-    edges = np.unique(np.asarray(edges, dtype=np.float64))
-
-    a = edges[:-1]
-    b = edges[1:]
-    width = b - a
-    delta = np.diff(_mixture_cdf(edges, means, sds, cdf_lo, cdf_w, lower, upper))
-
-    # mass-weighted mean of p over each sub-interval via GL8 on g and g*p
-    nodes = 0.5 * (a[:, None] + b[:, None]) + 0.5 * width[:, None] * _GL8_X
-    flat = nodes.ravel()
-    gv = _mixture_pdf(flat, means, sds, norms, lower, upper).reshape(nodes.shape)
-    p_nodes = (d / (flat * t) - u).reshape(nodes.shape)
-    g_int = gv @ _GL8_W
-    gp_int = (gv * p_nodes) @ _GL8_W
-    mid = 0.5 * (a + b)
-    p_bar = np.where(
-        g_int > 0.0,
-        np.clip(gp_int / np.where(g_int > 0.0, g_int, 1.0), 0.0, 1.0),
-        d / (mid * t) - u,
-    )
-
-    atom = 0.0
-    idx_k1 = np.floor(mid * t * (u + 1) / d / step + 0.5).astype(np.int64)
-    np.add.at(masses, np.clip(idx_k1, 0, n_cells - 1), delta * p_bar)
-    if u == 0:
-        atom = float(np.sum(delta * (1.0 - p_bar)))
-    else:
-        idx_k0 = np.floor(mid * t * u / d / step + 0.5).astype(np.int64)
-        np.add.at(masses, np.clip(idx_k0, 0, n_cells - 1), delta * (1.0 - p_bar))
-    return masses, atom
+# Pieces evaluated per vectorised step; keeps the temporaries near 1 MB.
+_CHUNK = 4096
 
 
 def band_masses(
     means, sds, norms, cdf_lo, cdf_w, lower, upper, d, t, step, n_cells, u_max
 ):
+    # band u spans the speeds [ends[u], ends[u - 1]], band 0 up to upper
+    v = np.arange(1, u_max + 2, dtype=np.float64)
+    ends = d / (t * v)
+    s_min = min(max(lower, ends[-1]), upper)
+
+    # cell-edge preimages of each multiplier v, kept strictly inside bands v-1 and v
+    slope = t * v / d
+    lo = np.maximum(s_min, np.append(ends[1:], 0.0))
+    hi = np.minimum(upper, np.append(np.inf, ends[:-1]))
+    i_lo = np.floor(lo * slope / step + 0.5)
+    count = np.maximum(np.floor(hi * slope / step + 0.5) - i_lo + 1.0, 0.0).astype(np.int64)
+    owner = np.repeat(np.arange(v.size), count)
+    i = np.arange(owner.size) - (np.cumsum(count) - count)[owner] + i_lo[owner]
+    cuts = (i + 0.5) * step / slope[owner]
+    cuts = cuts[(lo[owner] < cuts) & (cuts < hi[owner])]
+    inner = ends[(ends > s_min) & (ends < upper)]
+    edges = np.unique(np.concatenate(([s_min, upper], inner, cuts)))
+    # band of each piece: how many band ends lie above its left edge
+    band = np.searchsorted(-ends, -edges[:-1])
+
     masses = np.zeros(n_cells, dtype=np.float64)
-    atom = 0.0
-    for u in range(0, u_max + 1):
-        if u >= 1 and d / (t * u) <= lower:
-            break  # this and all later bands sit below the support
-        band, band_atom = _one_band(
-            means, sds, norms, cdf_lo, cdf_w, lower, upper, d, t, step, n_cells, u
+    no_record = [np.zeros(0)]
+    for c in range(0, band.size, _CHUNK):
+        e = edges[c : c + _CHUNK + 1]
+        u = band[c : c + _CHUNK]
+        a = e[:-1]
+        b = e[1:]
+        delta = np.diff(_mixture_cdf(e, means, sds, cdf_lo, cdf_w, lower, upper))
+
+        # mass-weighted mean of p over each piece via GL8 on g and g*p
+        nodes = 0.5 * (a[:, None] + b[:, None]) + 0.5 * (b - a)[:, None] * _GL8_X
+        gv = _mixture_pdf(nodes.ravel(), means, sds, norms, lower, upper).reshape(nodes.shape)
+        g_int = gv @ _GL8_W
+        gp_int = (gv * (d / (nodes * t) - u[:, None])) @ _GL8_W
+        mid = 0.5 * (a + b)
+        p_bar = np.where(
+            g_int > 0.0,
+            np.clip(gp_int / np.where(g_int > 0.0, g_int, 1.0), 0.0, 1.0),
+            d / (mid * t) - u,
         )
-        masses += band
-        atom += band_atom
+
+        # k = 1 lands at multiplier u+1; k = 0 at u, or in the zero atom for u = 0
+        without = delta * (1.0 - p_bar)
+        no_record.append(without[u == 0])
+        mt = mid * t
+        idx = np.floor(np.concatenate((mt * (u + 1), mt * u)) / d / step + 0.5)
+        masses += np.bincount(
+            np.clip(idx.astype(np.int64), 0, n_cells - 1),
+            np.concatenate((delta * p_bar, np.where(u > 0, without, 0.0))),
+            minlength=n_cells,
+        )
+    atom = float(np.sum(np.concatenate(no_record)))
 
     # lump for the unresolved bands u > u_max, all within (1 - delta, 1 + delta]
     s_tail = d / (t * (u_max + 1))

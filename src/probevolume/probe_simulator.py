@@ -48,8 +48,8 @@ class ScenarioConfig:
     seed: int
 
     def __post_init__(self):
-        if self.d <= 0.0 or self.t <= 0.0:
-            raise ValueError(f"d and t must be positive, got ({self.d}, {self.t})")
+        if not (0.0 < self.d < math.inf and 0.0 < self.t < math.inf):
+            raise ValueError(f"d and t must be positive and finite, got ({self.d}, {self.t})")
         if self.m < 0:
             raise ValueError(f"m must be >= 0, got {self.m}")
         if self.trials < 1:
@@ -66,12 +66,12 @@ class SiteConfig:
     t: float
 
     def __post_init__(self):
-        if self.adt <= 0.0:
-            raise ValueError(f"adt must be positive, got {self.adt}")
+        if not (0.0 < self.adt < math.inf):
+            raise ValueError(f"site {self.site_id}: adt must be positive and finite: {self.adt}")
         if self.m < 1:
             raise ValueError(f"site {self.site_id}: m must be >= 1, got {self.m}")
-        if self.d <= 0.0 or self.t <= 0.0:
-            raise ValueError(f"site {self.site_id}: d and t must be positive")
+        if not (0.0 < self.d < math.inf and 0.0 < self.t < math.inf):
+            raise ValueError(f"site {self.site_id}: d and t must be positive and finite")
 
 
 @dataclass(frozen=True)

@@ -127,6 +127,65 @@ class TestConfigErrors:
         assert json.loads(err)["code"] == EXIT_IO_FAILURE
 
 
+def _sites(d="53", t="1.0"):
+    rows = ", ".join(
+        f'{{"site_id": "{i}", "dist": "table2-60mph", "adt": 40, "m": 5, "d": {dd}}}'
+        for i, dd in enumerate(("14", d, "64"))
+    )
+    return f'{{"t": {t}, "sites": [{rows}]}}'
+
+
+_P = ("--dist", "park-i35")
+
+
+class TestNonFiniteParameters:
+    # each used to exit 0 with null or zero results, exit 1 with a traceback,
+    # or exit 3 with an unrelated message from deep inside the computation
+    @pytest.mark.parametrize(
+        "argv,config",
+        [
+            (("precision", "--m", "8", "--d", "inf", "--t", "4", *_P), None),
+            (("precision", "--m", "8", "--d", "300", "--t", "inf", *_P), None),
+            (("optimize", "--dmax", "inf", "--t", "4", "--objective", "cv", *_P), None),
+            (("optimize", "--dmax", "200", "--t", "inf", "--objective", "cv", *_P), None),
+            (("pdf", "--m", "8", "--d", "inf", "--t", "4", "--out", "{out}", *_P), None),
+            (("pdf", "--m", "8", "--d", "300", "--t", "4", "--grid-step", "nan",
+              "--out", "{out}", *_P), None),
+            (("estimate", "--footprints", "{csv}", "--start", "0", "--d", "inf",
+              "--t", "4"), None),
+            (("estimate", "--footprints", "{csv}", "--start", "nan", "--d", "30",
+              "--t", "4"), None),
+            (("apply", "--beta", "inf", "--m-hat", "3"), None),
+            (_SIMULATE, '{"d": NaN, "t": 4}'),
+            (_SIMULATE, '{"d": Infinity, "t": 4}'),
+            (_SIMULATE, '{"d": 300, "t": Infinity}'),
+            (_EXPERIMENT, _sites(d="NaN")),
+            (_EXPERIMENT, _sites(d="Infinity")),
+            (_EXPERIMENT, _sites(t="Infinity")),
+        ],
+        ids=[
+            "precision-d-inf", "precision-t-inf", "optimize-dmax-inf", "optimize-t-inf",
+            "pdf-d-inf", "pdf-grid-step-nan", "estimate-d-inf", "estimate-start-nan",
+            "apply-beta-inf", "scenario-d-nan", "scenario-d-inf", "scenario-t-inf",
+            "sites-d-nan", "sites-d-inf", "sites-t-inf",
+        ],
+    )
+    def test_exit_3_with_json_error(self, capsys, tmp_path, argv, config):
+        csv_path = tmp_path / "f.csv"
+        csv_path.write_text("position_m,speed_mps\n10,5\n20,6\n", encoding="utf-8")
+        paths = {"{csv}": str(csv_path), "{out}": str(tmp_path / "out.csv")}
+        argv = [paths.get(a, a) for a in argv]
+        if config is not None:
+            (tmp_path / "config.json").write_text(config, encoding="utf-8")
+            argv.append(str(tmp_path / "config.json"))
+        code, out, err = run_cli(capsys, *argv)
+        assert code == EXIT_BAD_PARAMETER
+        assert out == ""
+        assert json.loads(err)["code"] == EXIT_BAD_PARAMETER
+        assert "Traceback" not in err
+        assert "NaN to integer" not in err
+
+
 class TestPrecision:
     def test_park_values(self, capsys):
         doc = run_json(

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
 import probevolume.kernels as kernels
 from probevolume.distribution_engine import (
@@ -18,7 +19,7 @@ from probevolume.distribution_engine import (
     vmr,
 )
 from probevolume.probe_simulator import ScenarioConfig, run_scenario
-from probevolume.speed_model import integrate_weighted
+from probevolume.speed_model import integrate_weighted, load_distribution
 
 
 def _point_mass_pdf(at=1.0, step=1e-3, n=2001):
@@ -149,19 +150,25 @@ class TestSingleProbePdf:
             assert np.all(pdf.densities >= 0.0)
             assert pdf.atom_at_zero >= 0.0
 
+    @staticmethod
+    def _band_only(dist, d, t, step, n_cells, s_lo, s_hi):
+        # band_masses with the support narrowed to one band; u_max is large
+        # enough that nothing is lumped next to m_hat = 1
+        return kernels.band_masses(
+            dist._means, dist._sds, dist._norms, dist._cdf_lo, dist._cdf_w,
+            s_lo, s_hi, d, t, step, n_cells, 2000,
+        )
+
     def test_band_mass_split_against_quadrature(self, park):
         # each band's grid deposits must carry the band's g-mass, split by
         # the Bernoulli weights; oracle via independent piecewise quadrature
         d, t, step = 300.0, 4.0, 1e-3
         n_cells = 2001
         for u in range(1, 7):
-            got_mass, got_atom = kernels._one_band(
-                park._means, park._sds, park._norms, park._cdf_lo, park._cdf_w,
-                park.lower, park.upper, d, t, step, n_cells, u,
-            )
-            assert got_atom == 0.0
             s_hi = min(park.upper, d / (t * u))
             s_lo = max(park.lower, d / (t * (u + 1)))
+            got_mass, got_atom = self._band_only(park, d, t, step, n_cells, s_lo, s_hi)
+            assert got_atom == 0.0
 
             def in_band(s):
                 return ((s > s_lo) & (s <= s_hi)).astype(float)
@@ -193,9 +200,8 @@ class TestSingleProbePdf:
         # short cordon: the u=0 band exists and its k=0 branch is the atom
         d, t, step = 30.0, 4.0, 1e-3
         n_cells = int(math.ceil(max(2.0, park.upper * t / d) / step)) + 10
-        got_mass, got_atom = kernels._one_band(
-            park._means, park._sds, park._norms, park._cdf_lo, park._cdf_w,
-            park.lower, park.upper, d, t, step, n_cells, 0,
+        got_mass, got_atom = self._band_only(
+            park, d, t, step, n_cells, d / t, park.upper
         )
 
         def in_band(s):
@@ -208,6 +214,21 @@ class TestSingleProbePdf:
         want_k1 = integrate_weighted(park, band_p, [d / t])
         assert float(got_mass.sum()) == pytest.approx(want_k1, abs=1e-6)
         assert got_atom == pytest.approx(want_total - want_k1, abs=1e-6)
+
+    @pytest.mark.parametrize(
+        "preset,d,t",
+        [("table2-30mph", 125.5, 4.0), ("table2-60mph", 90.1, 2.0), ("park-i35", 30.0, 4.0)],
+    )
+    def test_zero_atom_against_quad(self, preset, d, t):
+        # independent oracle: the atom is the integral of g(s) * (1 - d/(s t))
+        # over the speeds that can cross between two records, s > d/t
+        dist = load_distribution(preset)
+        want, _ = quad(
+            lambda s: float(dist.pdf(s)) * (1.0 - d / (s * t)),
+            d / t, dist.upper, epsabs=0.0, epsrel=1e-13, limit=200,
+        )
+        assert want >= 1e-6
+        assert single_probe_pdf(d, t, dist).atom_at_zero == pytest.approx(want, rel=1e-9)
 
 
 class TestMFold:

@@ -147,3 +147,11 @@ class TestCsv:
         result = read_footprints_csv(path)
         assert len(result.records) == 1
         assert len(result.warnings) == 1
+
+    @pytest.mark.parametrize("speed", ["inf", "nan"])
+    def test_nonfinite_speed_row_is_reported(self, tmp_path, speed):
+        path = tmp_path / "f.csv"
+        path.write_text(f"position_m,speed_mps\n1.0,{speed}\n2.0,10.0\n", encoding="utf-8")
+        result = read_footprints_csv(path)
+        assert len(result.records) == 1
+        assert len(result.warnings) == 1

@@ -1,4 +1,5 @@
-"""The leave-pair-out calibration sweep against a per-pair loop oracle."""
+"""Kernels against loop oracles: the leave-pair-out calibration sweep and
+single-probe band accumulation."""
 
 import itertools
 import math
@@ -7,6 +8,7 @@ import numpy as np
 import pytest
 
 from probevolume import kernels
+from probevolume.speed_model import load_distribution
 
 
 def loop_mape(m_hats, volumes, weights, pairs):
@@ -79,3 +81,81 @@ class TestAllPairsMape:
         w = np.ones(3)
         assert math.isnan(kernels.all_pairs_mape(x, y, w, [(0, 1)]))
         assert math.isnan(kernels.all_pairs_mape(x, y, w, []))
+
+
+def loop_band_masses(dist, d, t, step, n_cells, u_max):
+    """Reference accumulation: one speed band at a time, each cut on its own."""
+    mu, sd, lower, upper = dist._means, dist._sds, dist.lower, dist.upper
+
+    def cdf(s):
+        return kernels.mixture_cdf(s, mu, sd, dist._cdf_lo, dist._cdf_w, lower, upper)
+
+    masses = np.zeros(n_cells)
+    atom = 0.0
+    for u in range(u_max + 1):
+        s_hi = upper if u == 0 else min(upper, d / (t * u))
+        s_lo = max(lower, d / (t * (u + 1)))
+        if s_hi <= s_lo:
+            continue
+        edges = [s_lo, s_hi]
+        for v in (u, u + 1):
+            if v == 0:
+                continue
+            slope = t * v / d
+            for i in range(
+                int(math.floor(s_lo * slope / step + 0.5)),
+                int(math.floor(s_hi * slope / step + 0.5)) + 1,
+            ):
+                se = (i + 0.5) * step / slope
+                if s_lo < se < s_hi:
+                    edges.append(se)
+        edges = np.unique(np.asarray(edges))
+        a, b = edges[:-1], edges[1:]
+        delta = np.diff(cdf(edges))
+        nodes = 0.5 * (a[:, None] + b[:, None]) + 0.5 * (b - a)[:, None] * kernels._GL8_X
+        gv = kernels.mixture_pdf(nodes.ravel(), mu, sd, dist._norms, lower, upper)
+        gv = gv.reshape(nodes.shape)
+        g_int = gv @ kernels._GL8_W
+        gp_int = (gv * (d / (nodes * t) - u)) @ kernels._GL8_W
+        mid = 0.5 * (a + b)
+        p_bar = np.where(
+            g_int > 0.0,
+            np.clip(gp_int / np.where(g_int > 0.0, g_int, 1.0), 0.0, 1.0),
+            d / (mid * t) - u,
+        )
+        band = np.zeros(n_cells)
+        idx_k1 = np.floor(mid * t * (u + 1) / d / step + 0.5).astype(np.int64)
+        np.add.at(band, np.clip(idx_k1, 0, n_cells - 1), delta * p_bar)
+        if u == 0:
+            atom = float(np.sum(delta * (1.0 - p_bar)))
+        else:
+            idx_k0 = np.floor(mid * t * u / d / step + 0.5).astype(np.int64)
+            np.add.at(band, np.clip(idx_k0, 0, n_cells - 1), delta * (1.0 - p_bar))
+        masses += band
+    s_tail = d / (t * (u_max + 1))
+    if s_tail > lower:
+        lump = float(cdf(np.asarray([s_tail]))[0])
+        if lump > 0.0:
+            delta_m = 1.0 / (u_max + 1)
+            masses[int(math.floor((1.0 - 0.5 * delta_m) / step + 0.5))] += 0.5 * lump
+            masses[int(math.floor((1.0 + 0.5 * delta_m) / step + 0.5))] += 0.5 * lump
+    return masses, atom
+
+
+class TestBandMasses:
+    @pytest.mark.parametrize("preset", ["park-i35", "table2-30mph", "table2-60mph"])
+    @pytest.mark.parametrize("step", [1e-2, 5e-3])
+    def test_matches_loop_oracle(self, preset, step):
+        # one partition of the speed axis must cut and weigh every piece as the
+        # band-by-band loop does: the same zero atom, cell sums to round-off
+        dist = load_distribution(preset)
+        for d, t in ((300.0, 4.0), (40.0, 1.0), (90.1, 2.0), (30.0, 4.0), (5.0, 4.0), (2.0, 1.0)):
+            n_cells = int(math.ceil(max(2.0, dist.upper * t / d * (1.0 + step)) / step)) + 1
+            u_max = int(math.ceil(2.0 / step))
+            got, got_atom = kernels.band_masses(
+                dist._means, dist._sds, dist._norms, dist._cdf_lo, dist._cdf_w,
+                dist.lower, dist.upper, d, t, step, n_cells, u_max,
+            )
+            want, want_atom = loop_band_masses(dist, d, t, step, n_cells, u_max)
+            assert got_atom == want_atom
+            np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-15)

@@ -1,6 +1,7 @@
 """Randomized and property-based checks of the core invariants."""
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -14,8 +15,14 @@ from probevolume.distribution_engine import (
     variance,
 )
 from probevolume.estimator import extra_record_prob, min_records
-from probevolume.footprint_data import CordonSpec, FootprintRecord, crop_to_cordon
-from probevolume.probe_simulator import load_scenario, load_sites
+from probevolume.cordon_optimizer import objective_curve, optimize_cordon
+from probevolume.footprint_data import (
+    CordonSample,
+    CordonSpec,
+    FootprintRecord,
+    crop_to_cordon,
+)
+from probevolume.probe_simulator import ScenarioConfig, load_scenario, load_sites
 from probevolume.speed_model import load_distribution
 
 from conftest import random_mixture
@@ -162,3 +169,28 @@ class TestConfigLoaders:
                 load(str(config_path))
             except (ValueError, OSError):
                 pass
+
+
+class TestNonFiniteRejected:
+    # every positive-real parameter check also rejects NaN and infinity
+    @pytest.mark.parametrize("bad", [math.inf, math.nan])
+    def test_library_entry_points(self, bad):
+        park = load_distribution("park-i35")
+        calls = [
+            lambda: variance(1, bad, 4.0, park),
+            lambda: variance(1, 300.0, bad, park),
+            lambda: single_probe_pdf(bad, 4.0, park),
+            lambda: single_probe_pdf(300.0, 4.0, park, grid_step=bad),
+            lambda: optimize_cordon(bad, 4.0, park, "vmr"),
+            lambda: objective_curve(1.0, 10.0, bad, 4.0, park, "vmr"),
+            lambda: CordonSpec(0.0, bad),
+            lambda: CordonSpec(bad, 10.0),
+            lambda: CordonSample((5.0,), bad, 4.0),
+            lambda: CordonSample((5.0,), 10.0, bad),
+            lambda: crop_to_cordon([], CordonSpec(0.0, 10.0), bad),
+            lambda: ScenarioConfig(bad, 4.0, 1, park, 1, 1),
+            lambda: ScenarioConfig(300.0, bad, 1, park, 1, 1),
+        ]
+        for call in calls:
+            with pytest.raises(ValueError):
+                call()
