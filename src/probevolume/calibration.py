@@ -5,7 +5,10 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
+from pathlib import Path
 from typing import Sequence
+
+from .footprint_data import read_csv_rows
 
 log = logging.getLogger(__name__)
 
@@ -23,16 +26,44 @@ class CalibrationPair:
     weight: float = 1.0
 
     def __post_init__(self):
-        if not (self.known_volume > 0.0):
-            raise ValueError(f"known_volume must be positive, got {self.known_volume}")
-        if not (self.weight > 0.0):
-            raise ValueError(f"weight must be positive, got {self.weight}")
+        if not math.isfinite(self.m_hat):
+            raise ValueError(f"m_hat must be finite, got {self.m_hat}")
+        if not (0.0 < self.known_volume < math.inf):
+            raise ValueError(f"known_volume must be positive and finite, got {self.known_volume}")
+        if not (0.0 < self.weight < math.inf):
+            raise ValueError(f"weight must be positive and finite, got {self.weight}")
 
 
 @dataclass(frozen=True)
 class CalibrationModel:
     beta: float
     method: str  # "ols" | "wls"
+
+
+def read_pairs_csv(path: str | Path, weighted: bool) -> list[CalibrationPair]:
+    """Read calibration pairs from CSV with header ``m_hat,adt[,weight]``.
+
+    Weights are read only when ``weighted``, which needs the weight column;
+    otherwise every weight is 1. A bad or unreadable row raises
+    ``ValueError`` with its line number.
+    """
+    path = Path(path)
+
+    def bad(msg: str, exc: Exception) -> None:
+        raise ValueError(msg) from exc
+
+    rows = read_csv_rows(path, ("m_hat", "adt", "weight"), bad)
+    has_weight = next(rows, False)
+    if weighted and not has_weight:
+        raise ValueError("wls calibration needs a weight column")
+    pairs = []
+    for lineno, row in rows:
+        try:
+            weight = float(row[2]) if weighted else 1.0
+            pairs.append(CalibrationPair(float(row[0]), float(row[1]), weight))
+        except (IndexError, ValueError) as exc:
+            bad(f"{path}:{lineno}: bad row {row!r} ({exc})", exc)
+    return pairs
 
 
 def fit_through_origin(
@@ -50,15 +81,21 @@ def fit_through_origin(
         log.warning("%d calibration pairs have m_hat = 0 and do not constrain the fit", zeros)
     if zeros == len(pairs):
         raise ValueError("cannot fit: every pair has m_hat = 0")
-    sxy = math.fsum(p.weight * p.m_hat * p.known_volume for p in pairs)
-    sxx = math.fsum(p.weight * p.m_hat * p.m_hat for p in pairs)
+    try:
+        sxy = math.fsum(p.weight * p.m_hat * p.known_volume for p in pairs)
+        sxx = math.fsum(p.weight * p.m_hat * p.m_hat for p in pairs)
+    except (OverflowError, ValueError) as exc:  # ValueError: inf - inf
+        raise ValueError("cannot fit: weighted normal equation overflowed") from exc
     if sxx == 0.0:
         raise ValueError("cannot fit: weighted normal equation underflowed")
+    beta = sxy / sxx
+    if not (math.isfinite(sxx) and math.isfinite(beta)):
+        raise ValueError("cannot fit: weighted normal equation overflowed")
     if method is None:
         method = "ols" if len({p.weight for p in pairs}) == 1 else "wls"
     if method not in ("ols", "wls"):
         raise ValueError(f"method must be 'ols' or 'wls', got {method!r}")
-    return CalibrationModel(beta=sxy / sxx, method=method)
+    return CalibrationModel(beta=beta, method=method)
 
 
 def predict(model: CalibrationModel, m_hat: float) -> float:

@@ -17,10 +17,10 @@ OBJECTIVES = ("vmr", "cv")
 class OptimumReport:
     best_d: float
     best_objective: float
-    curve: tuple[tuple[float, float], ...]
     objective_kind: str
     m: int
     t: float
+    curve: tuple[tuple[float, float], ...]
 
 
 def _d_grid(d_min: float, d_max: float, step: float) -> np.ndarray:

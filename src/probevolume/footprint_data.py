@@ -108,6 +108,44 @@ class CsvReadResult:
     warnings: list[str] = field(default_factory=list)
 
 
+def read_csv_rows(path: Path, columns: tuple[str, str, str], unreadable):
+    """Stream a CSV file whose header is ``columns[0],columns[1][,columns[2]]``.
+
+    Yields whether the header has the optional third column, then
+    ``(line, row)`` for each data row that is not blank; an empty file yields
+    nothing and any other header raises ``ValueError``. A row the csv module
+    cannot read, such as one with a field over its size limit, goes to
+    ``unreadable(message, exc)`` with a line-numbered message, and reading
+    goes on with the next row.
+    """
+    with path.open("r", encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader, None)
+        except csv.Error as exc:
+            raise ValueError(f"{path}:1: unreadable header ({exc})") from exc
+        if header is None:
+            return
+        header = [h.strip() for h in header]
+        if header[:2] != list(columns[:2]):
+            raise ValueError(
+                f"{path}: expected header {columns[0]},{columns[1]}[,{columns[2]}], "
+                f"got {','.join(header)}"
+            )
+        yield header[2:3] == [columns[2]]
+        lineno = 1
+        while True:  # csv.reader goes on with the next row after a csv.Error
+            try:
+                for row in reader:
+                    lineno += 1
+                    if "".join(row).strip():
+                        yield lineno, row
+                return
+            except csv.Error as exc:
+                lineno += 1
+                unreadable(f"{path}:{lineno}: unreadable row ({exc})", exc)
+
+
 def read_footprints_csv(path: str | Path, strict: bool = False) -> CsvReadResult:
     """Read footprints from CSV with header ``position_m,speed_mps[,label]``.
 
@@ -116,31 +154,23 @@ def read_footprints_csv(path: str | Path, strict: bool = False) -> CsvReadResult
     """
     result = CsvReadResult()
     path = Path(path)
-    with path.open("r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            return result
-        header = [h.strip() for h in header]
-        if header[:2] != ["position_m", "speed_mps"]:
-            raise ValueError(
-                f"{path}: expected header position_m,speed_mps[,label], got {','.join(header)}"
-            )
-        has_label = len(header) >= 3 and header[2] == "label"
-        for lineno, row in enumerate(reader, start=2):
-            if not row or all(not c.strip() for c in row):
-                continue
-            try:
-                position = float(row[0])
-                speed = float(row[1])
-                label = row[2].strip() or None if has_label and len(row) > 2 else None
-                result.records.append(FootprintRecord(position, speed, label))
-            except (IndexError, ValueError) as exc:
-                msg = f"{path}:{lineno}: skipped unparseable row {row!r} ({exc})"
-                if strict:
-                    raise ValueError(msg) from exc
-                result.warnings.append(msg)
-                log.warning("%s", msg)
+
+    def skip(msg: str, exc: Exception) -> None:
+        if strict:
+            raise ValueError(msg) from exc
+        result.warnings.append(msg)
+        log.warning("%s", msg)
+
+    rows = read_csv_rows(path, CSV_FIELDS, skip)
+    has_label = next(rows, False)
+    for lineno, row in rows:
+        try:
+            position = float(row[0])
+            speed = float(row[1])
+            label = row[2].strip() or None if has_label and len(row) > 2 else None
+            result.records.append(FootprintRecord(position, speed, label))
+        except (IndexError, ValueError) as exc:
+            skip(f"{path}:{lineno}: skipped unparseable row {row!r} ({exc})", exc)
     return result
 
 

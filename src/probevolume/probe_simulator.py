@@ -89,11 +89,11 @@ class ExperimentReport:
     n_sites: int
     n_pairs: int
     seed: int
-    mape_ols: tuple[float, ...]
-    mape_wls: tuple[float, ...]
     mean_mape_ols: float
     mean_mape_wls: float
     wls_win_fraction: float
+    mape_ols: tuple[float, ...]
+    mape_wls: tuple[float, ...]
 
 
 def load_scenario(spec: str, m: int, trials: int, seed: int) -> ScenarioConfig:

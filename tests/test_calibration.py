@@ -44,6 +44,16 @@ class TestFit:
         with pytest.raises(ValueError, match="m_hat = 0"):
             fit_through_origin(_pairs([(0.0, 10.0), (0.0, 20.0)]))
 
+    @pytest.mark.parametrize(
+        "rows",
+        [[(1.0, 60.0), (1e200, 100.0)], [(1e154, 1e154), (1e154, 1e154)]],
+        ids=["sxx-inf", "fsum-intermediate-overflow"],
+    )
+    def test_overflow_fails(self, rows):
+        # unchecked, the first gives beta = 0 and the second an OverflowError from fsum
+        with pytest.raises(ValueError, match="overflowed"):
+            fit_through_origin(_pairs(rows))
+
     def test_empty_fails(self):
         with pytest.raises(ValueError):
             fit_through_origin([])

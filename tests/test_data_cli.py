@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 
@@ -34,6 +35,17 @@ class TestBasics:
         code, out, _ = run_cli(capsys, "--help")
         assert code == EXIT_OK
         assert "subcommands" in out
+
+    @pytest.mark.parametrize(
+        "sub",
+        ["estimate", "precision", "pdf", "optimize", "simulate", "experiment", "calibrate", "apply"],
+    )
+    def test_subcommand_help(self, capsys, sub):
+        # the help of the subcommand's own parser, returned as exit 0 from main
+        code, out, err = run_cli(capsys, sub, "--help")
+        assert code == EXIT_OK
+        assert out.startswith(f"usage: probevolume {sub} ")
+        assert err == ""
 
     def test_unknown_subcommand(self, capsys):
         code, _, err = run_cli(capsys, "frobnicate")
@@ -87,6 +99,7 @@ class TestBasics:
 _SIMULATE = ["simulate", "--m", "1", "--trials", "1", "--seed", "1", "--scenario"]
 _EXPERIMENT = ["experiment", "--trials", "1", "--seed", "1", "--sites"]
 _PRECISION = ["precision", "--m", "1", "--d", "300", "--t", "4", "--dist"]
+_CALIBRATE = ["calibrate", "--method", "wls", "--pairs"]
 
 
 class TestConfigErrors:
@@ -162,12 +175,14 @@ class TestNonFiniteParameters:
             (_EXPERIMENT, _sites(d="NaN")),
             (_EXPERIMENT, _sites(d="Infinity")),
             (_EXPERIMENT, _sites(t="Infinity")),
+            (_CALIBRATE, "m_hat,adt,weight\n1,60,1\nnan,100,1\n"),
+            (_CALIBRATE, "m_hat,adt,weight\n1,60,1\n1e200,100,1\n"),
         ],
         ids=[
             "precision-d-inf", "precision-t-inf", "optimize-dmax-inf", "optimize-t-inf",
             "pdf-d-inf", "pdf-grid-step-nan", "estimate-d-inf", "estimate-start-nan",
             "apply-beta-inf", "scenario-d-nan", "scenario-d-inf", "scenario-t-inf",
-            "sites-d-nan", "sites-d-inf", "sites-t-inf",
+            "sites-d-nan", "sites-d-inf", "sites-t-inf", "pairs-m-hat-nan", "pairs-sxx-overflow",
         ],
     )
     def test_exit_3_with_json_error(self, capsys, tmp_path, argv, config):
@@ -184,6 +199,36 @@ class TestNonFiniteParameters:
         assert json.loads(err)["code"] == EXIT_BAD_PARAMETER
         assert "Traceback" not in err
         assert "NaN to integer" not in err
+
+
+_OVERSIZED = "1" * 200_000  # over the csv module's 131072-character field limit
+
+
+class TestOversizedField:
+    def test_footprint_row_skipped_with_warning(self, capsys, tmp_path):
+        path = tmp_path / "f.csv"
+        path.write_text(f"position_m,speed_mps\n10,20\n{_OVERSIZED},5\n30,25\n",
+                        encoding="utf-8")
+        argv = ["estimate", "--footprints", str(path), "--start", "0", "--d", "100", "--t", "1"]
+        doc = run_json(capsys, *argv)
+        assert doc["n"] == 2  # the row after the oversized one still parses
+        assert doc["m_hat"] == pytest.approx(0.45, rel=1e-12)
+        [warning] = doc["warnings"]
+        assert ":3:" in warning and "field limit" in warning
+
+        code, out, err = run_cli(capsys, *argv, "--strict")
+        assert code == EXIT_BAD_PARAMETER
+        assert out == ""
+        assert ":3:" in json.loads(err)["error"]
+
+    def test_pairs_row_exits_3_with_line_number(self, capsys, tmp_path):
+        path = tmp_path / "pairs.csv"
+        path.write_text(f"m_hat,adt\n1,60\n2,100\n{_OVERSIZED},5\n", encoding="utf-8")
+        code, out, err = run_cli(capsys, "calibrate", "--pairs", str(path), "--method", "ols")
+        assert code == EXIT_BAD_PARAMETER
+        assert out == ""
+        doc = json.loads(err)
+        assert ":4:" in doc["error"] and "field limit" in doc["error"]
 
 
 class TestPrecision:
@@ -387,6 +432,60 @@ class TestExperimentCli:
         doc = json.loads(out.read_text(encoding="utf-8"))
         assert doc["n_pairs"] == 561
         assert len(doc["mape_ols"]) == 2
+
+
+_SIM = ("simulate", "--scenario", "s1", "--m", "2", "--trials", "20", "--seed", "1")
+_SIM_KEYS = ["d", "t", "m", "trials", "seed", "mean", "variance", "cv"]
+
+
+class TestOutputLayout:
+    # JSON key order follows the result dataclasses' field order, so reordering
+    # a field must fail here; each CSV file is pinned by its first lines
+    @pytest.mark.parametrize(
+        "argv,keys,heads",
+        [
+            (("estimate", "--footprints", "{footprints}", "--start", "0", "--d", "100",
+              "--t", "1"), ["m_hat", "n", "d", "t", "dropped_records", "warnings"], []),
+            (("precision", "--m", "2", "--d", "300", "--t", "4", *_P),
+             ["m", "d", "t", "mean", "variance", "vmr", "cv"], []),
+            (("optimize", "--dmax", "20", "--t", "4", "--objective", "cv", "--step", "10",
+              "--curve-out", "{csv}", *_P),
+             ["best_d", "best_objective", "objective_kind", "m", "t", "curve"],
+             ["d,objective"]),
+            ((*_SIM, "--hist-out", "{csv}"), _SIM_KEYS, ["bin_start,bin_end,count"]),
+            ((*_SIM, "--emit-footprints", "{csv}"),
+             [*_SIM_KEYS, "emitted_m_hat", "emitted_records"], ["position_m,speed_mps,label"]),
+            (("experiment", "--sites", "table2", "--trials", "2", "--seed", "1"),
+             ["trials", "n_sites", "n_pairs", "seed", "mean_mape_ols", "mean_mape_wls",
+              "wls_win_fraction", "mape_ols", "mape_wls"], []),
+            (("calibrate", "--pairs", "{pairs}", "--method", "wls"), ["beta", "method"], []),
+            (("apply", "--beta", "2", "--m-hat", "3"), ["volume"], []),
+            (("pdf", "--m", "2", "--d", "40", "--t", "1", "--grid-step", "0.01",
+              "--out", "{csv}", *_P), None,
+             [r"# atom_at_zero=\S+ mean=\S+ variance=\S+ vmr=\S+ cv=\S+", "m_hat,density"]),
+        ],
+        ids=["estimate", "precision", "optimize", "simulate", "simulate-emit", "experiment",
+             "calibrate", "apply", "pdf"],
+    )
+    def test_json_keys_and_csv_heads(self, capsys, tmp_path, argv, keys, heads):
+        inputs = {
+            "{footprints}": "position_m,speed_mps\n10,20\n",
+            "{pairs}": "m_hat,adt,weight\n1,60,2\n2,100,1\n",
+        }
+        paths = {"{csv}": tmp_path / "out.csv"}
+        for token, text in inputs.items():
+            paths[token] = tmp_path / f"{token[1:-1]}.csv"
+            paths[token].write_text(text, encoding="utf-8")
+        code, out, err = run_cli(capsys, *[str(paths.get(a, a)) for a in argv])
+        assert code == EXIT_OK, err
+        if keys is None:
+            assert out == ""
+        else:
+            assert list(json.loads(out)) == keys
+        if heads:
+            lines = paths["{csv}"].read_text(encoding="utf-8").splitlines()
+            for pattern, line in zip(heads, lines):
+                assert re.fullmatch(pattern, line), (pattern, line)
 
 
 class TestJsonRoundTrip:

@@ -1,5 +1,8 @@
 """Randomized and property-based checks of the core invariants."""
 
+import argparse
+import contextlib
+import io
 import json
 import math
 
@@ -8,6 +11,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from probevolume import data_cli
+from probevolume.calibration import CalibrationPair
 from probevolume.distribution_engine import (
     m_fold_pdf,
     pdf_moments,
@@ -190,7 +195,91 @@ class TestNonFiniteRejected:
             lambda: crop_to_cordon([], CordonSpec(0.0, 10.0), bad),
             lambda: ScenarioConfig(bad, 4.0, 1, park, 1, 1),
             lambda: ScenarioConfig(300.0, bad, 1, park, 1, 1),
+            lambda: CalibrationPair(bad, 10.0),
+            lambda: CalibrationPair(1.0, bad),
+            lambda: CalibrationPair(1.0, 10.0, bad),
         ]
         for call in calls:
             with pytest.raises(ValueError):
                 call()
+
+
+# every input the CLI reads, in the shapes that have broken it: each path is
+# given to every subcommand flag that takes a file or a preset name
+_CLI_INPUTS = {
+    "empty.csv": "",
+    "footprints-header.csv": "position_m,speed_mps,label\n",
+    "pairs-header.csv": "m_hat,adt,weight\n",
+    "footprints.csv": "position_m,speed_mps,label\n1,20,a\n2,25,\n",
+    "pairs.csv": "m_hat,adt,weight\n1,60,2\n2,100,1\n",
+    "garbled.csv": 'position_m,\x00"\n,,,"open quote\n{[\n',
+    "footprints-oversized.csv": f"position_m,speed_mps\n{'1' * 200_000},5\n3,4\n",
+    "pairs-oversized.csv": f"m_hat,adt\n{'1' * 200_000},5\n3,4\n",
+    "footprints-nonfinite.csv": "position_m,speed_mps\n1,inf\n2,nan\nnan,5\n3,5\n",
+    "pairs-nonfinite.csv": "m_hat,adt,weight\nnan,60,1\n1,inf,1\n1e200,60,inf\n",
+    "pairs-overflow.csv": "m_hat,adt\n1e154,1e154\n1e154,1e154\n",
+    "config-nonfinite.json": (
+        '{"d": NaN, "t": Infinity, "dist": "park-i35", "lower": 0, "upper": Infinity,'
+        ' "components": [{"mean": NaN, "sd": 1, "weight": 1}],'
+        ' "sites": [{"site_id": "a", "dist": "park-i35", "adt": NaN, "m": 1, "d": 9}]}'
+    ),
+}
+_CLI_SIZES = ("1", "2", "3")  # small, so no request takes more than about 1 s
+_CLI_NUMBERS = ("x", "-1", "0", "nan", "inf", *_CLI_SIZES)
+_CLI_OUTPUTS = {"out", "curve_out", "hist_out", "emit_footprints"}
+
+
+@pytest.fixture(scope="module")
+def cli_files(tmp_path_factory):
+    """Per pool: the valid value of each input flag, every hostile input, the outputs."""
+    root = tmp_path_factory.mktemp("cli")
+    for name, text in _CLI_INPUTS.items():
+        (root / name).write_text(text, encoding="utf-8")
+    (root / "latin1.csv").write_bytes("position_m,speed_mps\n1,café\n".encode("latin-1"))
+    valid = {"footprints": str(root / "footprints.csv"), "pairs": str(root / "pairs.csv"),
+             "dist": "park-i35", "scenario": "s1", "sites": "table2", "label": "a"}
+    hostile = [str(p) for p in root.iterdir()] + [str(root / "missing.csv")]
+    (root / "out").mkdir()
+    outputs = [str(root / "out" / "result"), str(root / "no" / "dir" / "result"), str(root)]
+    return valid, hostile, outputs
+
+
+class TestCliFuzz:
+    @given(st.data())
+    @settings(max_examples=500, deadline=None)
+    def test_only_documented_exits(self, cli_files, data):
+        valid, hostile, outputs = cli_files
+        _root, commands = data_cli._parser()
+        name = data.draw(st.sampled_from(sorted(commands)))
+        # one part of the request is drawn from its hostile pool and the rest
+        # is valid, so that most requests get past argparse to that part
+        part = data.draw(st.sampled_from(("flags", "numbers", "inputs", "outputs")))
+        argv = [name]
+        for action in commands[name]._actions:
+            if isinstance(action, argparse._HelpAction):
+                continue
+            keep = action.required and part != "flags"
+            if not keep and not data.draw(st.booleans()):
+                continue
+            argv.append(data.draw(st.sampled_from(action.option_strings)))
+            if action.nargs == 0:
+                continue
+            if action.choices:
+                pool = [*action.choices] + (["bogus"] if part == "flags" else [])
+            elif action.type in (int, float):
+                pool = _CLI_NUMBERS if part == "numbers" else _CLI_SIZES
+            elif action.dest in _CLI_OUTPUTS:
+                pool = outputs if part == "outputs" else outputs[:1]
+            else:
+                pool = hostile if part == "inputs" else [valid[action.dest]]
+            argv.append(data.draw(st.sampled_from(pool)))
+
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()) as err:
+            code = data_cli.main(argv)
+        err = err.getvalue()
+        assert code in (0, 2, 3, 4), argv
+        assert "Traceback" not in err
+        if code:
+            # log lines may come first; the JSON error is the last object
+            assert json.loads(err[err.rindex("{\n"):])["code"] == code
