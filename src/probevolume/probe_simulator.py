@@ -5,6 +5,16 @@ Every probe pass, in both engines and in emitted footprints, is drawn by
 ``_passes``: speeds, then entry offsets, then record counts, in that order
 from the caller's generator.
 
+Stream layout of a scenario (the reproducibility contract). A scenario of
+n = trials * m passes reads the PCG64 stream seeded with ``config.seed``:
+uniform k of the mixture-component draw is output k, uniform k of the
+inverse-CDF draw is output n + k, and offset k is output 2n + k. Pass j of
+trial i is pass k = i * m + j. This is exactly the order of one
+``default_rng(seed)`` drawing all n passes at once, so ``run_scenario`` can
+draw blocks of whole trials from three copies of the generator advanced to
+0, n and 2n (PCG64 jump-ahead, O'Neill 2014) and stay bit-identical to that
+one-shot draw in bounded memory.
+
 The multi-site experiment replaces a car-following microsimulation with
 uniform linear motion per probe (speed drawn once per pass). That is exactly
 the assumption behind the theory, so the experiment validates the
@@ -31,6 +41,13 @@ from .speed_model import (
 
 # width of the m_hat histogram bins in a scenario summary
 HIST_BIN = 0.02
+# widest histogram a summary builds (a wider spread of samples is rejected)
+MAX_HIST_BINS = 10**6
+# largest requests: trials of a scenario or experiment, passes of a scenario
+MAX_TRIALS = 10**8
+MAX_PASSES = 10**9
+# passes per block of run_scenario, rounded down to whole trials (at least one)
+BLOCK_PASSES = 1 << 16
 
 SCENARIO_PRESETS = {
     "s1": {"d": 300.0, "t": 4.0, "dist": "park-i35"},
@@ -52,8 +69,11 @@ class ScenarioConfig:
             raise ValueError(f"d and t must be positive and finite, got ({self.d}, {self.t})")
         if self.m < 0:
             raise ValueError(f"m must be >= 0, got {self.m}")
-        if self.trials < 1:
-            raise ValueError(f"trials must be >= 1, got {self.trials}")
+        if not (1 <= self.trials <= MAX_TRIALS):
+            raise ValueError(f"trials must be in [1, {MAX_TRIALS}], got {self.trials}")
+        passes = int(self.trials) * int(self.m)  # numpy integers would wrap
+        if passes > MAX_PASSES:
+            raise ValueError(f"trials * m must be <= {MAX_PASSES} probe passes, got {passes}")
 
 
 @dataclass(frozen=True)
@@ -118,25 +138,61 @@ def _passes(dist, n, d, t, rng):
     return speeds, offsets, kernels.pass_counts(speeds, offsets, d, t)
 
 
+class _ScenarioStreams:
+    """The scenario stream of ``seed`` for n passes, read from three places.
+
+    ``_passes`` makes three ``random`` calls per draw: component uniforms,
+    inverse-CDF uniforms, offsets. Call j of each draw reads the generator
+    advanced to j * n, so consecutive draws continue each region in order.
+    """
+
+    def __init__(self, seed: int, n: int):
+        seq = np.random.SeedSequence(seed)
+        self._regions = tuple(
+            np.random.Generator(np.random.PCG64(seq).advance(j * n)) for j in range(3)
+        )
+        self._calls = 0
+
+    def random(self, size: int) -> np.ndarray:
+        region = self._regions[self._calls % 3]
+        self._calls += 1
+        return region.random(size)
+
+
 def run_scenario(config: ScenarioConfig) -> tuple[np.ndarray, SimSummary]:
     """Draw config.trials estimates, each from m independent probe passes.
 
-    One vectorized generator stream keyed by the seed: output is a pure
-    function of (config, seed). Trial k uses passes k*m to (k+1)*m - 1.
+    Output is a pure function of (config, seed): trial i uses passes i*m to
+    (i+1)*m - 1 of the stream layout in the module docstring. Trials are
+    drawn in blocks of about ``BLOCK_PASSES`` passes, so memory beyond the
+    8-byte sample per trial does not grow with the request.
     """
-    rng = np.random.default_rng(config.seed)
-    speeds, _, counts = _passes(config.dist, config.trials * config.m, config.d, config.t, rng)
-    samples = (config.t / config.d) * (speeds * counts).reshape(
-        config.trials, config.m
-    ).sum(axis=1)
+    m, trials = config.m, config.trials
+    samples = np.zeros(trials, dtype=np.float64)
+    if m:
+        streams = _ScenarioStreams(config.seed, trials * m)
+        block = max(1, BLOCK_PASSES // m)
+        for start in range(0, trials, block):
+            k = min(block, trials - start)
+            speeds, _, counts = _passes(config.dist, k * m, config.d, config.t, streams)
+            samples[start:start + k] = (config.t / config.d) * (speeds * counts).reshape(
+                k, m
+            ).sum(axis=1)
     return samples, summarize(samples)
 
 
 def summarize(samples: np.ndarray) -> SimSummary:
+    """Mean, sample variance, CV and a ``HIST_BIN``-wide histogram of samples;
+    a spread wider than ``MAX_HIST_BINS`` bins raises ``ValueError``."""
     mean = float(np.mean(samples))
     var = float(np.var(samples, ddof=1)) if samples.size > 1 else 0.0
     lo = math.floor(float(np.min(samples)) / HIST_BIN) * HIST_BIN
     nbins = max(1, int(math.ceil((float(np.max(samples)) - lo) / HIST_BIN + 1e-9)))
+    if nbins > MAX_HIST_BINS:
+        raise ValueError(
+            f"samples span {nbins} histogram bins of width {HIST_BIN}, "
+            f"more than the cap of {MAX_HIST_BINS}"
+        )
     edges = lo + HIST_BIN * np.arange(nbins + 1)
     counts, _ = np.histogram(samples, bins=edges)
     return SimSummary(
@@ -149,19 +205,18 @@ def summarize(samples: np.ndarray) -> SimSummary:
 
 
 def simulate_footprints(config: ScenarioConfig) -> tuple[list[FootprintRecord], float]:
-    """Footprints of trial 0 of ``run_scenario(config)`` (the same passes, redrawn
-    from the same stream), with one out-of-cordon record on each side of every
-    pass so downstream cropping is exercised.
+    """Footprints of trial 0 of ``run_scenario(config)`` (its m passes, redrawn
+    from the same stream positions), with one out-of-cordon record on each
+    side of every pass so downstream cropping is exercised.
 
     Returns the records and the trial's estimate computed exactly as the
     estimator would (compensated sum of in-cordon speeds times t/d).
     """
-    rng = np.random.default_rng(config.seed)
-    m = config.m
-    speeds, offsets, counts = _passes(config.dist, config.trials * m, config.d, config.t, rng)
+    streams = _ScenarioStreams(config.seed, config.trials * config.m)
+    speeds, offsets, counts = _passes(config.dist, config.m, config.d, config.t, streams)
     records: list[FootprintRecord] = []
     in_cordon_speeds: list[float] = []
-    for s, off, count in zip(speeds[:m].tolist(), offsets[:m].tolist(), counts[:m].tolist()):
+    for s, off, count in zip(speeds.tolist(), offsets.tolist(), counts.tolist()):
         first = s * off
         spacing = s * config.t
         records.extend(
@@ -219,8 +274,8 @@ def run_regression_experiment(
     """
     if len(sites) < 3:
         raise ValueError(f"need at least 3 sites, got {len(sites)}")
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
+    if not (1 <= trials <= MAX_TRIALS):
+        raise ValueError(f"trials must be in [1, {MAX_TRIALS}], got {trials}")
 
     volumes = np.array([site.adt for site in sites], dtype=np.float64)
     wls_weights = np.array(

@@ -1,5 +1,6 @@
 import json
 import re
+import time
 
 import pytest
 
@@ -199,6 +200,40 @@ class TestNonFiniteParameters:
         assert json.loads(err)["code"] == EXIT_BAD_PARAMETER
         assert "Traceback" not in err
         assert "NaN to integer" not in err
+
+
+class TestSizeCaps:
+    # each used to raise MemoryError out of main (exit 1) or to fill memory
+    @pytest.mark.parametrize(
+        "argv,config",
+        [
+            (("simulate", "--scenario", "s1", "--m", "1", "--trials", "100000001",
+              "--seed", "1"), None),
+            (("simulate", "--scenario", "s1", "--m", "1000000", "--trials", "10000",
+              "--seed", "1"), None),
+            (("simulate", "--scenario", "s2", "--m", "1000000000000", "--trials", "1",
+              "--seed", "1"), None),
+            (("experiment", "--sites", "table2", "--trials", "1000000000000",
+              "--seed", "1"), None),
+            # m_hat is 0 or, for about 1 pass in 10^5, 4 * speed / 0.001: a
+            # histogram of millions of 0.02-wide bins
+            (("simulate", "--m", "1", "--trials", "1000000", "--seed", "3", "--scenario"),
+             '{"d": 0.001, "t": 4}'),
+        ],
+        ids=["simulate-trials", "simulate-passes", "simulate-m", "experiment-trials",
+             "simulate-histogram-bins"],
+    )
+    def test_exit_3_with_json_error(self, capsys, tmp_path, argv, config):
+        argv = list(argv)
+        if config is not None:
+            (tmp_path / "config.json").write_text(config, encoding="utf-8")
+            argv.append(str(tmp_path / "config.json"))
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, *argv)
+        assert time.perf_counter() - start < 1.0
+        assert code == EXIT_BAD_PARAMETER
+        assert out == ""
+        assert json.loads(err)["code"] == EXIT_BAD_PARAMETER
 
 
 _OVERSIZED = "1" * 200_000  # over the csv module's 131072-character field limit

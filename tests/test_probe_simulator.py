@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,6 +8,10 @@ from probevolume import kernels
 from probevolume.estimator import estimate_probe_volume, extra_record_prob, min_records
 from probevolume.footprint_data import CordonSpec, crop_to_cordon
 from probevolume.probe_simulator import (
+    BLOCK_PASSES,
+    MAX_HIST_BINS,
+    MAX_PASSES,
+    MAX_TRIALS,
     ScenarioConfig,
     SiteConfig,
     load_sites,
@@ -15,7 +20,7 @@ from probevolume.probe_simulator import (
     simulate_footprints,
     summarize,
 )
-from probevolume.speed_model import SpeedComponent, SpeedDistribution
+from probevolume.speed_model import SpeedComponent, SpeedDistribution, sample_with_rng
 
 
 def _counts(s, d, t, offsets):
@@ -91,6 +96,68 @@ class TestRunScenario:
         s = summarize(np.array([1.0, 1.0, 1.0]))
         assert s.variance == 0.0
 
+    def test_summarize_rejects_over_wide_histogram(self):
+        # 5e10 bins of 0.02: rejected before the edges are allocated
+        with pytest.raises(ValueError, match="histogram bins"):
+            summarize(np.array([0.0, 1e9]))
+        widest = summarize(np.array([0.0, (MAX_HIST_BINS - 1) * 0.02]))
+        assert widest.hist_counts.size <= MAX_HIST_BINS
+
+    @pytest.mark.parametrize(
+        "m,trials,seed",
+        [
+            (0, 100, 1),
+            (1, BLOCK_PASSES + 3, 42),
+            (1, 7, 987654),
+            (8, 2 * (BLOCK_PASSES // 8) + 5, 7),
+            (8, 1, 3),
+            (BLOCK_PASSES + 1, 2, 11),  # one trial per block, wider than a block
+        ],
+    )
+    def test_matches_one_shot_oracle(self, park, m, trials, seed):
+        # the reference: all trials * m passes in one draw from one generator
+        cfg = ScenarioConfig(d=300.0, t=4.0, m=m, dist=park, trials=trials, seed=seed)
+        rng = np.random.default_rng(seed)
+        n = trials * m
+        speeds = sample_with_rng(park, n, rng)
+        offsets = rng.random(n) * cfg.t
+        counts = kernels.pass_counts(speeds, offsets, cfg.d, cfg.t)
+        want = (cfg.t / cfg.d) * (speeds * counts).reshape(trials, m).sum(axis=1)
+
+        samples, summary = run_scenario(cfg)
+        assert samples.dtype == want.dtype
+        assert np.array_equal(samples, want)
+        ref = summarize(want)
+        assert (summary.mean, summary.variance) == (ref.mean, ref.variance)
+        assert summary.cv == ref.cv or (math.isnan(summary.cv) and math.isnan(ref.cv))
+        assert np.array_equal(summary.hist_edges, ref.hist_edges)
+        assert np.array_equal(summary.hist_counts, ref.hist_counts)
+
+    def test_memory_bounded_by_samples(self, park):
+        # 2e6 passes: a one-shot draw would trace about 100 MB
+        cfg = ScenarioConfig(d=300.0, t=4.0, m=8, dist=park, trials=250_000, seed=1)
+        tracemalloc.start()
+        try:
+            run_scenario(cfg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 5 * 8 * cfg.trials
+
+    @pytest.mark.parametrize(
+        "m,trials",
+        [
+            (1, MAX_TRIALS + 1),
+            (10**6, 10**4),
+            (MAX_PASSES + 1, 1),
+            (2, 10**12),
+            (np.int64(2**62), np.int64(4)),  # the int64 product wraps to 0
+        ],
+    )
+    def test_size_caps(self, park, m, trials):
+        with pytest.raises(ValueError, match="trials"):
+            ScenarioConfig(d=300.0, t=4.0, m=m, dist=park, trials=trials, seed=1)
+
 
 class TestFootprints:
     def test_emitted_m_hat_matches_estimator(self, park, tmp_path):
@@ -112,6 +179,18 @@ class TestFootprints:
         records, m_hat = simulate_footprints(cfg)
         assert m_hat == pytest.approx(samples[0], rel=1e-12, abs=0.0)
         assert len({r.speed for r in records}) == 8  # m passes, not trials * m
+
+    def test_memory_does_not_grow_with_trials(self, park):
+        # trial 0 is m passes read from the stream places of 10^8 trials
+        cfg = ScenarioConfig(d=300.0, t=4.0, m=8, dist=park, trials=MAX_TRIALS, seed=42)
+        tracemalloc.start()
+        try:
+            records, _ = simulate_footprints(cfg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len({r.speed for r in records}) == 8
+        assert peak < 1 << 20
 
     def test_out_of_cordon_records_present(self, park):
         cfg = ScenarioConfig(d=300.0, t=4.0, m=4, dist=park, trials=1, seed=9)
@@ -168,6 +247,8 @@ class TestRegressionExperiment:
             run_regression_experiment(_uniform_sites(2), trials=1, seed=0)
         with pytest.raises(ValueError, match="trials"):
             run_regression_experiment(_uniform_sites(3), trials=0, seed=0)
+        with pytest.raises(ValueError, match="trials"):
+            run_regression_experiment(_uniform_sites(3), trials=MAX_TRIALS + 1, seed=0)
         with pytest.raises(ValueError, match="m must be"):
             SiteConfig("x", adt=10.0, m=0, d=10.0, dist=_uniform_sites(3)[0].dist, t=1.0)
 
