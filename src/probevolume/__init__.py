@@ -30,6 +30,7 @@ from .footprint_data import (
     CordonSample,
     CordonSpec,
     FootprintRecord,
+    Footprints,
     crop_to_cordon,
     read_footprints_csv,
     write_footprints_csv,
@@ -58,6 +59,7 @@ __all__ = [
     "CordonSpec",
     "ExperimentReport",
     "FootprintRecord",
+    "Footprints",
     "OptimumReport",
     "PrecisionReport",
     "ScenarioConfig",

@@ -11,6 +11,9 @@ from .distribution_engine import vmr
 from .speed_model import SpeedDistribution
 
 OBJECTIVES = ("vmr", "cv")
+# most d values one curve evaluates; each costs one variance quadrature
+# (a few ms), so the cap bounds one request to minutes, not years
+MAX_GRID_POINTS = 10**5
 
 
 @dataclass(frozen=True)
@@ -21,12 +24,6 @@ class OptimumReport:
     m: int
     t: float
     curve: tuple[tuple[float, float], ...]
-
-
-def _d_grid(d_min: float, d_max: float, step: float) -> np.ndarray:
-    # inclusive endpoint; build by index so accumulation error cannot drop it
-    count = int(math.floor((d_max - d_min) / step + 1e-9))
-    return d_min + step * np.arange(count + 1)
 
 
 def objective_curve(
@@ -42,7 +39,8 @@ def objective_curve(
 
     The objective is continuous but non-smooth in d with dense local minima,
     so no derivative-based refinement: an exhaustive grid is deterministic
-    and auditable.
+    and auditable. A grid of more than ``MAX_GRID_POINTS`` points raises
+    ``ValueError`` before it is built.
     """
     if kind not in OBJECTIVES:
         raise ValueError(f"objective kind must be one of {OBJECTIVES}, got {kind!r}")
@@ -53,8 +51,14 @@ def objective_curve(
     if kind == "cv" and m < 1:
         raise ValueError(f"cv objective requires m >= 1, got {m}")
 
+    # inclusive endpoint; build by index so accumulation error cannot drop it
+    intervals = (d_max - d_min) / step + 1e-9
+    if not intervals < MAX_GRID_POINTS:  # also catches an infinite ratio
+        raise ValueError(
+            f"grid from {d_min} to {d_max} by {step} has over {MAX_GRID_POINTS} points"
+        )
     curve = []
-    for d in _d_grid(d_min, d_max, step):
+    for d in d_min + step * np.arange(int(intervals) + 1):
         ratio = vmr(float(d), t, dist)
         value = math.sqrt(ratio / m) if kind == "cv" else ratio
         curve.append((float(d), value))

@@ -1,16 +1,27 @@
-"""Footprint ingestion: CSV records, virtual cordon crop, label filtering."""
+"""Footprint ingestion: CSV columns, virtual cordon crop, label filtering."""
 
 from __future__ import annotations
 
 import csv
 import logging
 import math
-from dataclasses import dataclass, field
+from array import array
+from dataclasses import dataclass
 from pathlib import Path
+
+import numpy as np
 
 log = logging.getLogger(__name__)
 
 CSV_FIELDS = ("position_m", "speed_mps", "label")
+
+
+def _check_footprint(position: float, speed: float) -> None:
+    """Raise ``ValueError`` unless position is finite and speed in (0, inf)."""
+    if not math.isfinite(position):
+        raise ValueError(f"position must be finite, got {position}")
+    if not (0.0 < speed < math.inf):
+        raise ValueError(f"speed must be positive and finite, got {speed}")
 
 
 @dataclass(frozen=True)
@@ -26,10 +37,37 @@ class FootprintRecord:
     label: str | None = None
 
     def __post_init__(self):
-        if not math.isfinite(self.position):
-            raise ValueError(f"position must be finite, got {self.position}")
-        if not (0.0 < self.speed < math.inf):
-            raise ValueError(f"speed must be positive and finite, got {self.speed}")
+        _check_footprint(self.position, self.speed)
+
+
+@dataclass(frozen=True, eq=False)
+class Footprints:
+    """Footprint columns: float64 ``positions`` and ``speeds``, one ``label`` per row.
+
+    ``labels`` is an object array holding a string or ``None`` per row.
+    Arrays have no single truth value, so ``==`` is identity: compare columns.
+    """
+
+    positions: np.ndarray
+    speeds: np.ndarray
+    labels: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.positions)
+
+    @classmethod
+    def from_records(cls, records) -> Footprints:
+        """The columns of records with ``position``, ``speed`` and ``label``.
+
+        The values are not checked: duck-typed records with a non-positive
+        speed pass, for ``crop_to_cordon`` to drop and count.
+        """
+        records = list(records)
+        return cls(
+            np.array([r.position for r in records], dtype=np.float64),
+            np.array([r.speed for r in records], dtype=np.float64),
+            np.array([r.label for r in records], dtype=object),
+        )
 
 
 @dataclass(frozen=True)
@@ -70,42 +108,41 @@ class CropResult:
     dropped_nonpositive: int = 0
 
 
-def crop_to_cordon(records, cordon: CordonSpec, t: float) -> CropResult:
-    """Keep records with start < position <= start + length and matching label.
+def crop_to_cordon(footprints, cordon: CordonSpec, t: float) -> CropResult:
+    """Keep footprints with start < position <= start + length and matching label.
 
-    In-cordon records with non-positive speed are dropped and counted in
-    ``dropped_nonpositive``. A ``FootprintRecord`` cannot hold such a speed,
-    so ``read_footprints_csv`` skips those rows and lists them in its
-    warnings (the first one raises under ``strict``); for CSV input the count
-    is therefore 0, and only duck-typed records can reach the drop.
+    ``footprints`` is a ``Footprints`` (as read by ``read_footprints_csv``) or
+    any iterable of records with ``position``, ``speed`` and ``label``; the
+    latter goes through ``Footprints.from_records`` once, so both take this
+    one crop: a numpy mask over the columns. In-cordon footprints with
+    non-positive speed are dropped and counted in ``dropped_nonpositive``.
+    The reader and ``FootprintRecord`` reject such a speed, so only
+    duck-typed records can reach the drop.
     """
     if not (0.0 < t < math.inf):
         raise ValueError(f"t must be positive and finite, got {t}")
-    lo = cordon.start
-    hi = cordon.start + cordon.length
-    kept: list[float] = []
-    dropped = 0
-    for rec in records:
-        if cordon.label_filter is not None and rec.label != cordon.label_filter:
-            continue
-        if not (lo < rec.position <= hi):
-            continue
-        if rec.speed <= 0.0:
-            dropped += 1
-            continue
-        kept.append(rec.speed)
+    if not isinstance(footprints, Footprints):
+        footprints = Footprints.from_records(footprints)
+    positions = footprints.positions
+    keep = (positions > cordon.start) & (positions <= cordon.start + cordon.length)
+    if cordon.label_filter is not None:
+        keep &= footprints.labels == cordon.label_filter
+    speeds = footprints.speeds[keep]
+    nonpositive = speeds <= 0.0
+    dropped = int(np.count_nonzero(nonpositive))
     if dropped:
         log.warning("dropped %d in-cordon records with non-positive speed", dropped)
+        speeds = speeds[~nonpositive]
     return CropResult(
-        sample=CordonSample(speeds=tuple(kept), d=cordon.length, t=t),
+        sample=CordonSample(speeds=tuple(speeds.tolist()), d=cordon.length, t=t),
         dropped_nonpositive=dropped,
     )
 
 
 @dataclass
 class CsvReadResult:
-    records: list[FootprintRecord] = field(default_factory=list)
-    warnings: list[str] = field(default_factory=list)
+    records: Footprints
+    warnings: list[str]
 
 
 def read_csv_rows(path: Path, columns: tuple[str, str, str], unreadable):
@@ -113,10 +150,10 @@ def read_csv_rows(path: Path, columns: tuple[str, str, str], unreadable):
 
     Yields whether the header has the optional third column, then
     ``(line, row)`` for each data row that is not blank; an empty file yields
-    nothing and any other header raises ``ValueError``. A row the csv module
-    cannot read, such as one with a field over its size limit, goes to
-    ``unreadable(message, exc)`` with a line-numbered message, and reading
-    goes on with the next row.
+    nothing and any other header raises ``ValueError``. ``line`` counts CSV
+    rows, the header being 1. A row the csv module cannot read, such as one
+    with a field over its size limit, goes to ``unreadable(message, exc)``
+    with a line-numbered message, and reading goes on with the next row.
     """
     with path.open("r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
@@ -133,45 +170,59 @@ def read_csv_rows(path: Path, columns: tuple[str, str, str], unreadable):
                 f"got {','.join(header)}"
             )
         yield header[2:3] == [columns[2]]
-        lineno = 1
+        start = 2
         while True:  # csv.reader goes on with the next row after a csv.Error
+            lineno = start - 1
             try:
-                for row in reader:
-                    lineno += 1
-                    if "".join(row).strip():
+                for lineno, row in enumerate(reader, start):
+                    # blank: no field has a non-whitespace character
+                    if row and (row[0].strip() or "".join(row).strip()):
                         yield lineno, row
                 return
             except csv.Error as exc:
-                lineno += 1
-                unreadable(f"{path}:{lineno}: unreadable row ({exc})", exc)
+                unreadable(f"{path}:{lineno + 1}: unreadable row ({exc})", exc)
+                start = lineno + 2
 
 
 def read_footprints_csv(path: str | Path, strict: bool = False) -> CsvReadResult:
     """Read footprints from CSV with header ``position_m,speed_mps[,label]``.
 
-    Rows that fail to parse are skipped and reported with their line number;
-    with ``strict=True`` the first bad row raises instead.
+    One pass over the rows fills the ``Footprints`` columns: float64
+    positions and speeds, and a label per row (``None`` when blank or when
+    the file has no label column). Rows that fail to parse or fail the
+    ``FootprintRecord`` checks are skipped and reported with their line
+    number; with ``strict=True`` the first bad row raises instead.
     """
-    result = CsvReadResult()
     path = Path(path)
+    warnings: list[str] = []
 
     def skip(msg: str, exc: Exception) -> None:
         if strict:
             raise ValueError(msg) from exc
-        result.warnings.append(msg)
+        warnings.append(msg)
         log.warning("%s", msg)
 
+    positions, speeds, labels = array("d"), array("d"), []
+    distinct: dict[str | None, str | None] = {}
     rows = read_csv_rows(path, CSV_FIELDS, skip)
     has_label = next(rows, False)
     for lineno, row in rows:
         try:
             position = float(row[0])
             speed = float(row[1])
-            label = row[2].strip() or None if has_label and len(row) > 2 else None
-            result.records.append(FootprintRecord(position, speed, label))
+            _check_footprint(position, speed)
         except (IndexError, ValueError) as exc:
             skip(f"{path}:{lineno}: skipped unparseable row {row!r} ({exc})", exc)
-    return result
+            continue
+        positions.append(position)
+        speeds.append(speed)
+        if has_label:
+            label = row[2].strip() or None if len(row) > 2 else None
+            labels.append(distinct.setdefault(label, label))  # one str per distinct label
+    if not has_label:
+        labels = [None] * len(positions)
+    labels = np.array(labels, dtype=object)
+    return CsvReadResult(Footprints(np.asarray(positions), np.asarray(speeds), labels), warnings)
 
 
 def write_footprints_csv(path: str | Path, records) -> None:

@@ -219,9 +219,15 @@ class TestSizeCaps:
             # histogram of millions of 0.02-wide bins
             (("simulate", "--m", "1", "--trials", "1000000", "--seed", "3", "--scenario"),
              '{"d": 0.001, "t": 4}'),
+            # a 3e13-point grid: numpy was asked for 218 TiB
+            (("optimize", "--dmax", "3", "--t", "1", "--objective", "cv", "--dist",
+              "park-i35", "--step", "1e-13"), None),
+            # 1.5e8 points: allocatable, but days of variance quadratures
+            (("optimize", "--dmax", "150", "--t", "4", "--objective", "vmr", "--dist",
+              "park-i35", "--step", "1e-6"), None),
         ],
         ids=["simulate-trials", "simulate-passes", "simulate-m", "experiment-trials",
-             "simulate-histogram-bins"],
+             "simulate-histogram-bins", "optimize-step-alloc", "optimize-step-time"],
     )
     def test_exit_3_with_json_error(self, capsys, tmp_path, argv, config):
         argv = list(argv)

@@ -1,11 +1,17 @@
+import csv
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from probevolume.estimator import estimate_probe_volume
 from probevolume.footprint_data import (
+    CSV_FIELDS,
     CordonSample,
     CordonSpec,
-    CsvReadResult,
     FootprintRecord,
+    Footprints,
     crop_to_cordon,
     read_footprints_csv,
     write_footprints_csv,
@@ -14,6 +20,17 @@ from probevolume.footprint_data import (
 
 def _records(positions, speed=20.0, label=None):
     return [FootprintRecord(p, speed, label) for p in positions]
+
+
+def assert_columns(footprints, rows):
+    """The columns hold exactly ``rows`` of (position, speed, label): float64, bit for bit."""
+    positions = np.array([p for p, _, _ in rows], dtype=np.float64)
+    speeds = np.array([s for _, s, _ in rows], dtype=np.float64)
+    assert footprints.positions.dtype == footprints.speeds.dtype == np.float64
+    assert footprints.positions.tobytes() == positions.tobytes()
+    assert footprints.speeds.tobytes() == speeds.tobytes()
+    assert footprints.labels.tolist() == [label for _, _, label in rows]
+    assert len(footprints) == len(rows)
 
 
 class TestCrop:
@@ -95,7 +112,7 @@ class TestCsv:
         ]
         write_footprints_csv(path, recs)
         back = read_footprints_csv(path)
-        assert back.records == recs
+        assert_columns(back.records, [(r.position, r.speed, r.label) for r in recs])
         assert back.warnings == []
 
     @pytest.mark.parametrize("scalar", [np.float64, np.float32])
@@ -108,9 +125,7 @@ class TestCsv:
         write_footprints_csv(path, recs)
         back = read_footprints_csv(path)
         assert back.warnings == []
-        assert [(r.position, r.speed, r.label) for r in back.records] == [
-            (float(r.position), float(r.speed), r.label) for r in recs
-        ]
+        assert_columns(back.records, [(float(r.position), float(r.speed), r.label) for r in recs])
 
     def test_bad_rows_skipped_with_line_numbers(self, tmp_path):
         path = tmp_path / "f.csv"
@@ -139,7 +154,9 @@ class TestCsv:
     def test_empty_file(self, tmp_path):
         path = tmp_path / "f.csv"
         path.write_text("", encoding="utf-8")
-        assert read_footprints_csv(path) == CsvReadResult()
+        result = read_footprints_csv(path)
+        assert_columns(result.records, [])
+        assert result.warnings == []
 
     def test_nonpositive_speed_row_is_reported(self, tmp_path):
         path = tmp_path / "f.csv"
@@ -155,3 +172,199 @@ class TestCsv:
         result = read_footprints_csv(path)
         assert len(result.records) == 1
         assert len(result.warnings) == 1
+
+
+# -- oracles: one FootprintRecord per row and a per-record crop loop, the reference
+# -- the columns must match
+
+
+def _oracle_csv_rows(path, columns, unreadable):
+    with path.open("r", encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader, None)
+        except csv.Error as exc:
+            raise ValueError(f"{path}:1: unreadable header ({exc})") from exc
+        if header is None:
+            return
+        header = [h.strip() for h in header]
+        if header[:2] != list(columns[:2]):
+            raise ValueError(
+                f"{path}: expected header {columns[0]},{columns[1]}[,{columns[2]}], "
+                f"got {','.join(header)}"
+            )
+        yield header[2:3] == [columns[2]]
+        lineno = 1
+        while True:
+            try:
+                for row in reader:
+                    lineno += 1
+                    if "".join(row).strip():
+                        yield lineno, row
+                return
+            except csv.Error as exc:
+                lineno += 1
+                unreadable(f"{path}:{lineno}: unreadable row ({exc})", exc)
+
+
+def _oracle_read(path, strict=False):
+    """(records, warnings): one FootprintRecord per good row."""
+    records, warnings = [], []
+
+    def skip(msg, exc):
+        if strict:
+            raise ValueError(msg) from exc
+        warnings.append(msg)
+
+    rows = _oracle_csv_rows(path, CSV_FIELDS, skip)
+    has_label = next(rows, False)
+    for lineno, row in rows:
+        try:
+            position = float(row[0])
+            speed = float(row[1])
+            label = row[2].strip() or None if has_label and len(row) > 2 else None
+            records.append(FootprintRecord(position, speed, label))
+        except (IndexError, ValueError) as exc:
+            skip(f"{path}:{lineno}: skipped unparseable row {row!r} ({exc})", exc)
+    return records, warnings
+
+
+def _oracle_crop(records, cordon, t):
+    """(kept speeds, dropped count): the per-record loop."""
+    lo = cordon.start
+    hi = cordon.start + cordon.length
+    kept, dropped = [], 0
+    for rec in records:
+        if cordon.label_filter is not None and rec.label != cordon.label_filter:
+            continue
+        if not (lo < rec.position <= hi):
+            continue
+        if rec.speed <= 0.0:
+            dropped += 1
+            continue
+        kept.append(rec.speed)
+    return tuple(kept), dropped
+
+
+_FIELD_LIMIT = "1" * (csv.field_size_limit() + 1)  # over the csv module's field limit
+
+_numbers = st.one_of(
+    st.floats(-1e4, 1e4).map(repr),
+    st.floats(allow_nan=True, allow_infinity=True).map(repr),
+    st.sampled_from([" 12.5 ", "1_000", "nan", "inf", "-inf", "0", "-0.0", "-3", "x",
+                     "", " ", "1e400", "0x10", '"7.5"', '"1,5"', '"2\n5"', "1 2"]),
+)
+_labels = st.sampled_from(["jul", " aug ", "", " ", '"la,bel"', '"sep\n"', "jul\r"])
+_rows = st.one_of(
+    st.tuples(_numbers, _numbers).map(",".join),
+    st.tuples(_numbers, _numbers, _labels).map(",".join),
+    st.tuples(_numbers, _numbers, _labels, _numbers).map(",".join),  # extra column
+    _numbers,  # speed column missing
+    st.sampled_from(["", " ", "\t", ",", " , ", ",,", '""', '"', f"{_FIELD_LIMIT},5"]),
+)
+_headers = st.sampled_from(["position_m,speed_mps", "position_m,speed_mps,label",
+                            " position_m , speed_mps , label ", "position_m,speed_mps,x"])
+
+
+class TestReaderOracle:
+    @given(header=_headers, rows=st.lists(_rows, max_size=25),
+           endings=st.lists(st.sampled_from(["\n", "\r\n", "\r"]), min_size=1),
+           final=st.booleans())
+    @settings(max_examples=300, deadline=None)
+    def test_same_columns_warnings_and_first_error(self, tmp_path_factory, header, rows,
+                                                   endings, final):
+        lines = [header, *rows]
+        text = "".join(line + endings[i % len(endings)] for i, line in enumerate(lines))
+        path = tmp_path_factory.getbasetemp() / "oracle.csv"
+        path.write_text(text if final else text.rstrip("\r\n"), encoding="utf-8",
+                        newline="")
+
+        records, warnings = _oracle_read(path)
+        result = read_footprints_csv(path)
+        assert_columns(result.records, [(r.position, r.speed, r.label) for r in records])
+        assert result.warnings == warnings
+
+        try:
+            _oracle_read(path, strict=True)
+            expected = None
+        except ValueError as exc:
+            expected = str(exc)
+        if expected is None:
+            assert_columns(read_footprints_csv(path, strict=True).records,
+                           [(r.position, r.speed, r.label) for r in records])
+        else:
+            with pytest.raises(ValueError) as raised:
+                read_footprints_csv(path, strict=True)
+            assert str(raised.value) == expected
+
+
+class _Raw:
+    """A duck-typed record: no checks, so its speed may be zero or negative."""
+
+    def __init__(self, position, speed, label=None):
+        self.position, self.speed, self.label = position, speed, label
+
+
+_speeds = st.one_of(st.floats(0.1, 60.0), st.sampled_from([0.0, -0.0, -2.5, 5e-324]))
+
+
+class TestCropOracle:
+    @given(start=st.floats(-1e3, 1e3), length=st.floats(1e-3, 1e3),
+           picks=st.lists(st.tuples(st.integers(0, 5), st.floats(-2e3, 2e3), _speeds,
+                                    st.sampled_from([None, "a", "b"])), max_size=40),
+           label_filter=st.sampled_from([None, "a", "c"]), t=st.floats(0.1, 10.0),
+           duck=st.booleans())
+    @settings(max_examples=300, deadline=None)
+    def test_columns_and_records_match_the_loop(self, start, length, picks, label_filter,
+                                                t, duck):
+        cordon = CordonSpec(start, length, label_filter)
+        hi = start + length
+        # positions on and just beside both ends of (start, start + length]
+        edges = (start, hi, np.nextafter(start, np.inf), np.nextafter(hi, np.inf),
+                 np.nextafter(hi, -np.inf))
+        raw = []
+        for k, x, speed, label in picks:
+            position = float(edges[k]) if k < len(edges) else x
+            if not duck:
+                speed = abs(speed) or 1.0
+            raw.append((_Raw if duck else FootprintRecord)(position, speed, label))
+        kept, dropped = _oracle_crop(raw, cordon, t)
+        oracle = estimate_probe_volume(CordonSample(kept, length, t))
+        for source in (raw, Footprints.from_records(raw)):
+            result = crop_to_cordon(source, cordon, t)
+            assert (result.sample.speeds, result.dropped_nonpositive) == (kept, dropped)
+            assert estimate_probe_volume(result.sample) == oracle  # m_hat bit-identical
+
+    def test_bounds_exactly_at_start_and_end(self, tmp_path):
+        recs = [FootprintRecord(p, 20.0 + p / 100.0)
+                for p in (99.99999999999999, 100.0, 150.0, 250.0, 250.00000000000003)]
+        path = tmp_path / "f.csv"
+        write_footprints_csv(path, recs)
+        cordon = CordonSpec(100.0, 150.0)
+        kept, dropped = _oracle_crop(recs, cordon, 1.0)
+        assert kept == (21.5, 22.5)  # 150 and 250; 100 itself is outside
+        for source in (recs, Footprints.from_records(recs), read_footprints_csv(path).records):
+            result = crop_to_cordon(source, cordon, t=1.0)
+            assert (result.sample.speeds, result.dropped_nonpositive) == (kept, dropped)
+
+    def test_label_filter_on_file_without_label_column(self, tmp_path):
+        path = tmp_path / "f.csv"
+        path.write_text("position_m,speed_mps\n1.0,20.0\n2.0,25.0\n", encoding="utf-8")
+        records, _ = _oracle_read(path)
+        read = read_footprints_csv(path)
+        assert read.records.labels.tolist() == [None, None]
+        for label in ("a", None):
+            cordon = CordonSpec(0.0, 10.0, label)
+            result = crop_to_cordon(read.records, cordon, t=1.0)
+            assert result.sample.speeds == _oracle_crop(records, cordon, 1.0)[0]
+        assert crop_to_cordon(read.records, CordonSpec(0.0, 10.0, "a"), 1.0).sample.speeds == ()
+
+    def test_duck_typed_nonpositive_speeds_counted(self):
+        raw = [_Raw(10.0, 20.0), _Raw(20.0, 0.0), _Raw(30.0, -1.0), _Raw(40.0, 0.0, "x"),
+               _Raw(200.0, -3.0)]
+        for label in (None, "x"):
+            cordon = CordonSpec(0.0, 100.0, label)
+            kept, dropped = _oracle_crop(raw, cordon, 1.0)
+            for source in (raw, Footprints.from_records(raw)):
+                result = crop_to_cordon(source, cordon, t=1.0)
+                assert (result.sample.speeds, result.dropped_nonpositive) == (kept, dropped)

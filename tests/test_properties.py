@@ -225,9 +225,14 @@ _CLI_INPUTS = {
     ),
 }
 _CLI_SIZES = ("1", "2", "3")  # small, so no request takes more than about 1 s
-# over the trial and probe-pass caps; drawn only for the flags they cap, since
-# an uncapped size flag elsewhere (pdf --m) would still try to allocate
-_CLI_OVER_CAP = {"trials": ("100000001", "1000000000000"), "m": ("1000000001",)}
+# over the trial, probe-pass and grid-point caps; drawn only for the flags they
+# cap, since an uncapped size flag elsewhere (pdf --m) would still try to allocate
+_CLI_OVER_CAP = {
+    ("simulate", "trials"): ("100000001", "1000000000000"),
+    ("experiment", "trials"): ("100000001", "1000000000000"),
+    ("simulate", "m"): ("1000000001",),
+    ("optimize", "step"): ("1e-13", "1e-6"),
+}
 _CLI_NUMBERS = ("x", "-1", "0", "nan", "inf", *_CLI_SIZES)
 _CLI_OUTPUTS = {"out", "curve_out", "hist_out", "emit_footprints"}
 
@@ -271,8 +276,8 @@ class TestCliFuzz:
                 pool = [*action.choices] + (["bogus"] if part == "flags" else [])
             elif action.type in (int, float):
                 pool = _CLI_NUMBERS if part == "numbers" else _CLI_SIZES
-                if part == "numbers" and name in ("simulate", "experiment"):
-                    pool += _CLI_OVER_CAP.get(action.dest, ())
+                if part == "numbers":
+                    pool += _CLI_OVER_CAP.get((name, action.dest), ())
             elif action.dest in _CLI_OUTPUTS:
                 pool = outputs if part == "outputs" else outputs[:1]
             else:
