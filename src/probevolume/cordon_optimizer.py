@@ -12,7 +12,8 @@ from .speed_model import SpeedDistribution
 
 OBJECTIVES = ("vmr", "cv")
 # most d values one curve evaluates; each costs one variance quadrature
-# (a few ms), so the cap bounds one request to minutes, not years
+# (about 1 ms at d/t = 40 on park-i35, at most about 0.2 s at the variance
+# piece cap), so the cap bounds one request to minutes, not years
 MAX_GRID_POINTS = 10**5
 
 

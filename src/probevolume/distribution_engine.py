@@ -11,13 +11,22 @@ from scipy.fft import irfft, next_fast_len, rfft
 
 from . import kernels
 from .estimator import extra_record_prob
-from .speed_model import QuadratureError, SpeedDistribution, integrate_weighted
+from .speed_model import SpeedDistribution, integrate_weighted
 
-# Breakpoint generation for the variance integral stops once the residual
-# contribution of everything below s is bounded under this value; the bound
-# is (s^2/4)*CDF(s) since the Bernoulli kernel never exceeds s^2/4. The
+# Breakpoint generation for the variance integral stops at the first kink s
+# below which the residual contribution is bounded under this value; the
+# bound is (s^2/4)*CDF(s) since the Bernoulli kernel never exceeds s^2/4. The
 # scaled effect on Var[m_hat] stays below m * (t/d)^2 * 1e-8.
 VARIANCE_TAIL_BOUND = 1e-8
+
+# Most kink pieces one variance integral is cut into, about d/t times
+# (1/s_stop - 1/upper) for the distribution's tail stop s_stop. Each piece
+# gets 8 quadrature nodes: at the cap a park-i35 request peaks at 160 MB
+# (fresh-process RSS, 56 MB of it the import), and memory per piece grows
+# with the number of mixture components. d/t = 1000 needs about 38,000 on
+# table2-30mph, the preset with the most. A larger request raises ValueError
+# before anything is built.
+MAX_VARIANCE_PIECES = 10**5
 
 # A fold whose mass drifts from 1 by more than this triggers a warning.
 FOLD_DRIFT_WARN = 1e-4
@@ -66,31 +75,60 @@ def bernoulli_var_term(s: float, d: float, t: float) -> float:
     return s * s * p * (1.0 - p)
 
 
+def _tail_stop(dist: SpeedDistribution) -> float:
+    """The speed under which the variance tail bound holds, found once.
+
+    The bound (s^2/4)*CDF(s) rises with s and is under VARIANCE_TAIL_BOUND
+    below 2*sqrt(VARIANCE_TAIL_BOUND) for any CDF, so a bracket on the rest
+    of the support is narrowed 256-fold per vectorised step until no step
+    moves it. The result depends on the distribution alone and is kept on it.
+    """
+    if dist._tail_stop is None:
+        lo, hi = max(dist.lower, 2.0 * math.sqrt(VARIANCE_TAIL_BOUND)), dist.upper
+        while lo < hi:
+            s = np.linspace(lo, hi, 257)
+            over = 0.25 * s * s * dist.cdf(s) >= VARIANCE_TAIL_BOUND
+            if not over.any():
+                lo = hi
+                break
+            k = int(np.argmax(over))
+            # k == 0: over at lo already, from CDF round-off at the support's
+            # bottom or with all the mass below 2*sqrt(VARIANCE_TAIL_BOUND)
+            if k == 0 or (s[k - 1], s[k]) == (lo, hi):
+                break
+            lo, hi = float(s[k - 1]), float(s[k])
+        dist._tail_stop = min(lo, dist.upper)
+    return dist._tail_stop
+
+
 def _variance_breakpoints(d: float, t: float, dist: SpeedDistribution) -> np.ndarray:
     """Kink locations s = d/(t*j) of the variance integrand, largest first.
 
-    The exact kink set is infinite when the support reaches 0; generation
-    stops once the residual-integral bound falls under VARIANCE_TAIL_BOUND,
-    leaving the remainder to a single quadrature piece.
+    The exact kink set is infinite when the support reaches 0. Kinks run from
+    the first one under the support's top down to, and including, the first
+    one that is at or below its bottom or whose tail bound (s^2/4)*CDF(s) is
+    under VARIANCE_TAIL_BOUND, so the one quadrature piece left below the
+    last kink holds no more than the bound covers. The bound rises with s, so
+    that stopping kink is among the few next to the distribution's tail stop,
+    and the test is applied to those alone. An integral of more than
+    MAX_VARIANCE_PIECES kink pieces raises ValueError before any is built.
     """
-    out = []
-    j = int(math.floor(d / (t * dist.upper))) + 1
-    chunk = 1024
-    while True:
-        jj = np.arange(j, j + chunk, dtype=np.float64)
-        s = d / (t * jj)
-        bound = 0.25 * s * s * dist.cdf(s)
-        stop = (s <= dist.lower) | (bound < VARIANCE_TAIL_BOUND)
-        if np.any(stop):
-            out.append(s[: int(np.argmax(stop))])
-            break
-        out.append(s)
-        j += chunk
-        if j > 10_000_000:
-            raise QuadratureError(
-                f"variance breakpoints did not converge for d={d}, t={t}"
-            )
-    pts = np.concatenate(out) if out else np.empty(0)
+    stop = _tail_stop(dist)
+    top = d / (t * dist.upper)
+    near = d / (t * stop)  # the index j of the kink at the tail stop
+    # a kink index past 2**53 is no longer an exact float
+    if not (near - top < MAX_VARIANCE_PIECES and near < 2.0**53):
+        raise ValueError(
+            f"variance at d={d}, t={t} needs over {MAX_VARIANCE_PIECES} kink pieces"
+        )
+    # the stopping kink is the one just past the tail stop; two kinks either
+    # side leave a margin for rounding
+    first, near = math.floor(top) + 1, math.floor(near)
+    jj = np.arange(max(first, near - 2), max(first, near + 3), dtype=np.float64)
+    s = d / (t * jj)
+    stops = (s <= dist.lower) | (0.25 * s * s * dist.cdf(s) < VARIANCE_TAIL_BOUND)
+    last = jj[int(np.argmax(stops)) if stops.any() else -1]
+    pts = d / (t * np.arange(first, last + 1, dtype=np.float64))
     pts = pts[(pts > dist.lower) & (pts < dist.upper)]
     return pts[::-1]
 

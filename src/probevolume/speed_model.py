@@ -21,9 +21,9 @@ WEIGHT_SUM_TOL = 5e-3
 PRESET_NAMES = ("park-i35", "table2-60mph", "table2-30mph")
 _PRESET_FILES = {name: name.replace("-", "_") + ".json" for name in PRESET_NAMES}
 
-_GL32_X, _GL32_W = np.polynomial.legendre.leggauss(32)
-_GL32_X.setflags(write=False)
-_GL32_W.setflags(write=False)
+_GL8_X, _GL8_W = np.polynomial.legendre.leggauss(8)
+_GL8_X.setflags(write=False)
+_GL8_W.setflags(write=False)
 
 
 class QuadratureError(RuntimeError):
@@ -67,6 +67,9 @@ class SpeedDistribution:
     _cdf_lo: np.ndarray = field(init=False, repr=False)
     _cdf_w: np.ndarray = field(init=False, repr=False)
     _cdf_span: np.ndarray = field(init=False, repr=False)
+    # speed under which the variance tail bound holds; found on first use by
+    # distribution_engine, since a distribution that is only sampled never needs it
+    _tail_stop: float | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.components = tuple(self.components)
@@ -148,16 +151,22 @@ def sample_with_rng(dist: SpeedDistribution, count: int, rng: np.random.Generato
     return s
 
 
-# Fixed cut offsets around every component mean, in sd units: a 32-node rule
-# between consecutive cuts resolves a Gaussian of any sd, so normalization
-# holds even for near-degenerate mixtures. The rule is fixed, not adaptive:
-# results stay bit-stable across runs.
+# Fixed cut offsets around every component, in units of its local scale: an
+# 8-node rule between consecutive cuts resolves a Gaussian of any sd to about
+# 1e-14, so normalization holds even for near-degenerate mixtures. A component
+# whose mean lies z > 1 sd outside the support shows only its tail there,
+# which falls off within sd/z of the support's end, so its cuts are centred
+# on that end and scaled by sd/z. The rule is fixed, not adaptive: results
+# stay bit-stable across runs.
 _ANCHOR_SDS = (1.0, 2.0, 3.0, 4.0, 6.0, 8.0, 12.0, 16.0, 24.0, 32.0)
 
 
 def _anchor_cuts(dist: SpeedDistribution) -> np.ndarray:
     offs = np.concatenate(([0.0], _ANCHOR_SDS, [-k for k in _ANCHOR_SDS]))
-    return (dist._means[:, None] + dist._sds[:, None] * offs[None, :]).ravel()
+    outside = np.maximum(dist.lower - dist._means, dist._means - dist.upper) / dist._sds
+    scale = dist._sds / np.maximum(outside, 1.0)
+    centre = np.clip(dist._means, dist.lower, dist.upper)
+    return (centre[:, None] + scale[:, None] * offs[None, :]).ravel()
 
 
 def integrate_weighted(
@@ -167,9 +176,12 @@ def integrate_weighted(
 ) -> float:
     """Integrate weight(s)*g(s) over the support with piecewise quadrature.
 
-    The support is cut at the given breakpoints (clipped to it) plus fixed
-    sd-anchored cuts around each component mean; every piece gets a
-    32-node Gauss-Legendre rule. ``weight`` must accept an ndarray of speeds.
+    The support is cut at the given breakpoints (clipped to it) plus the
+    fixed anchor cuts of each component; every piece gets one 8-node
+    Gauss-Legendre rule, exact for polynomials up to degree 15. It suits a
+    weight that is smooth between breakpoints, such as the variance kernel,
+    a quadratic between its kinks. ``weight`` must accept an ndarray of
+    speeds.
     """
     pts = np.asarray(breakpoints, dtype=np.float64)
     if pts.size and np.any(np.diff(pts) < 0):
@@ -181,8 +193,8 @@ def integrate_weighted(
     half = 0.5 * np.diff(edges)
     mid = 0.5 * (edges[:-1] + edges[1:])
 
-    nodes = (mid[:, None] + half[:, None] * _GL32_X).ravel()
-    wts = (half[:, None] * _GL32_W).ravel()
+    nodes = (mid[:, None] + half[:, None] * _GL8_X).ravel()
+    wts = (half[:, None] * _GL8_W).ravel()
 
     gv = kernels.mixture_pdf(
         nodes, dist._means, dist._sds, dist._norms, dist.lower, dist.upper

@@ -225,9 +225,14 @@ class TestSizeCaps:
             # 1.5e8 points: allocatable, but days of variance quadratures
             (("optimize", "--dmax", "150", "--t", "4", "--objective", "vmr", "--dist",
               "park-i35", "--step", "1e-6"), None),
+            # 2.7e10 kinks: the variance quadrature stopped at 10^7 with a traceback
+            (("precision", "--m", "1", "--d", "1e9", "--t", "1", "--dist", "park-i35"), None),
+            # 5.4e6 kinks: a node array over 1 GB and an (N, K) temporary of several
+            (("precision", "--m", "1", "--d", "2e5", "--t", "1", "--dist", "park-i35"), None),
         ],
         ids=["simulate-trials", "simulate-passes", "simulate-m", "experiment-trials",
-             "simulate-histogram-bins", "optimize-step-alloc", "optimize-step-time"],
+             "simulate-histogram-bins", "optimize-step-alloc", "optimize-step-time",
+             "precision-d-kinks", "precision-d-memory"],
     )
     def test_exit_3_with_json_error(self, capsys, tmp_path, argv, config):
         argv = list(argv)

@@ -225,13 +225,15 @@ _CLI_INPUTS = {
     ),
 }
 _CLI_SIZES = ("1", "2", "3")  # small, so no request takes more than about 1 s
-# over the trial, probe-pass and grid-point caps; drawn only for the flags they
-# cap, since an uncapped size flag elsewhere (pdf --m) would still try to allocate
+# over the trial, probe-pass, grid-point and variance-piece caps; drawn only for
+# the flags they cap, since an uncapped size flag elsewhere (pdf --m) would
+# still try to allocate
 _CLI_OVER_CAP = {
     ("simulate", "trials"): ("100000001", "1000000000000"),
     ("experiment", "trials"): ("100000001", "1000000000000"),
     ("simulate", "m"): ("1000000001",),
     ("optimize", "step"): ("1e-13", "1e-6"),
+    ("precision", "d"): ("2e5", "1e9"),
 }
 _CLI_NUMBERS = ("x", "-1", "0", "nan", "inf", *_CLI_SIZES)
 _CLI_OUTPUTS = {"out", "curve_out", "hist_out", "emit_footprints"}

@@ -119,6 +119,17 @@ class TestIntegrateWeighted:
             dist = random_mixture(rng)
             assert integrate_weighted(dist, lambda s: 1.0) == pytest.approx(1.0, abs=1e-9)
 
+    @pytest.mark.parametrize("z", [2.0, 5.0, 10.0, 20.0, 35.0])
+    def test_normalization_component_mean_outside_support(self, z):
+        # only the tail of the first component is inside (0, 40]: its mass
+        # there lies within a few sd/z of the top
+        dist = SpeedDistribution(
+            (SpeedComponent(40.0 + 1.5 * z, 1.5, 0.5), SpeedComponent(20.0, 4.0, 0.5)),
+            0.0,
+            40.0,
+        )
+        assert integrate_weighted(dist, lambda s: 1.0) == pytest.approx(1.0, abs=1e-12)
+
     def test_mean_against_component_closed_form(self, park):
         want = sum(
             w * _trunc_mean_oracle(c.mean, c.sd, park.lower, park.upper)
