@@ -11,7 +11,7 @@ from scipy.fft import irfft, next_fast_len, rfft
 
 from . import kernels
 from .estimator import extra_record_prob
-from .speed_model import SpeedDistribution, integrate_weighted
+from .speed_model import SpeedDistribution, integrate_weighted, quadrature_pieces
 
 # Breakpoint generation for the variance integral stops at the first kink s
 # below which the residual contribution is bounded under this value; the
@@ -19,14 +19,17 @@ from .speed_model import SpeedDistribution, integrate_weighted
 # scaled effect on Var[m_hat] stays below m * (t/d)^2 * 1e-8.
 VARIANCE_TAIL_BOUND = 1e-8
 
-# Most kink pieces one variance integral is cut into, about d/t times
-# (1/s_stop - 1/upper) for the distribution's tail stop s_stop. Each piece
-# gets 8 quadrature nodes: at the cap a park-i35 request peaks at 160 MB
-# (fresh-process RSS, 56 MB of it the import), and memory per piece grows
-# with the number of mixture components. d/t = 1000 needs about 38,000 on
-# table2-30mph, the preset with the most. A larger request raises ValueError
-# before anything is built.
+# Most quadrature pieces one variance integral is cut into, for a mixture of
+# up to VARIANCE_COMPONENTS components: the kink pieces, about d/t times
+# (1/s_stop - 1/upper) for the distribution's tail stop s_stop, and 21 fixed
+# pieces per component. Each piece gets 8 quadrature nodes, and the mixture
+# density builds (nodes, components) temporaries, so for more components the
+# cap shrinks in proportion: at the cap a park-i35 request peaks at 160 MB
+# (fresh-process RSS, 56 MB of it the import), and so does a mixture of any
+# size. d/t = 1000 needs about 38,000 kink pieces on table2-30mph, the preset
+# with the most. A larger request raises ValueError before anything is built.
 MAX_VARIANCE_PIECES = 10**5
+VARIANCE_COMPONENTS = 4
 
 # A fold whose mass drifts from 1 by more than this triggers a warning.
 FOLD_DRIFT_WARN = 1e-4
@@ -110,16 +113,20 @@ def _variance_breakpoints(d: float, t: float, dist: SpeedDistribution) -> np.nda
     under VARIANCE_TAIL_BOUND, so the one quadrature piece left below the
     last kink holds no more than the bound covers. The bound rises with s, so
     that stopping kink is among the few next to the distribution's tail stop,
-    and the test is applied to those alone. An integral of more than
-    MAX_VARIANCE_PIECES kink pieces raises ValueError before any is built.
+    and the test is applied to those alone. An integral of more pieces than
+    the cap its component count allows (see MAX_VARIANCE_PIECES) raises
+    ValueError before any is built.
     """
     stop = _tail_stop(dist)
     top = d / (t * dist.upper)
     near = d / (t * stop)  # the index j of the kink at the tail stop
+    n_comp = len(dist.components)
+    cap = MAX_VARIANCE_PIECES * VARIANCE_COMPONENTS // max(n_comp, VARIANCE_COMPONENTS)
     # a kink index past 2**53 is no longer an exact float
-    if not (near - top < MAX_VARIANCE_PIECES and near < 2.0**53):
+    if not (quadrature_pieces(dist, near - top) < cap and near < 2.0**53):
         raise ValueError(
-            f"variance at d={d}, t={t} needs over {MAX_VARIANCE_PIECES} kink pieces"
+            f"variance at d={d}, t={t} needs over {cap} quadrature pieces (kink pieces "
+            f"and 21 per component) for a mixture of {n_comp} components"
         )
     # the stopping kink is the one just past the tail stop; two kinks either
     # side leave a margin for rounding
@@ -141,13 +148,23 @@ def variance(m: int, d: float, t: float, dist: SpeedDistribution) -> float:
         raise ValueError(f"d and t must be positive and finite, got ({d}, {t})")
     if m == 0:
         return 0.0
+    # for small d/t, Var[m_hat] is about m (t/d) E[s - d/t]: infinite with t/d
+    if t / d == math.inf:
+        raise ValueError(f"the variance at d={d}, t={t} is not finite")
 
     def b_weight(s: np.ndarray) -> np.ndarray:
         p = np.mod(d / (s * t), 1.0)
         return s * s * p * (1.0 - p)
 
     integral = integrate_weighted(dist, b_weight, _variance_breakpoints(d, t, dist))
-    return m * (t * t) / (d * d) * integral
+    # t and d enter as mantissa times a power of two, which is exact: the
+    # result is m t^2 / d^2 times the integral to the last bit wherever
+    # that product does not over- or underflow, and d*d cannot underflow
+    (tm, te), (dm, de) = math.frexp(t), math.frexp(d)
+    try:
+        return math.ldexp(m * (tm * tm) / (dm * dm) * integral, 2 * (te - de))
+    except OverflowError:
+        raise ValueError(f"the variance at d={d}, t={t} is not finite") from None
 
 
 def vmr(d: float, t: float, dist: SpeedDistribution) -> float:

@@ -15,6 +15,12 @@ draw blocks of whole trials from three copies of the generator advanced to
 0, n and 2n (PCG64 jump-ahead, O'Neill 2014) and stay bit-identical to that
 one-shot draw in bounded memory.
 
+Stream layout of the experiment: trial r of site i reads its own stream,
+``default_rng(SeedSequence(seed, spawn_key=(r, i)))``, for its m passes:
+component uniforms, inverse-CDF uniforms, offsets, m outputs each. The
+experiment reads each stream once into a row of 3m uniforms and draws a
+block of trials of one site in one ``_passes`` call.
+
 The multi-site experiment replaces a car-following microsimulation with
 uniform linear motion per probe (speed drawn once per pass). That is exactly
 the assumption behind the theory, so the experiment validates the
@@ -43,16 +49,35 @@ from .speed_model import (
 HIST_BIN = 0.02
 # widest histogram a summary builds (a wider spread of samples is rejected)
 MAX_HIST_BINS = 10**6
-# largest requests: trials of a scenario or experiment, passes of a scenario
+# largest requests: trials of a scenario or experiment, probe passes of all
+# trials, and probe passes of one trial (a block holds at least one trial)
 MAX_TRIALS = 10**8
 MAX_PASSES = 10**9
-# passes per block of run_scenario, rounded down to whole trials (at least one)
+MAX_TRIAL_PASSES = 10**6
+# passes per block of run_scenario and of the experiment, rounded down to
+# whole trials (at least one)
 BLOCK_PASSES = 1 << 16
+# samples per block of a summary's variance sum
+VAR_BLOCK = 1 << 16
 
 SCENARIO_PRESETS = {
     "s1": {"d": 300.0, "t": 4.0, "dist": "park-i35"},
     "s2": {"d": 40.0, "t": 1.0, "dist": "park-i35"},
 }
+
+
+def _check_size(trials: int, passes: int, what: str) -> None:
+    """Reject a request of ``trials`` trials of ``passes`` probe passes each
+    (``what`` names the per-trial count) over the size caps."""
+    if not (1 <= trials <= MAX_TRIALS):
+        raise ValueError(f"trials must be in [1, {MAX_TRIALS}], got {trials}")
+    total = int(trials) * int(passes)  # numpy integers would wrap
+    if total > MAX_PASSES:
+        raise ValueError(f"trials * {what} must be <= {MAX_PASSES} probe passes, got {total}")
+    if passes > MAX_TRIAL_PASSES:
+        raise ValueError(
+            f"{what} must be <= {MAX_TRIAL_PASSES} probe passes per trial, got {passes}"
+        )
 
 
 @dataclass(frozen=True)
@@ -69,11 +94,7 @@ class ScenarioConfig:
             raise ValueError(f"d and t must be positive and finite, got ({self.d}, {self.t})")
         if self.m < 0:
             raise ValueError(f"m must be >= 0, got {self.m}")
-        if not (1 <= self.trials <= MAX_TRIALS):
-            raise ValueError(f"trials must be in [1, {MAX_TRIALS}], got {self.trials}")
-        passes = int(self.trials) * int(self.m)  # numpy integers would wrap
-        if passes > MAX_PASSES:
-            raise ValueError(f"trials * m must be <= {MAX_PASSES} probe passes, got {passes}")
+        _check_size(self.trials, self.m, "m")
 
 
 @dataclass(frozen=True)
@@ -159,6 +180,22 @@ class _ScenarioStreams:
         return region.random(size)
 
 
+class _RowStreams:
+    """The uniforms of k trials of m passes, read before the draw.
+
+    Row r of the (k, 3m) ``rows`` holds trial r's 3m uniforms in stream
+    order, so call j of a ``_passes`` draw of k * m passes returns column
+    third j, trial by trial: what the trials' own j-th ``random(m)`` calls
+    return, bit for bit (one 64-bit output per double).
+    """
+
+    def __init__(self, rows: np.ndarray):
+        self._thirds = iter(np.hsplit(rows, 3))
+
+    def random(self, size: int) -> np.ndarray:
+        return next(self._thirds).reshape(size)
+
+
 def run_scenario(config: ScenarioConfig) -> tuple[np.ndarray, SimSummary]:
     """Draw config.trials estimates, each from m independent probe passes.
 
@@ -181,11 +218,27 @@ def run_scenario(config: ScenarioConfig) -> tuple[np.ndarray, SimSummary]:
     return samples, summarize(samples)
 
 
+def _sum_sq_dev(x: np.ndarray, mean: float) -> float:
+    """Sum of (x - mean)**2 in blocks of at most ``VAR_BLOCK`` elements.
+
+    numpy's pairwise sum splits an array of over 128 elements at half its
+    length rounded down to a multiple of 8. Splitting the same way down to
+    blocks that ``np.sum`` takes whole gives its sum bit for bit, so the
+    variance equals ``np.var(x, ddof=1)`` without a temporary the size of x.
+    """
+    if x.size <= VAR_BLOCK:
+        dev = x - mean
+        return float(np.sum(dev * dev))
+    half = x.size // 2
+    half -= half % 8
+    return _sum_sq_dev(x[:half], mean) + _sum_sq_dev(x[half:], mean)
+
+
 def summarize(samples: np.ndarray) -> SimSummary:
     """Mean, sample variance, CV and a ``HIST_BIN``-wide histogram of samples;
     a spread wider than ``MAX_HIST_BINS`` bins raises ``ValueError``."""
     mean = float(np.mean(samples))
-    var = float(np.var(samples, ddof=1)) if samples.size > 1 else 0.0
+    var = _sum_sq_dev(samples, mean) / (samples.size - 1) if samples.size > 1 else 0.0
     lo = math.floor(float(np.min(samples)) / HIST_BIN) * HIST_BIN
     nbins = max(1, int(math.ceil((float(np.max(samples)) - lo) / HIST_BIN + 1e-9)))
     if nbins > MAX_HIST_BINS:
@@ -270,12 +323,14 @@ def run_regression_experiment(
 
     WLS weights are the theoretical 1/VMR per site, fixed before any trial:
     weights must not depend on realized noise. RNG streams are spawned per
-    (trial, site), so results do not depend on evaluation order.
+    (trial, site), so results do not depend on evaluation order. Trials are
+    drawn in blocks of about ``BLOCK_PASSES`` passes over all sites, one
+    ``_passes`` draw per site and block.
     """
     if len(sites) < 3:
         raise ValueError(f"need at least 3 sites, got {len(sites)}")
-    if not (1 <= trials <= MAX_TRIALS):
-        raise ValueError(f"trials must be in [1, {MAX_TRIALS}], got {trials}")
+    passes = sum(int(site.m) for site in sites)
+    _check_size(trials, passes, "the sum of site m")
 
     volumes = np.array([site.adt for site in sites], dtype=np.float64)
     wls_weights = np.array(
@@ -285,27 +340,35 @@ def run_regression_experiment(
 
     n = len(sites)
     # smoke mode sweeps consecutive pairs only
-    pairs = None if all_pairs else [(i, i + 1) for i in range(n - 1)]
-    n_pairs = n * (n - 1) // 2 if all_pairs else n - 1
+    if all_pairs:
+        pairs = np.column_stack(np.triu_indices(n, k=1))
+    else:
+        pairs = np.column_stack((np.arange(n - 1), np.arange(1, n)))
 
     mape_ols = np.empty(trials, dtype=np.float64)
     mape_wls = np.empty(trials, dtype=np.float64)
-    for trial in range(trials):
-        m_hats = np.empty(n, dtype=np.float64)
+    block = max(1, BLOCK_PASSES // passes)
+    for start in range(0, trials, block):
+        k = min(block, trials - start)
+        m_hats = np.empty((k, n), dtype=np.float64)
         for i, site in enumerate(sites):
-            rng = np.random.default_rng(
-                np.random.SeedSequence(seed, spawn_key=(trial, i))
+            rows = np.empty((k, 3 * site.m), dtype=np.float64)
+            for r in range(k):
+                seq = np.random.SeedSequence(seed, spawn_key=(start + r, i))
+                np.random.default_rng(seq).random(out=rows[r])
+            speeds, _, counts = _passes(
+                site.dist, k * site.m, site.d, site.t, _RowStreams(rows)
             )
-            speeds, _, counts = _passes(site.dist, site.m, site.d, site.t, rng)
-            m_hats[i] = (site.t / site.d) * float(np.sum(speeds * counts))
-        mape_ols[trial] = kernels.all_pairs_mape(m_hats, volumes, ols_weights, pairs)
-        mape_wls[trial] = kernels.all_pairs_mape(m_hats, volumes, wls_weights, pairs)
+            m_hats[:, i] = (site.t / site.d) * (speeds * counts).reshape(k, site.m).sum(axis=1)
+        for r in range(k):
+            mape_ols[start + r] = kernels.all_pairs_mape(m_hats[r], volumes, ols_weights, pairs)
+            mape_wls[start + r] = kernels.all_pairs_mape(m_hats[r], volumes, wls_weights, pairs)
 
     wins = float(np.mean(mape_wls < mape_ols))
     return ExperimentReport(
         trials=trials,
         n_sites=n,
-        n_pairs=n_pairs,
+        n_pairs=len(pairs),
         seed=seed,
         mape_ols=tuple(float(x) for x in mape_ols),
         mape_wls=tuple(float(x) for x in mape_wls),

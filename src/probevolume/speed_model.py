@@ -169,6 +169,12 @@ def _anchor_cuts(dist: SpeedDistribution) -> np.ndarray:
     return (centre[:, None] + scale[:, None] * offs[None, :]).ravel()
 
 
+def quadrature_pieces(dist: SpeedDistribution, n_breakpoints: float) -> float:
+    """Most pieces ``integrate_weighted`` cuts the support into, given the
+    number of breakpoints: one more than the breakpoints and anchor cuts."""
+    return n_breakpoints + dist._means.size * (2 * len(_ANCHOR_SDS) + 1) + 1
+
+
 def integrate_weighted(
     dist: SpeedDistribution,
     weight: Callable[[np.ndarray], np.ndarray],

@@ -1,4 +1,5 @@
 import json
+import math
 import re
 import time
 
@@ -202,6 +203,15 @@ class TestNonFiniteParameters:
         assert "NaN to integer" not in err
 
 
+_HUGE_SITE = json.dumps({"sites": [
+    {"site_id": str(i), "adt": 100, "m": 10**13 if i == 0 else 10, "d": 40,
+     "dist": "park-i35"} for i in range(3)]})
+_MANY_COMPONENTS = json.dumps({
+    "components": [{"mean": 5 + 30 * i / 499, "sd": 3, "weight": 1 / 500}
+                   for i in range(500)],
+    "lower": 0, "upper": 40})
+
+
 class TestSizeCaps:
     # each used to raise MemoryError out of main (exit 1) or to fill memory
     @pytest.mark.parametrize(
@@ -229,10 +239,20 @@ class TestSizeCaps:
             (("precision", "--m", "1", "--d", "1e9", "--t", "1", "--dist", "park-i35"), None),
             # 5.4e6 kinks: a node array over 1 GB and an (N, K) temporary of several
             (("precision", "--m", "1", "--d", "2e5", "--t", "1", "--dist", "park-i35"), None),
+            # 10^9 passes in one trial, so in one block: 24 GB or more
+            (("simulate", "--scenario", "s1", "--m", "1000000000", "--trials", "1",
+              "--seed", "1"), None),
+            # 1.26e9 passes over the 34 sites
+            (("experiment", "--sites", "table2", "--trials", "1000000", "--seed", "1"), None),
+            # numpy's _ArrayMemoryError for the site's 3e13 uniforms
+            (("experiment", "--trials", "1", "--seed", "1", "--sites"), _HUGE_SITE),
+            # 10,500 fixed quadrature pieces of 500 components each: GBs
+            (("precision", "--m", "1", "--d", "1", "--t", "1", "--dist"), _MANY_COMPONENTS),
         ],
         ids=["simulate-trials", "simulate-passes", "simulate-m", "experiment-trials",
              "simulate-histogram-bins", "optimize-step-alloc", "optimize-step-time",
-             "precision-d-kinks", "precision-d-memory"],
+             "precision-d-kinks", "precision-d-memory", "simulate-trial-passes",
+             "experiment-passes", "experiment-trial-passes", "precision-components"],
     )
     def test_exit_3_with_json_error(self, capsys, tmp_path, argv, config):
         argv = list(argv)
@@ -286,6 +306,20 @@ class TestPrecision:
         assert doc["variance"] == pytest.approx(0.019, abs=0.001)
         assert doc["cv"] == pytest.approx(0.137, abs=0.001)
         assert doc["mean"] == 1
+
+    @pytest.mark.parametrize("d,code", [("1e-200", EXIT_OK), ("1e-300", EXIT_OK),
+                                        ("1e-308", EXIT_BAD_PARAMETER),
+                                        ("1e-323", EXIT_BAD_PARAMETER)])
+    def test_tiny_cordon(self, capsys, d, code):
+        # d*d underflowed to 0 here: exit 1 with a ZeroDivisionError
+        got, out, err = run_cli(
+            capsys, "precision", "--m", "1", "--d", d, "--t", "1", "--dist", "park-i35",
+        )
+        assert got == code
+        if code == EXIT_OK:
+            assert 0.0 < json.loads(out)["vmr"] < math.inf
+        else:
+            assert "not finite" in json.loads(err)["error"]
 
     def test_unknown_dist(self, capsys):
         code, _, err = run_cli(

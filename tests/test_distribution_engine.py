@@ -57,6 +57,18 @@ class TestVariance:
     def test_zero_probes(self, park):
         assert variance(0, 300.0, 4.0, park) == 0.0
 
+    @pytest.mark.parametrize("d,t", [(1e-200, 1.0), (1e-300, 1.0), (1e-150, 1e150)])
+    def test_tiny_cordon(self, park, d, t):
+        # d*d underflows (or t*t overflows); every probe leaves a record, so
+        # VMR = (t/d) E[s] - 1
+        mean_speed = integrate_weighted(park, lambda s: s)
+        assert vmr(d, t, park) == pytest.approx((t / d) * mean_speed, rel=1e-9)
+
+    @pytest.mark.parametrize("d", [1e-308, 1e-320, 1e-323, 5e-324])
+    def test_tiny_cordon_variance_overflows(self, park, d):
+        with pytest.raises(ValueError, match="not finite"):
+            vmr(d, 1.0, park)
+
     def test_rejects_bad_args(self, park):
         with pytest.raises(ValueError):
             variance(-1, 300.0, 4.0, park)

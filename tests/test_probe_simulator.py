@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 
@@ -5,13 +6,16 @@ import numpy as np
 import pytest
 
 from probevolume import kernels
+from probevolume.distribution_engine import vmr
 from probevolume.estimator import estimate_probe_volume, extra_record_prob, min_records
 from probevolume.footprint_data import CordonSpec, crop_to_cordon
 from probevolume.probe_simulator import (
     BLOCK_PASSES,
     MAX_HIST_BINS,
     MAX_PASSES,
+    MAX_TRIAL_PASSES,
     MAX_TRIALS,
+    VAR_BLOCK,
     ScenarioConfig,
     SiteConfig,
     load_sites,
@@ -104,6 +108,18 @@ class TestRunScenario:
         assert widest.hist_counts.size <= MAX_HIST_BINS
 
     @pytest.mark.parametrize(
+        "n",
+        [2, 3, 9, 129, VAR_BLOCK - 1, VAR_BLOCK, VAR_BLOCK + 1, 2 * VAR_BLOCK + 7,
+         3 * VAR_BLOCK - 8, 3 * VAR_BLOCK + 13, 17 * VAR_BLOCK + 5],
+    )
+    def test_variance_equals_np_var(self, n):
+        # the blocked sum follows numpy's pairwise splits; a numpy change to
+        # its summation order would show here first
+        rng = np.random.default_rng(n)
+        for x in (rng.gamma(2.0, 0.5, n), 1e6 + rng.standard_normal(n)):
+            assert summarize(x).variance == float(np.var(x, ddof=1))
+
+    @pytest.mark.parametrize(
         "m,trials,seed",
         [
             (0, 100, 1),
@@ -158,6 +174,12 @@ class TestRunScenario:
         with pytest.raises(ValueError, match="trials"):
             ScenarioConfig(d=300.0, t=4.0, m=m, dist=park, trials=trials, seed=1)
 
+    def test_trial_cap(self, park):
+        # one trial is one block: its passes are capped on their own
+        ScenarioConfig(d=300.0, t=4.0, m=MAX_TRIAL_PASSES, dist=park, trials=1, seed=1)
+        with pytest.raises(ValueError, match="per trial"):
+            ScenarioConfig(d=300.0, t=4.0, m=MAX_TRIAL_PASSES + 1, dist=park, trials=1, seed=1)
+
 
 class TestFootprints:
     def test_emitted_m_hat_matches_estimator(self, park, tmp_path):
@@ -208,7 +230,54 @@ def _uniform_sites(n, m=20, d=40.0, adt=200.0):
     ]
 
 
+def _per_site_loop(sites, trials, all_pairs, seed):
+    """The experiment drawn one (trial, site) stream at a time: the reference."""
+    volumes = np.array([site.adt for site in sites])
+    wls_weights = np.array([1.0 / vmr(site.d, site.t, site.dist) for site in sites])
+    ols_weights = np.ones_like(wls_weights)
+    n = len(sites)
+    pairs = None if all_pairs else [(i, i + 1) for i in range(n - 1)]
+    mape_ols, mape_wls = np.empty(trials), np.empty(trials)
+    for trial in range(trials):
+        m_hats = np.empty(n)
+        for i, site in enumerate(sites):
+            rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(trial, i)))
+            speeds = sample_with_rng(site.dist, site.m, rng)
+            offsets = rng.random(site.m) * site.t
+            counts = kernels.pass_counts(speeds, offsets, site.d, site.t)
+            m_hats[i] = (site.t / site.d) * float(np.sum(speeds * counts))
+        mape_ols[trial] = kernels.all_pairs_mape(m_hats, volumes, ols_weights, pairs)
+        mape_wls[trial] = kernels.all_pairs_mape(m_hats, volumes, wls_weights, pairs)
+    return mape_ols, mape_wls
+
+
+def _site_set(name):
+    table2 = load_sites("table2")
+    if name == "table2":  # sum of m 1261: blocks of 51 trials
+        return table2
+    if name == "m1":  # m = 1 at every site
+        return [dataclasses.replace(site, m=1) for site in table2]
+    # sum of m over BLOCK_PASSES: one trial per block
+    return [dataclasses.replace(site, m=BLOCK_PASSES // 2) for site in table2[:3]]
+
+
 class TestRegressionExperiment:
+    @pytest.mark.parametrize(
+        "sites,trials,all_pairs,seed",
+        [("table2", trials, all_pairs, seed)
+         for trials in (1, 50, 51, 52, 103)
+         for all_pairs in (True, False)
+         for seed in (1, 42, 987654)]
+        + [("m1", trials, all_pairs, 7) for trials in (1, 52, 103) for all_pairs in (True, False)]
+        + [("wide", trials, all_pairs, 5) for trials in (1, 3) for all_pairs in (True, False)],
+    )
+    def test_matches_per_site_loop_oracle(self, sites, trials, all_pairs, seed):
+        sites = _site_set(sites)
+        report = run_regression_experiment(sites, trials, all_pairs=all_pairs, seed=seed)
+        want_ols, want_wls = _per_site_loop(sites, trials, all_pairs, seed)
+        assert np.array_equal(np.array(report.mape_ols), want_ols)
+        assert np.array_equal(np.array(report.mape_wls), want_wls)
+
     def test_identical_realizations_make_ols_equal_wls(self):
         # with identical (m_hat, volume) rows the pair fit beta = y/x holds
         # under any weights, so the two methods coincide exactly
@@ -251,6 +320,11 @@ class TestRegressionExperiment:
             run_regression_experiment(_uniform_sites(3), trials=MAX_TRIALS + 1, seed=0)
         with pytest.raises(ValueError, match="m must be"):
             SiteConfig("x", adt=10.0, m=0, d=10.0, dist=_uniform_sites(3)[0].dist, t=1.0)
+        # caps on trials * sum of m and on the sum of m of one trial
+        with pytest.raises(ValueError, match="probe passes"):
+            run_regression_experiment(_uniform_sites(3, m=10**4), trials=10**5, seed=0)
+        with pytest.raises(ValueError, match="per trial"):
+            run_regression_experiment(_uniform_sites(3, m=10**6), trials=1, seed=0)
 
 
 class TestSitePreset:

@@ -5,6 +5,8 @@ import math
 import os
 import subprocess
 import sys
+import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -53,6 +55,14 @@ def _chunked_breakpoints(d, t, dist):
     return pts[::-1]
 
 
+def _spread_mixture(k):
+    """k equal components spread over 5-35 m/s, sd 3, on (0, 40]."""
+    means = np.linspace(5.0, 35.0, k) if k > 1 else [20.0]
+    return SpeedDistribution(
+        tuple(SpeedComponent(float(mu), 3.0, 1.0 / k) for mu in means), 0.0, 40.0
+    )
+
+
 class TestKinkSet:
     @given(
         which=st.one_of(st.sampled_from(PRESET_NAMES), st.integers(0, 2**32 - 1)),
@@ -87,6 +97,37 @@ class TestKinkSet:
             assert _variance_breakpoints(1000.0, 1.0, load_distribution(name)).size < (
                 MAX_VARIANCE_PIECES
             )
+            # the d/t the README documents for every preset
+            _variance_breakpoints(2600.0, 1.0, load_distribution(name))
+
+    @pytest.mark.parametrize("k", [1, 16, 64])
+    def test_memory_at_cap_bounded_in_components(self, k):
+        # the (nodes, components) temporaries of the mixture density: the cap
+        # shrinks with k, so the largest admitted d/t peaks alike for any k
+        # (a 16-component mixture used to peak near 320 MB at d/t = 2412)
+        dist = _spread_mixture(k)
+        lo, hi = 1.0, 1e6
+        while hi - lo > 1.0:
+            mid = 0.5 * (lo + hi)
+            try:
+                _variance_breakpoints(mid, 1.0, dist)
+                lo = mid
+            except ValueError:
+                hi = mid
+        tracemalloc.start()
+        try:
+            assert math.isfinite(vmr(lo, 1.0, dist))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 128 << 20
+
+    def test_many_components_rejected_before_building(self):
+        dist = _spread_mixture(500)
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="500 components"):
+            vmr(1.0, 1.0, dist)
+        assert time.perf_counter() - start < 1.0
 
 
 def _mp_oracle(mp, d, t, dist):
