@@ -18,7 +18,6 @@ from .distribution_engine import (
     cv,
     interval_estimate,
     m_fold_pdf,
-    normal_approx,
     pdf_moments,
     precision_report,
     single_probe_pdf,
@@ -29,7 +28,6 @@ from .estimator import VolumeEstimate, estimate_probe_volume, extra_record_prob,
 from .footprint_data import (
     CordonSample,
     CordonSpec,
-    FootprintRecord,
     Footprints,
     crop_to_cordon,
     read_footprints_csv,
@@ -46,7 +44,6 @@ from .probe_simulator import (
 from .speed_model import (
     SpeedComponent,
     SpeedDistribution,
-    eval_pdf,
     integrate_weighted,
     load_distribution,
     sample,
@@ -58,7 +55,6 @@ __all__ = [
     "CordonSample",
     "CordonSpec",
     "ExperimentReport",
-    "FootprintRecord",
     "Footprints",
     "OptimumReport",
     "PrecisionReport",
@@ -73,7 +69,6 @@ __all__ = [
     "crop_to_cordon",
     "cv",
     "estimate_probe_volume",
-    "eval_pdf",
     "extra_record_prob",
     "fit_through_origin",
     "integrate_weighted",
@@ -82,7 +77,6 @@ __all__ = [
     "m_fold_pdf",
     "mape",
     "min_records",
-    "normal_approx",
     "objective_curve",
     "optimize_cordon",
     "pdf_moments",

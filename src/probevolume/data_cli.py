@@ -163,10 +163,10 @@ def _run_simulate(args) -> dict:
         rows = zip(edges[:-1], edges[1:], summary.hist_counts)
         _write_csv(args.hist_out, "bin_start,bin_end,count", "%.9g,%.9g,%d\n", rows)
     if args.emit_footprints:
-        records, m_hat = probe_simulator.simulate_footprints(config)
-        footprint_data.write_footprints_csv(args.emit_footprints, records)
+        footprints, m_hat = probe_simulator.simulate_footprints(config)
+        footprint_data.write_footprints_csv(args.emit_footprints, footprints)
         out["emitted_m_hat"] = m_hat
-        out["emitted_records"] = len(records)
+        out["emitted_records"] = len(footprints)
     return out
 
 

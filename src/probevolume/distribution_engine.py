@@ -179,15 +179,6 @@ def cv(m: int, d: float, t: float, dist: SpeedDistribution) -> float:
     return math.sqrt(variance(m, d, t, dist)) / m
 
 
-def normal_approx(
-    m: int, d: float, t: float, dist: SpeedDistribution
-) -> tuple[float, float]:
-    """Large-m normal limit: mean m and the exact variance."""
-    if m < 1:
-        raise ValueError(f"normal_approx requires m >= 1, got {m}")
-    return float(m), variance(m, d, t, dist)
-
-
 def precision_report(m: int, d: float, t: float, dist: SpeedDistribution) -> PrecisionReport:
     """Bundle mean/variance/VMR/CV with their defining identities exact."""
     if m < 1:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import io
 import logging
 import math
 from array import array
@@ -14,6 +15,8 @@ import numpy as np
 log = logging.getLogger(__name__)
 
 CSV_FIELDS = ("position_m", "speed_mps", "label")
+# rows per writelines call of write_footprints_csv
+WRITE_BLOCK = 1 << 16
 
 
 def _check_footprint(position: float, speed: float) -> None:
@@ -24,28 +27,15 @@ def _check_footprint(position: float, speed: float) -> None:
         raise ValueError(f"speed must be positive and finite, got {speed}")
 
 
-@dataclass(frozen=True)
-class FootprintRecord:
-    """One recorded point datum: position along the segment axis plus speed.
-
-    No probe identifier exists; an optional nominal label tags the recording
-    window (for example "july-2023").
-    """
-
-    position: float
-    speed: float
-    label: str | None = None
-
-    def __post_init__(self):
-        _check_footprint(self.position, self.speed)
-
-
 @dataclass(frozen=True, eq=False)
 class Footprints:
     """Footprint columns: float64 ``positions`` and ``speeds``, one ``label`` per row.
 
     ``labels`` is an object array holding a string or ``None`` per row.
-    Arrays have no single truth value, so ``==`` is identity: compare columns.
+    The reader checks every row; the columns themselves are not checked, so a
+    hand-built ``Footprints`` may hold a non-positive speed, which
+    ``crop_to_cordon`` drops and counts. Arrays have no single truth value,
+    so ``==`` is identity: compare columns.
     """
 
     positions: np.ndarray
@@ -54,20 +44,6 @@ class Footprints:
 
     def __len__(self) -> int:
         return len(self.positions)
-
-    @classmethod
-    def from_records(cls, records) -> Footprints:
-        """The columns of records with ``position``, ``speed`` and ``label``.
-
-        The values are not checked: duck-typed records with a non-positive
-        speed pass, for ``crop_to_cordon`` to drop and count.
-        """
-        records = list(records)
-        return cls(
-            np.array([r.position for r in records], dtype=np.float64),
-            np.array([r.speed for r in records], dtype=np.float64),
-            np.array([r.label for r in records], dtype=object),
-        )
 
 
 @dataclass(frozen=True)
@@ -108,21 +84,16 @@ class CropResult:
     dropped_nonpositive: int = 0
 
 
-def crop_to_cordon(footprints, cordon: CordonSpec, t: float) -> CropResult:
+def crop_to_cordon(footprints: Footprints, cordon: CordonSpec, t: float) -> CropResult:
     """Keep footprints with start < position <= start + length and matching label.
 
-    ``footprints`` is a ``Footprints`` (as read by ``read_footprints_csv``) or
-    any iterable of records with ``position``, ``speed`` and ``label``; the
-    latter goes through ``Footprints.from_records`` once, so both take this
-    one crop: a numpy mask over the columns. In-cordon footprints with
-    non-positive speed are dropped and counted in ``dropped_nonpositive``.
-    The reader and ``FootprintRecord`` reject such a speed, so only
-    duck-typed records can reach the drop.
+    One numpy mask over the columns. In-cordon footprints with non-positive
+    speed are dropped and counted in ``dropped_nonpositive``; the reader
+    rejects such a speed, so only a hand-built ``Footprints`` can reach the
+    drop.
     """
     if not (0.0 < t < math.inf):
         raise ValueError(f"t must be positive and finite, got {t}")
-    if not isinstance(footprints, Footprints):
-        footprints = Footprints.from_records(footprints)
     positions = footprints.positions
     keep = (positions > cordon.start) & (positions <= cordon.start + cordon.length)
     if cordon.label_filter is not None:
@@ -189,9 +160,10 @@ def read_footprints_csv(path: str | Path, strict: bool = False) -> CsvReadResult
 
     One pass over the rows fills the ``Footprints`` columns: float64
     positions and speeds, and a label per row (``None`` when blank or when
-    the file has no label column). Rows that fail to parse or fail the
-    ``FootprintRecord`` checks are skipped and reported with their line
-    number; with ``strict=True`` the first bad row raises instead.
+    the file has no label column). Rows that fail to parse, or whose
+    position is not finite or speed not positive and finite, are skipped
+    and reported with their line number; with ``strict=True`` the first bad
+    row raises instead.
     """
     path = Path(path)
     warnings: list[str] = []
@@ -225,13 +197,37 @@ def read_footprints_csv(path: str | Path, strict: bool = False) -> CsvReadResult
     return CsvReadResult(Footprints(np.asarray(positions), np.asarray(speeds), labels), warnings)
 
 
-def write_footprints_csv(path: str | Path, records) -> None:
-    """Write footprints at full float precision so round-trips are lossless."""
+class _LabelFields(dict):
+    """The CSV field of each label, made by ``csv.writer`` once per distinct label.
+
+    ``None`` and ``""`` are written empty (a one-field row would quote them).
+    """
+
+    def __init__(self):
+        super().__init__({None: "", "": ""})
+
+    def __missing__(self, label: str) -> str:
+        buf = io.StringIO()
+        csv.writer(buf).writerow([label])
+        field = self[label] = buf.getvalue()[:-2]  # less the "\r\n" terminator
+        return field
+
+
+def write_footprints_csv(path: str | Path, footprints: Footprints) -> None:
+    """Write footprints at full float precision so round-trips are lossless.
+
+    The rows are csv's: ``repr`` of each float, the label quoted as
+    ``csv.writer`` quotes it, CRLF line ends. They go out in blocks of
+    ``WRITE_BLOCK``, one ``writelines`` each, over ``tolist()`` of the
+    columns: Python floats, since under numpy 2 the repr of a numpy scalar
+    is "np.float64(...)", which no CSV reader parses as a number.
+    """
+    fields = _LabelFields()
+    row = "%r,%r,%s\r\n".__mod__
     with Path(path).open("w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(CSV_FIELDS)
-        for rec in records:
-            # float() first: under numpy 2 the repr of a numpy scalar is
-            # "np.float64(...)", which no CSV reader parses as a number
-            position, speed = float(rec.position), float(rec.speed)
-            writer.writerow([repr(position), repr(speed), rec.label or ""])
+        fh.write(",".join(CSV_FIELDS) + "\r\n")
+        for start in range(0, len(footprints), WRITE_BLOCK):
+            block = slice(start, start + WRITE_BLOCK)
+            labels = map(fields.__getitem__, footprints.labels[block].tolist())
+            positions = footprints.positions[block].tolist()
+            fh.writelines(map(row, zip(positions, footprints.speeds[block].tolist(), labels)))

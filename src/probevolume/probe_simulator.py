@@ -29,6 +29,7 @@ calibration pipeline, not traffic realism.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -36,7 +37,7 @@ import numpy as np
 
 from . import kernels
 from .distribution_engine import vmr
-from .footprint_data import FootprintRecord
+from .footprint_data import Footprints
 from .speed_model import (
     SpeedDistribution,
     from_dict,
@@ -257,28 +258,44 @@ def summarize(samples: np.ndarray) -> SimSummary:
     )
 
 
-def simulate_footprints(config: ScenarioConfig) -> tuple[list[FootprintRecord], float]:
+def simulate_footprints(config: ScenarioConfig) -> tuple[Footprints, float]:
     """Footprints of trial 0 of ``run_scenario(config)`` (its m passes, redrawn
     from the same stream positions), with one out-of-cordon record on each
     side of every pass so downstream cropping is exercised.
 
-    Returns the records and the trial's estimate computed exactly as the
-    estimator would (compensated sum of in-cordon speeds times t/d).
+    Pass k has records j = -1..count_k at ``first + j * spacing``, pass by
+    pass; the columns are filled ``BLOCK_PASSES`` passes at a time. Returns
+    the footprints (no labels) and the trial's estimate computed exactly as
+    the estimator would (compensated sum of in-cordon speeds times t/d).
     """
-    streams = _ScenarioStreams(config.seed, config.trials * config.m)
-    speeds, offsets, counts = _passes(config.dist, config.m, config.d, config.t, streams)
-    records: list[FootprintRecord] = []
-    in_cordon_speeds: list[float] = []
-    for s, off, count in zip(speeds.tolist(), offsets.tolist(), counts.tolist()):
-        first = s * off
-        spacing = s * config.t
-        records.extend(
-            FootprintRecord(position=first + j * spacing, speed=s)
-            for j in range(-1, int(count) + 1)
-        )
-        in_cordon_speeds.extend([s] * int(count))
-    m_hat = (config.t / config.d) * math.fsum(in_cordon_speeds)
-    return records, m_hat
+    m = config.m
+    streams = _ScenarioStreams(config.seed, config.trials * m)
+    speeds, offsets, counts = _passes(config.dist, m, config.d, config.t, streams)
+    first = speeds * offsets
+    spacing = speeds * config.t
+    counts = counts.astype(np.int64)
+    records = counts + 2
+    starts = np.cumsum(records) - records
+    total = int(records.sum())
+    positions = np.empty(total, dtype=np.float64)
+    record_speeds = np.empty(total, dtype=np.float64)
+    for a in range(0, m, BLOCK_PASSES):
+        passes = slice(a, a + BLOCK_PASSES)
+        n = records[passes]
+        lo = int(starts[a])
+        hi = lo + int(n.sum())
+        # j of each record, exact in float64 as Python's int * float converts it
+        j = (np.arange(lo, hi) - np.repeat(starts[passes] + 1, n)).astype(np.float64)
+        positions[lo:hi] = np.repeat(first[passes], n) + j * np.repeat(spacing[passes], n)
+        record_speeds[lo:hi] = np.repeat(speeds[passes], n)
+    # one fsum over every in-cordon speed: partial fsums would round
+    in_cordon = itertools.chain.from_iterable(
+        np.repeat(speeds[a:a + BLOCK_PASSES], counts[a:a + BLOCK_PASSES]).tolist()
+        for a in range(0, m, BLOCK_PASSES)
+    )
+    m_hat = (config.t / config.d) * math.fsum(in_cordon)
+    labels = np.full(total, None, dtype=object)
+    return Footprints(positions, record_speeds, labels), m_hat
 
 
 # -- multi-site regression experiment ----------------------------------------

@@ -118,11 +118,6 @@ class SpeedDistribution:
         return float(out[0]) if scalar else out
 
 
-def eval_pdf(dist: SpeedDistribution, s):
-    """Mixture density g(s); zero outside the support (lower, upper]."""
-    return dist.pdf(s)
-
-
 def sample(dist: SpeedDistribution, count: int, seed: int) -> np.ndarray:
     """Draw i.i.d. speeds, deterministic in (seed, count).
 

@@ -11,7 +11,6 @@ from probevolume.distribution_engine import (
     cv,
     interval_estimate,
     m_fold_pdf,
-    normal_approx,
     pdf_moments,
     precision_report,
     single_probe_pdf,
@@ -336,15 +335,9 @@ class TestMFold:
 
 class TestNormalApprox:
     def test_values(self, park):
-        mean, var = normal_approx(8, 300.0, 4.0, park)
-        assert mean == 8.0
-        assert var == pytest.approx(0.149, abs=0.002)
-        mean, var = normal_approx(1, 300.0, 4.0, park)
-        assert (mean, var) == (1.0, pytest.approx(0.019, abs=0.001))
-
-    def test_rejects_zero(self, park):
-        with pytest.raises(ValueError):
-            normal_approx(0, 300.0, 4.0, park)
+        # the large-m normal limit has mean m and the exact variance
+        assert variance(8, 300.0, 4.0, park) == pytest.approx(0.149, abs=0.002)
+        assert variance(1, 300.0, 4.0, park) == pytest.approx(0.019, abs=0.001)
 
 
 class TestPdfMoments:

@@ -1,4 +1,6 @@
 import csv
+import math
+from collections import namedtuple
 
 import numpy as np
 import pytest
@@ -8,18 +10,33 @@ from hypothesis import strategies as st
 from probevolume.estimator import estimate_probe_volume
 from probevolume.footprint_data import (
     CSV_FIELDS,
+    WRITE_BLOCK,
     CordonSample,
     CordonSpec,
-    FootprintRecord,
     Footprints,
     crop_to_cordon,
     read_footprints_csv,
     write_footprints_csv,
 )
+from probevolume.probe_simulator import ScenarioConfig, simulate_footprints
+from probevolume.speed_model import load_distribution
+
+# one footprint of the per-row oracles below; rows may be plain (position, speed, label)
+_Record = namedtuple("_Record", "position speed label")
 
 
 def _records(positions, speed=20.0, label=None):
-    return [FootprintRecord(p, speed, label) for p in positions]
+    return [_Record(p, speed, label) for p in positions]
+
+
+def _footprints(rows, dtype=np.float64):
+    """Hand-built columns of (position, speed, label) rows; the values are not checked."""
+    rows = list(rows)
+    return Footprints(
+        np.array([p for p, _, _ in rows], dtype=dtype),
+        np.array([s for _, s, _ in rows], dtype=dtype),
+        np.array([label for _, _, label in rows], dtype=object),
+    )
 
 
 def assert_columns(footprints, rows):
@@ -36,58 +53,52 @@ def assert_columns(footprints, rows):
 class TestCrop:
     def test_eight_point_cordon(self):
         # two probes: five points at 20 m/s and three at 30 m/s inside (0, 100]
-        recs = _records([10, 30, 50, 70, 90], speed=20.0) + _records(
-            [25, 55, 85], speed=30.0
-        )
-        result = crop_to_cordon(recs, CordonSpec(0.0, 100.0), t=1.0)
+        rows = _records([10, 30, 50, 70, 90], speed=20.0) + _records([25, 55, 85], speed=30.0)
+        result = crop_to_cordon(_footprints(rows), CordonSpec(0.0, 100.0), t=1.0)
         assert len(result.sample.speeds) == 8
         assert result.sample.d == 100.0
 
     def test_empty(self):
-        result = crop_to_cordon([], CordonSpec(0.0, 100.0), t=1.0)
+        result = crop_to_cordon(_footprints([]), CordonSpec(0.0, 100.0), t=1.0)
         assert result.sample.speeds == ()
 
     def test_half_open_boundaries(self):
         # hand enumeration under (start, start+length]: only 50 and 100 stay
-        recs = _records([-5.0, 0.0, 50.0, 100.0, 100.1])
-        result = crop_to_cordon(recs, CordonSpec(0.0, 100.0), t=1.0)
+        rows = _records([-5.0, 0.0, 50.0, 100.0, 100.1])
+        result = crop_to_cordon(_footprints(rows), CordonSpec(0.0, 100.0), t=1.0)
         assert len(result.sample.speeds) == 2
 
     def test_label_filter(self):
-        recs = _records([10.0], label="july") + _records([20.0], label="august")
+        rows = _records([10.0], label="july") + _records([20.0], label="august")
         spec = CordonSpec(0.0, 100.0, label_filter="july")
-        result = crop_to_cordon(recs, spec, t=1.0)
+        result = crop_to_cordon(_footprints(rows), spec, t=1.0)
         assert len(result.sample.speeds) == 1
 
     def test_nonpositive_speed_dropped_and_counted(self):
-        # FootprintRecord itself rejects speed <= 0, so feed crop a stand-in
-        class Raw:
-            def __init__(self, position, speed, label=None):
-                self.position, self.speed, self.label = position, speed, label
-
-        raw = [Raw(10.0, 20.0), Raw(20.0, 0.0), Raw(30.0, -1.0)]
+        # the reader rejects speed <= 0, so only hand-built columns hold one
+        raw = _footprints([(10.0, 20.0, None), (20.0, 0.0, None), (30.0, -1.0, None)])
         result = crop_to_cordon(raw, CordonSpec(0.0, 100.0), t=1.0)
         assert len(result.sample.speeds) == 1
         assert result.dropped_nonpositive == 2
 
     def test_rejects_bad_t_and_length(self):
         with pytest.raises(ValueError):
-            crop_to_cordon([], CordonSpec(0.0, 100.0), t=0.0)
+            crop_to_cordon(_footprints([]), CordonSpec(0.0, 100.0), t=0.0)
         with pytest.raises(ValueError):
             CordonSpec(0.0, 0.0)
 
     def test_idempotent(self):
-        recs = _records([5.0, 15.0, 95.0, 105.0])
+        rows = _records([5.0, 15.0, 95.0, 105.0])
         spec = CordonSpec(0.0, 100.0)
-        once = crop_to_cordon(recs, spec, t=2.0)
-        kept = [r for r in recs if 0.0 < r.position <= 100.0]
-        twice = crop_to_cordon(kept, spec, t=2.0)
+        once = crop_to_cordon(_footprints(rows), spec, t=2.0)
+        kept = [r for r in rows if 0.0 < r.position <= 100.0]
+        twice = crop_to_cordon(_footprints(kept), spec, t=2.0)
         assert once.sample == twice.sample
 
     def test_monotone_in_length(self):
-        recs = _records([3.0, 8.0, 13.0, 42.0, 77.0, 91.0])
+        footprints = _footprints(_records([3.0, 8.0, 13.0, 42.0, 77.0, 91.0]))
         counts = [
-            len(crop_to_cordon(recs, CordonSpec(0.0, d), t=1.0).sample.speeds)
+            len(crop_to_cordon(footprints, CordonSpec(0.0, d), t=1.0).sample.speeds)
             for d in (1.0, 5.0, 10.0, 50.0, 100.0)
         ]
         assert counts == sorted(counts)
@@ -106,26 +117,23 @@ class TestCordonSample:
 class TestCsv:
     def test_round_trip(self, tmp_path):
         path = tmp_path / "f.csv"
-        recs = [
-            FootprintRecord(0.1 + 0.2, 29.999999999999996, "july"),
-            FootprintRecord(-17.25, 3.5),
-        ]
-        write_footprints_csv(path, recs)
+        rows = [(0.1 + 0.2, 29.999999999999996, "july"), (-17.25, 3.5, None)]
+        write_footprints_csv(path, _footprints(rows))
         back = read_footprints_csv(path)
-        assert_columns(back.records, [(r.position, r.speed, r.label) for r in recs])
+        assert_columns(back.records, rows)
         assert back.warnings == []
 
     @pytest.mark.parametrize("scalar", [np.float64, np.float32])
     def test_round_trip_numpy_scalars(self, tmp_path, scalar):
+        # columns of either dtype write their values, never "np.float64(...)"
         path = tmp_path / "f.csv"
-        recs = [
-            FootprintRecord(scalar(1.5), scalar(20.0)),
-            FootprintRecord(scalar(0.1), scalar(29.3), "july"),
-        ]
-        write_footprints_csv(path, recs)
+        rows = [(1.5, 20.0, None), (0.1, 29.3, "july")]
+        write_footprints_csv(path, _footprints(rows, dtype=scalar))
         back = read_footprints_csv(path)
         assert back.warnings == []
-        assert_columns(back.records, [(float(r.position), float(r.speed), r.label) for r in recs])
+        assert_columns(
+            back.records, [(float(scalar(p)), float(scalar(s)), label) for p, s, label in rows]
+        )
 
     def test_bad_rows_skipped_with_line_numbers(self, tmp_path):
         path = tmp_path / "f.csv"
@@ -174,8 +182,17 @@ class TestCsv:
         assert len(result.warnings) == 1
 
 
-# -- oracles: one FootprintRecord per row and a per-record crop loop, the reference
-# -- the columns must match
+# -- oracles: one record per row, a per-record crop loop and a csv.writer loop,
+# -- the references the columns must match
+
+
+def _oracle_record(position, speed, label):
+    """The row's record, or ``ValueError`` with the reader's message."""
+    if not math.isfinite(position):
+        raise ValueError(f"position must be finite, got {position}")
+    if not (0.0 < speed < math.inf):
+        raise ValueError(f"speed must be positive and finite, got {speed}")
+    return _Record(position, speed, label)
 
 
 def _oracle_csv_rows(path, columns, unreadable):
@@ -208,7 +225,7 @@ def _oracle_csv_rows(path, columns, unreadable):
 
 
 def _oracle_read(path, strict=False):
-    """(records, warnings): one FootprintRecord per good row."""
+    """(records, warnings): one record per good row."""
     records, warnings = [], []
 
     def skip(msg, exc):
@@ -223,7 +240,7 @@ def _oracle_read(path, strict=False):
             position = float(row[0])
             speed = float(row[1])
             label = row[2].strip() or None if has_label and len(row) > 2 else None
-            records.append(FootprintRecord(position, speed, label))
+            records.append(_oracle_record(position, speed, label))
         except (IndexError, ValueError) as exc:
             skip(f"{path}:{lineno}: skipped unparseable row {row!r} ({exc})", exc)
     return records, warnings
@@ -244,6 +261,15 @@ def _oracle_crop(records, cordon, t):
             continue
         kept.append(rec.speed)
     return tuple(kept), dropped
+
+
+def _oracle_write(path, records):
+    """The csv.writer loop: one row of repr floats and label (or "") per record."""
+    with path.open("w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(CSV_FIELDS)
+        for position, speed, label in records:
+            writer.writerow([repr(float(position)), repr(float(speed)), label or ""])
 
 
 _FIELD_LIMIT = "1" * (csv.field_size_limit() + 1)  # over the csv module's field limit
@@ -298,13 +324,6 @@ class TestReaderOracle:
             assert str(raised.value) == expected
 
 
-class _Raw:
-    """A duck-typed record: no checks, so its speed may be zero or negative."""
-
-    def __init__(self, position, speed, label=None):
-        self.position, self.speed, self.label = position, speed, label
-
-
 _speeds = st.one_of(st.floats(0.1, 60.0), st.sampled_from([0.0, -0.0, -2.5, 5e-324]))
 
 
@@ -313,37 +332,36 @@ class TestCropOracle:
            picks=st.lists(st.tuples(st.integers(0, 5), st.floats(-2e3, 2e3), _speeds,
                                     st.sampled_from([None, "a", "b"])), max_size=40),
            label_filter=st.sampled_from([None, "a", "c"]), t=st.floats(0.1, 10.0),
-           duck=st.booleans())
+           positive=st.booleans())
     @settings(max_examples=300, deadline=None)
     def test_columns_and_records_match_the_loop(self, start, length, picks, label_filter,
-                                                t, duck):
+                                                t, positive):
         cordon = CordonSpec(start, length, label_filter)
         hi = start + length
         # positions on and just beside both ends of (start, start + length]
         edges = (start, hi, np.nextafter(start, np.inf), np.nextafter(hi, np.inf),
                  np.nextafter(hi, -np.inf))
-        raw = []
+        rows = []
         for k, x, speed, label in picks:
             position = float(edges[k]) if k < len(edges) else x
-            if not duck:
+            if positive:  # as the reader would pass them; else hand-built, unchecked
                 speed = abs(speed) or 1.0
-            raw.append((_Raw if duck else FootprintRecord)(position, speed, label))
-        kept, dropped = _oracle_crop(raw, cordon, t)
+            rows.append(_Record(position, speed, label))
+        kept, dropped = _oracle_crop(rows, cordon, t)
         oracle = estimate_probe_volume(CordonSample(kept, length, t))
-        for source in (raw, Footprints.from_records(raw)):
-            result = crop_to_cordon(source, cordon, t)
-            assert (result.sample.speeds, result.dropped_nonpositive) == (kept, dropped)
-            assert estimate_probe_volume(result.sample) == oracle  # m_hat bit-identical
+        result = crop_to_cordon(_footprints(rows), cordon, t)
+        assert (result.sample.speeds, result.dropped_nonpositive) == (kept, dropped)
+        assert estimate_probe_volume(result.sample) == oracle  # m_hat bit-identical
 
     def test_bounds_exactly_at_start_and_end(self, tmp_path):
-        recs = [FootprintRecord(p, 20.0 + p / 100.0)
+        recs = [_Record(p, 20.0 + p / 100.0, None)
                 for p in (99.99999999999999, 100.0, 150.0, 250.0, 250.00000000000003)]
         path = tmp_path / "f.csv"
-        write_footprints_csv(path, recs)
+        write_footprints_csv(path, _footprints(recs))
         cordon = CordonSpec(100.0, 150.0)
         kept, dropped = _oracle_crop(recs, cordon, 1.0)
         assert kept == (21.5, 22.5)  # 150 and 250; 100 itself is outside
-        for source in (recs, Footprints.from_records(recs), read_footprints_csv(path).records):
+        for source in (_footprints(recs), read_footprints_csv(path).records):
             result = crop_to_cordon(source, cordon, t=1.0)
             assert (result.sample.speeds, result.dropped_nonpositive) == (kept, dropped)
 
@@ -359,12 +377,53 @@ class TestCropOracle:
             assert result.sample.speeds == _oracle_crop(records, cordon, 1.0)[0]
         assert crop_to_cordon(read.records, CordonSpec(0.0, 10.0, "a"), 1.0).sample.speeds == ()
 
-    def test_duck_typed_nonpositive_speeds_counted(self):
-        raw = [_Raw(10.0, 20.0), _Raw(20.0, 0.0), _Raw(30.0, -1.0), _Raw(40.0, 0.0, "x"),
-               _Raw(200.0, -3.0)]
-        for label in (None, "x"):
+    def test_hand_built_nonpositive_speeds_counted(self):
+        rows = [_Record(10.0, 20.0, None), _Record(20.0, 0.0, None), _Record(25.0, -0.0, None),
+                _Record(30.0, -2.5, None), _Record(35.0, 5e-324, None),
+                _Record(40.0, 0.0, "x"), _Record(200.0, -3.0, None)]
+        for label, want in ((None, ((20.0, 5e-324), 4)), ("x", ((), 1))):
             cordon = CordonSpec(0.0, 100.0, label)
-            kept, dropped = _oracle_crop(raw, cordon, 1.0)
-            for source in (raw, Footprints.from_records(raw)):
-                result = crop_to_cordon(source, cordon, t=1.0)
-                assert (result.sample.speeds, result.dropped_nonpositive) == (kept, dropped)
+            kept, dropped = _oracle_crop(rows, cordon, 1.0)
+            assert (kept, dropped) == want
+            result = crop_to_cordon(_footprints(rows), cordon, t=1.0)
+            assert (result.sample.speeds, result.dropped_nonpositive) == (kept, dropped)
+
+
+class TestWriterOracle:
+    """The block writer against the csv.writer loop, byte for byte."""
+
+    @staticmethod
+    def assert_same_bytes(tmp_path, footprints):
+        got, want = tmp_path / "got.csv", tmp_path / "want.csv"
+        write_footprints_csv(got, footprints)
+        _oracle_write(want, zip(footprints.positions.tolist(), footprints.speeds.tolist(),
+                                footprints.labels.tolist()))
+        assert got.read_bytes() == want.read_bytes()
+
+    @pytest.mark.parametrize("scenario,m,seed", [((300.0, 4.0), 400, 7), ((40.0, 1.0), 57, 42)])
+    def test_emitted_footprints(self, tmp_path, scenario, m, seed):
+        d, t = scenario
+        cfg = ScenarioConfig(d=d, t=t, m=m, dist=load_distribution("park-i35"), trials=3,
+                             seed=seed)
+        footprints, _ = simulate_footprints(cfg)
+        self.assert_same_bytes(tmp_path, footprints)
+
+    def test_labels_quoted_as_csv_quotes_them(self, tmp_path):
+        labels = [None, "", "la,bel", 'a"b', "sep\n", "jul\r", " x ", "july", None, "la,bel"]
+        rows = [(0.5 * k - 1.0, 20.0 + k, label) for k, label in enumerate(labels)]
+        footprints = _footprints(rows)
+        self.assert_same_bytes(tmp_path, footprints)
+        back = read_footprints_csv(tmp_path / "got.csv").records
+        # the reader strips labels and reads blank ones as None
+        assert back.labels.tolist() == [(x or "").strip() or None for x in labels]
+
+    @pytest.mark.parametrize("n", [0, 1, WRITE_BLOCK, WRITE_BLOCK + 1])
+    def test_block_edges(self, tmp_path, n):
+        rng = np.random.default_rng(n)
+        specials = np.array([0.0, -0.0, 5e-324, 1e300, -1e-300, 0.1, 1.0 / 3.0])
+        positions = rng.normal(0.0, 1e3, n)
+        positions[: min(n, specials.size)] = specials[:n]
+        labels = np.array([(None, "a", "b,c")[k % 3] for k in range(n)], dtype=object)
+        self.assert_same_bytes(
+            tmp_path, Footprints(positions, rng.uniform(0.1, 60.0, n), labels)
+        )

@@ -17,6 +17,8 @@ from probevolume.probe_simulator import (
     MAX_TRIALS,
     VAR_BLOCK,
     ScenarioConfig,
+    _passes,
+    _ScenarioStreams,
     SiteConfig,
     load_sites,
     run_regression_experiment,
@@ -181,14 +183,30 @@ class TestRunScenario:
             ScenarioConfig(d=300.0, t=4.0, m=MAX_TRIAL_PASSES + 1, dist=park, trials=1, seed=1)
 
 
+def _loop_footprints(config):
+    """(positions, speeds, m_hat): one record at a time, the reference."""
+    streams = _ScenarioStreams(config.seed, config.trials * config.m)
+    speeds, offsets, counts = _passes(config.dist, config.m, config.d, config.t, streams)
+    positions, record_speeds, in_cordon_speeds = [], [], []
+    for s, off, count in zip(speeds.tolist(), offsets.tolist(), counts.tolist()):
+        first = s * off
+        spacing = s * config.t
+        for j in range(-1, int(count) + 1):
+            positions.append(first + j * spacing)
+            record_speeds.append(s)
+        in_cordon_speeds.extend([s] * int(count))
+    m_hat = (config.t / config.d) * math.fsum(in_cordon_speeds)
+    return np.array(positions, dtype=np.float64), np.array(record_speeds), m_hat
+
+
 class TestFootprints:
     def test_emitted_m_hat_matches_estimator(self, park, tmp_path):
         from probevolume.footprint_data import read_footprints_csv, write_footprints_csv
 
         cfg = ScenarioConfig(d=300.0, t=4.0, m=5, dist=park, trials=1, seed=2718)
-        records, internal = simulate_footprints(cfg)
+        footprints, internal = simulate_footprints(cfg)
         path = tmp_path / "f.csv"
-        write_footprints_csv(path, records)
+        write_footprints_csv(path, footprints)
         back = read_footprints_csv(path)
         crop = crop_to_cordon(back.records, CordonSpec(0.0, 300.0), t=4.0)
         est = estimate_probe_volume(crop.sample)
@@ -198,28 +216,55 @@ class TestFootprints:
     def test_emits_trial_zero(self, park, trials):
         cfg = ScenarioConfig(d=300.0, t=4.0, m=8, dist=park, trials=trials, seed=42)
         samples, _ = run_scenario(cfg)
-        records, m_hat = simulate_footprints(cfg)
+        footprints, m_hat = simulate_footprints(cfg)
         assert m_hat == pytest.approx(samples[0], rel=1e-12, abs=0.0)
-        assert len({r.speed for r in records}) == 8  # m passes, not trials * m
+        assert np.unique(footprints.speeds).size == 8  # m passes, not trials * m
+
+    @pytest.mark.parametrize("seed", [7, 42, 987654])
+    @pytest.mark.parametrize("trials", [1, 5])
+    @pytest.mark.parametrize("m", [0, 1, 8, 400, 70000])
+    def test_matches_record_loop(self, park, m, trials, seed):
+        # 70000 passes span two blocks of BLOCK_PASSES
+        d, t = (300.0, 4.0) if seed != 42 else (40.0, 1.0)
+        cfg = ScenarioConfig(d=d, t=t, m=m, dist=park, trials=trials, seed=seed)
+        positions, speeds, m_hat = _loop_footprints(cfg)
+        footprints, got_m_hat = simulate_footprints(cfg)
+        assert footprints.positions.dtype == footprints.speeds.dtype == np.float64
+        assert footprints.positions.tobytes() == positions.tobytes()
+        assert footprints.speeds.tobytes() == speeds.tobytes()
+        assert footprints.labels.tolist() == [None] * len(positions)
+        assert got_m_hat.hex() == m_hat.hex()
 
     def test_memory_does_not_grow_with_trials(self, park):
         # trial 0 is m passes read from the stream places of 10^8 trials
         cfg = ScenarioConfig(d=300.0, t=4.0, m=8, dist=park, trials=MAX_TRIALS, seed=42)
         tracemalloc.start()
         try:
-            records, _ = simulate_footprints(cfg)
+            footprints, _ = simulate_footprints(cfg)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert len({r.speed for r in records}) == 8
+        assert np.unique(footprints.speeds).size == 8
         assert peak < 1 << 20
+
+    def test_memory_bounded_by_columns(self, park):
+        # s1, m = 1e5: 783,355 records, 18.8 MB of columns, traces 34 MB; a
+        # record object per row traced 111.7 MB
+        cfg = ScenarioConfig(d=300.0, t=4.0, m=10**5, dist=park, trials=1, seed=7)
+        tracemalloc.start()
+        try:
+            footprints, _ = simulate_footprints(cfg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(footprints) == 783_355
+        assert peak < 64 << 20
 
     def test_out_of_cordon_records_present(self, park):
         cfg = ScenarioConfig(d=300.0, t=4.0, m=4, dist=park, trials=1, seed=9)
-        records, _ = simulate_footprints(cfg)
-        positions = np.array([r.position for r in records])
-        assert np.any(positions <= 0.0)
-        assert np.any(positions > 300.0)
+        footprints, _ = simulate_footprints(cfg)
+        assert np.any(footprints.positions <= 0.0)
+        assert np.any(footprints.positions > 300.0)
 
 
 def _uniform_sites(n, m=20, d=40.0, adt=200.0):

@@ -24,7 +24,7 @@ from probevolume.cordon_optimizer import objective_curve, optimize_cordon
 from probevolume.footprint_data import (
     CordonSample,
     CordonSpec,
-    FootprintRecord,
+    Footprints,
     crop_to_cordon,
 )
 from probevolume.probe_simulator import ScenarioConfig, load_scenario, load_sites
@@ -112,21 +112,29 @@ _record_lists = st.lists(
 )
 
 
+def _footprints(rows):
+    """Unlabelled columns of (position, speed) rows."""
+    return Footprints(
+        np.array([p for p, _ in rows], dtype=np.float64),
+        np.array([s for _, s in rows], dtype=np.float64),
+        np.full(len(rows), None, dtype=object),
+    )
+
+
 class TestCropProperties:
     @given(_record_lists, st.floats(0.0, 60.0), st.floats(1.0, 120.0))
     @settings(max_examples=60)
     def test_idempotent(self, rows, start, length):
-        records = [FootprintRecord(p, s) for p, s in rows]
         spec = CordonSpec(start, length)
-        once = crop_to_cordon(records, spec, t=1.0)
-        kept = [r for r in records if start < r.position <= start + length]
-        twice = crop_to_cordon(kept, spec, t=1.0)
+        once = crop_to_cordon(_footprints(rows), spec, t=1.0)
+        kept = [(p, s) for p, s in rows if start < p <= start + length]
+        twice = crop_to_cordon(_footprints(kept), spec, t=1.0)
         assert once.sample == twice.sample
 
     @given(_record_lists, st.floats(0.0, 60.0))
     @settings(max_examples=60)
     def test_monotone_in_length(self, rows, start):
-        records = [FootprintRecord(p, s) for p, s in rows]
+        records = _footprints(rows)
         previous = -1
         for length in (1.0, 10.0, 40.0, 90.0, 200.0):
             n = len(crop_to_cordon(records, CordonSpec(start, length), t=1.0).sample.speeds)

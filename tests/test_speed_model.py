@@ -9,7 +9,6 @@ from probevolume.speed_model import (
     QuadratureError,
     SpeedComponent,
     SpeedDistribution,
-    eval_pdf,
     from_dict,
     integrate_weighted,
     load_distribution,
@@ -46,31 +45,31 @@ def _trunc_mean_oracle(mu, sd, lo, hi):
 
 class TestEvalPdf:
     def test_outside_support_is_zero(self, park):
-        assert eval_pdf(park, 50.0) == 0.0
-        assert eval_pdf(park, 0.0) == 0.0  # support is half-open (0, 40]
-        assert eval_pdf(park, -3.0) == 0.0
-        assert eval_pdf(park, 40.0) > 0.0
+        assert park.pdf(50.0) == 0.0
+        assert park.pdf(0.0) == 0.0  # support is half-open (0, 40]
+        assert park.pdf(-3.0) == 0.0
+        assert park.pdf(40.0) > 0.0
 
     def test_single_component_center(self):
         dist = SpeedDistribution((SpeedComponent(20.0, 1.0, 1.0),), 0.0, 40.0)
         # truncation correction is ~1, so the peak is phi(0)/sigma
-        assert eval_pdf(dist, 20.0) == pytest.approx(
+        assert dist.pdf(20.0) == pytest.approx(
             1.0 / math.sqrt(2.0 * math.pi), abs=1e-9
         )
 
     def test_park_peak_against_erf_oracle(self, park):
         want = _mixture_oracle(park, 27.042)
-        assert eval_pdf(park, 27.042) == pytest.approx(want, rel=1e-13)
+        assert park.pdf(27.042) == pytest.approx(want, rel=1e-13)
 
     def test_vectorized_matches_oracle(self, park):
         s = np.linspace(0.5, 39.5, 23)
-        got = eval_pdf(park, s)
+        got = park.pdf(s)
         want = [_mixture_oracle(park, float(x)) for x in s]
         np.testing.assert_allclose(got, want, rtol=1e-12)
 
     def test_nonnegative_everywhere(self, park):
         s = np.linspace(-5.0, 45.0, 5001)
-        assert np.all(eval_pdf(park, s) >= 0.0)
+        assert np.all(park.pdf(s) >= 0.0)
 
 
 class TestSample:
