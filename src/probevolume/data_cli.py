@@ -10,11 +10,14 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import math
 import sys
 from dataclasses import fields
 from pathlib import Path
+
+import numpy as np
 
 from . import __version__
 from . import calibration as calib
@@ -31,6 +34,9 @@ EXIT_OK = 0
 EXIT_UNKNOWN_COMMAND = 2
 EXIT_BAD_PARAMETER = 3
 EXIT_IO_FAILURE = 4
+
+# CSV rows formatted by one `%` over a block of the columns' values
+CSV_BLOCK_ROWS = 1024
 
 
 # -- serialization -----------------------------------------------------------
@@ -84,10 +90,19 @@ def _emit(doc: dict, out: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _write_csv(path: str, header: str, row_format: str, rows) -> None:
+def _write_csv(path: str, header: str, row_format: str, *columns: np.ndarray) -> None:
+    """The header line, then ``row_format`` over each row of the equal-length columns.
+
+    A block of rows is formatted at once, by ``row_format`` repeated once per
+    row over the block's values taken row by row from the columns' ``tolist()``,
+    so the text is that of formatting each row on its own.
+    """
     with Path(path).open("w", encoding="utf-8", newline="") as fh:
         fh.write(header + "\n")
-        fh.writelines(row_format % row for row in rows)
+        for i in range(0, len(columns[0]), CSV_BLOCK_ROWS):
+            block = [c[i : i + CSV_BLOCK_ROWS].tolist() for c in columns]
+            values = tuple(itertools.chain.from_iterable(zip(*block)))
+            fh.write(row_format * len(block[0]) % values)
 
 
 # -- handlers ----------------------------------------------------------------
@@ -132,8 +147,7 @@ def _run_pdf(args) -> None:
     header = "# atom_at_zero=%s mean=%s variance=%s vmr=%s cv=%s\nm_hat,density" % tuple(
         _fmt_float(x) for x in stats
     )
-    rows = zip(pdf.grid(), pdf.densities)
-    _write_csv(args.out, header, "%.9g,%.9g\n", rows)
+    _write_csv(args.out, header, "%.9g,%.9g\n", pdf.grid(), pdf.densities)
 
 
 def _run_optimize(args) -> dict:
@@ -141,7 +155,7 @@ def _run_optimize(args) -> dict:
         args.dmax, args.t, load_distribution(args.dist), args.objective, args.m, args.step
     )
     if args.curve_out:
-        _write_csv(args.curve_out, "d,objective", "%.9g,%.9g\n", report.curve)
+        _write_csv(args.curve_out, "d,objective", "%.9g,%.9g\n", *np.array(report.curve).T)
     return _fields(report)
 
 
@@ -160,8 +174,10 @@ def _run_simulate(args) -> dict:
     }
     if args.hist_out:
         edges = summary.hist_edges
-        rows = zip(edges[:-1], edges[1:], summary.hist_counts)
-        _write_csv(args.hist_out, "bin_start,bin_end,count", "%.9g,%.9g,%d\n", rows)
+        _write_csv(
+            args.hist_out, "bin_start,bin_end,count", "%.9g,%.9g,%d\n",
+            edges[:-1], edges[1:], summary.hist_counts,
+        )
     if args.emit_footprints:
         footprints, m_hat = probe_simulator.simulate_footprints(config)
         footprint_data.write_footprints_csv(args.emit_footprints, footprints)

@@ -34,6 +34,29 @@ VARIANCE_COMPONENTS = 4
 # A fold whose mass drifts from 1 by more than this triggers a warning.
 FOLD_DRIFT_WARN = 1e-4
 
+# The m-fold density is computed and kept on a window of cells around its
+# mean m*mu, of half-width a from Bernstein's inequality for the sum S of m
+# draws of the one-probe law being folded, P(|S - m mu| >= a) <= 2 exp(-a^2 /
+# (2 (m sigma^2 + a b / 3))) with b the largest |cell - mu|: the mass left
+# outside the window, and the mass the transform of the window's width
+# aliases back into it, are each at most this bound.
+FOLD_TAIL_BOUND = 1e-16
+
+# Most pieces the band partition of a single-probe density may have. A
+# density over n cells of the m_hat axis, n = max(2, upper*t/d)/grid_step,
+# has about n + (2/grid_step)*ln(2/grid_step) pieces at 50-60 bytes each
+# (traced): 62 MB at grid step 2e-5 on a long cordon, 99 MB for the 1.6e6
+# cells of d/t = 1/40 on park-i35 at step 1e-3. A density over more raises
+# ValueError before anything is built.
+MAX_SINGLE_PIECES = 2 * 10**6
+
+# Most cells of an m-fold window: the transforms hold a few arrays of this
+# length, and a `pdf` request near the cap peaks at 135 MB fresh-process
+# RSS in 1.9 s. A wider window, which m probes spread over about
+# 2*8.7*sqrt(m*VMR)/grid_step cells, raises ValueError before the
+# transforms are built.
+MAX_FOLD_CELLS = 2 * 10**6
+
 
 @dataclass(frozen=True)
 class PrecisionReport:
@@ -54,7 +77,10 @@ class VolumePdf:
 
     ``densities[i]`` is the cell-averaged density over the cell centered at
     ``grid_start + i*grid_step``; ``atom_at_zero`` carries the probability
-    that a probe crosses the cordon without leaving a record.
+    that a probe crosses the cordon without leaving a record. The densities
+    this module builds run from their first to their last nonzero cell, on
+    the lattice of cells ``k*grid_step``: ``grid_start`` is
+    ``first_cell*grid_step``.
     """
 
     grid_start: float
@@ -62,8 +88,19 @@ class VolumePdf:
     densities: np.ndarray
     atom_at_zero: float
 
+    @property
+    def first_cell(self) -> int:
+        """Lattice index k of the first cell, the one nearest grid_start/grid_step
+        (0 where that ratio is not finite)."""
+        k = self.grid_start / self.grid_step if self.grid_step else math.nan
+        return round(k) if math.isfinite(k) else 0
+
     def grid(self) -> np.ndarray:
-        return self.grid_start + self.grid_step * np.arange(self.densities.size)
+        # grid_step times the cell index, so that a trimmed density's grid is
+        # the untrimmed one's bit for bit; the offset is 0 on the lattice
+        k = self.first_cell
+        offset = self.grid_start - k * self.grid_step
+        return offset + self.grid_step * np.arange(k, k + self.densities.size)
 
     def cell_masses(self) -> np.ndarray:
         return self.densities * self.grid_step
@@ -202,6 +239,12 @@ def single_probe_pdf(
     if not all(0.0 < x < math.inf for x in (d, t, grid_step)):
         raise ValueError(f"d, t, grid_step must be positive and finite: ({d}, {t}, {grid_step})")
     m_top = max(2.0, dist.upper * t / d * (1.0 + grid_step))
+    pieces = (m_top + 2.0 * math.log(2.0 / grid_step)) / grid_step
+    if not pieces < MAX_SINGLE_PIECES:
+        raise ValueError(
+            f"the density at d={d}, t={t}, grid_step={grid_step} spans m_hat up to {m_top:g}: "
+            f"about {pieces:.3g} band pieces, over {MAX_SINGLE_PIECES}"
+        )
     n_cells = int(math.ceil(m_top / grid_step)) + 1
     if n_cells < 100:
         raise ValueError(
@@ -225,11 +268,19 @@ def single_probe_pdf(
     )
     # CDF differences are nonnegative up to rounding; clamp the few ulps
     np.clip(masses, 0.0, None, out=masses)
+    return _trimmed(masses, 0, float(grid_step), max(float(atom), 0.0))
+
+
+def _trimmed(masses: np.ndarray, first_cell: int, step: float, atom: float) -> VolumePdf:
+    """The density of cell masses from lattice cell first_cell on, kept from
+    its first to its last nonzero cell (one zero cell if all are zero)."""
+    nonzero = np.flatnonzero(masses)
+    lo, hi = (int(nonzero[0]), int(nonzero[-1])) if nonzero.size else (0, 0)
     return VolumePdf(
-        grid_start=0.0,
-        grid_step=float(grid_step),
-        densities=masses / grid_step,
-        atom_at_zero=max(float(atom), 0.0),
+        grid_start=(first_cell + lo) * step,
+        grid_step=step,
+        densities=masses[lo : hi + 1] / step,
+        atom_at_zero=atom,
     )
 
 
@@ -243,40 +294,63 @@ def m_fold_pdf(single: VolumePdf, m: int) -> VolumePdf:
     """Density of the estimate from m probes: m-fold self-convolution.
 
     One probe's law is the zero atom q plus the cell masses c, with
-    generating function q + sum_i c_i z^i; the m-probe law is its m-th power,
-    which is the binomial mixture over how many probes left no record. It is
-    computed from one spectrum: q goes into cell 0, the rfft of those masses
-    is raised to the m-th power and inverted, and q^m, the chance that no
-    probe recorded, moves from cell 0 back to the atom.
+    generating function q + sum_k c_k z^k; the m-probe law is its m-th
+    power, which is the binomial mixture over how many probes left no
+    record. It is computed on the window of cells where that law's mass is
+    (see FOLD_TAIL_BOUND), from one spectrum of the window's width: q goes
+    into cell 0 and each cell into its residue, the rfft of those masses is
+    raised to the m-th power and inverted, q^m, the chance that no probe
+    recorded, moves from residue 0 back to the atom, and the window's cells
+    are read off at their residues.
     """
     if m < 1 or m != int(m):
         raise ValueError(f"m must be a positive integer, got {m}")
-    if single.grid_start != 0.0:
+    step = single.grid_step
+    if single.first_cell < 0 or single.first_cell * step != single.grid_start:
         raise ValueError(
-            f"self-convolution needs a grid anchored at 0, got grid_start={single.grid_start}"
+            "self-convolution needs cells on the grid k*grid_step, k >= 0, "
+            f"got grid_start={single.grid_start} for grid_step={step}"
         )
     _check_normalized(single, "m_fold_pdf input")
     if m == 1:
         return single
+    m = int(m)
 
     q = single.atom_at_zero
     masses = single.cell_masses()
-    support = np.flatnonzero(masses)
-    masses[0] += q
-    out_cells = m * (masses.size - 1) + 1
-    nfft = next_fast_len(out_cells, real=True)
-    folded = irfft(rfft(masses, nfft) ** m, nfft)[:out_cells]
+    # with all the mass in the atom, the first cell stands for the support
+    support = np.flatnonzero(masses) if masses.any() else np.zeros(1, dtype=np.int64)
+    masses = masses[support[0] : support[-1] + 1]
+    first, last = single.first_cell + int(support[0]), single.first_cell + int(support[-1])
+    if max(m, m * last) >= 2**53:  # past 2**53 a cell index is no longer an exact float
+        raise ValueError(f"m={m} probes reach past cell 2**53 of the grid")
     atom = q**m
-    folded[0] -= atom
+
+    # mean, variance and widest deviation of the law being folded, in cells
+    cells = np.arange(first, last + 1)
+    mass = q + float(np.sum(masses))
+    mu = float(np.dot(masses, cells)) / mass
+    var = (float(np.dot(masses, np.square(cells - mu))) + q * mu * mu) / mass
+    b = max(last - mu, mu - (0 if q > 0.0 else first))
+    log_bound = math.log(2.0 / FOLD_TAIL_BOUND)
+    h = log_bound * b / 3.0
+    a = h + math.sqrt(h * h + 2.0 * log_bound * m * var)
     # the continuous part sums 1..m cells from first..last (exactly m without
-    # a zero atom), so it lies in first..m*last (m*first..m*last); outside
-    # that range the transforms leave only round-off, which is cleared
-    if support.size:
-        first, last = int(support[0]), int(support[-1])
-        folded[: first if q > 0.0 else m * first] = 0.0
-        folded[m * last + 1 :] = 0.0
-    else:
-        folded[:] = 0.0
+    # a zero atom), so it lies in first..m*last (m*first..m*last)
+    lo = max(first if q > 0.0 else m * first, math.floor(m * mu - a))
+    hi = min(m * last, math.ceil(m * mu + a))
+    if hi - lo + 1 > MAX_FOLD_CELLS:
+        raise ValueError(
+            f"the {m}-fold density spreads over {hi - lo + 1} cells of {step}, "
+            f"over {MAX_FOLD_CELLS}"
+        )
+
+    nfft = next_fast_len(hi - lo + 1, real=True)
+    spectrum = np.bincount(cells % nfft, masses, minlength=nfft)
+    spectrum[0] += q
+    folded = irfft(rfft(spectrum) ** m, nfft)
+    folded[0] -= atom
+    folded = folded[np.arange(lo, hi + 1) % nfft]
     # rounding in the transforms leaves ulp-sized negatives; clamp them
     np.clip(folded, 0.0, None, out=folded)
     total = atom + float(np.sum(folded))
@@ -286,12 +360,7 @@ def m_fold_pdf(single: VolumePdf, m: int) -> VolumePdf:
             RuntimeWarning,
             stacklevel=2,
         )
-    return VolumePdf(
-        grid_start=0.0,
-        grid_step=single.grid_step,
-        densities=folded / single.grid_step,
-        atom_at_zero=atom,
-    )
+    return _trimmed(folded, lo, step, atom)
 
 
 def pdf_moments(pdf: VolumePdf) -> tuple[float, float]:

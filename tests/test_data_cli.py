@@ -3,16 +3,22 @@ import math
 import re
 import time
 
+import numpy as np
 import pytest
 
+from probevolume import distribution_engine, probe_simulator
+from probevolume.cordon_optimizer import optimize_cordon
 from probevolume.data_cli import (
+    CSV_BLOCK_ROWS,
     EXIT_BAD_PARAMETER,
     EXIT_IO_FAILURE,
     EXIT_OK,
     EXIT_UNKNOWN_COMMAND,
+    _write_csv,
     dumps_json,
     main,
 )
+from probevolume.speed_model import load_distribution
 
 
 def run_cli(capsys, *argv):
@@ -248,14 +254,26 @@ class TestSizeCaps:
             (("experiment", "--trials", "1", "--seed", "1", "--sites"), _HUGE_SITE),
             # 10,500 fixed quadrature pieces of 500 components each: GBs
             (("precision", "--m", "1", "--d", "1", "--t", "1", "--dist"), _MANY_COMPONENTS),
+            # 3.1e7 band pieces for 2e6 cells: over 1.5 GB
+            (("pdf", "--m", "1", "--d", "300", "--t", "4", "--grid-step", "1e-6",
+              "--out", "{out}", *_P), None),
+            # m_hat up to 16,000 on a 1e-3 grid: 1.6e7 cells, as many pieces
+            (("pdf", "--m", "1", "--d", "0.01", "--t", "4", "--out", "{out}", *_P), None),
+            # a 10^9-fold density spreads over 7.5e6 cells of 0.01; the full
+            # grid was 2e11
+            (("pdf", "--m", "1000000000", "--d", "300", "--t", "4", "--grid-step", "0.01",
+              "--out", "{out}", *_P), None),
+            (("pdf", "--m", "1" + "0" * 30, "--d", "300", "--t", "4", "--grid-step", "0.01",
+              "--out", "{out}", *_P), None),
         ],
         ids=["simulate-trials", "simulate-passes", "simulate-m", "experiment-trials",
              "simulate-histogram-bins", "optimize-step-alloc", "optimize-step-time",
              "precision-d-kinks", "precision-d-memory", "simulate-trial-passes",
-             "experiment-passes", "experiment-trial-passes", "precision-components"],
+             "experiment-passes", "experiment-trial-passes", "precision-components",
+             "pdf-grid-step", "pdf-short-cordon", "pdf-fold-window", "pdf-m-huge"],
     )
     def test_exit_3_with_json_error(self, capsys, tmp_path, argv, config):
-        argv = list(argv)
+        argv = [str(tmp_path / "out.csv") if a == "{out}" else a for a in argv]
         if config is not None:
             (tmp_path / "config.json").write_text(config, encoding="utf-8")
             argv.append(str(tmp_path / "config.json"))
@@ -265,6 +283,7 @@ class TestSizeCaps:
         assert code == EXIT_BAD_PARAMETER
         assert out == ""
         assert json.loads(err)["code"] == EXIT_BAD_PARAMETER
+        assert not (tmp_path / "out.csv").exists()
 
 
 _OVERSIZED = "1" * 200_000  # over the csv module's 131072-character field limit
@@ -411,6 +430,65 @@ class TestPdf:
         header = out.read_text(encoding="utf-8").splitlines()[0]
         mean = float(header.split("mean=")[1].split()[0])
         assert mean == pytest.approx(2.0, abs=1e-2)
+
+
+def _per_row(header, row_format, rows):
+    """Reference CSV text: the header, then each row formatted on its own."""
+    return header + "\n" + "".join(row_format % row for row in rows)
+
+
+class TestCsvWriters:
+    # every CSV the CLI writes equals the row-by-row formatting of the
+    # library's values
+    @pytest.mark.parametrize(
+        "m,d,t,step", [(1, 300.0, 4.0, 1e-3), (64, 300.0, 4.0, 1e-2), (8, 5.0, 4.0, 1e-2)]
+    )
+    def test_pdf(self, capsys, tmp_path, m, d, t, step):
+        out = tmp_path / "pdf.csv"
+        code, _, err = run_cli(
+            capsys, "pdf", "--m", str(m), "--d", str(d), "--t", str(t), *_P,
+            "--grid-step", str(step), "--out", str(out),
+        )
+        assert code == EXIT_OK, err
+        single = distribution_engine.single_probe_pdf(d, t, load_distribution("park-i35"), step)
+        pdf = distribution_engine.m_fold_pdf(single, m)
+        text = out.read_text(encoding="utf-8")
+        header = text.split("\n", 2)[:2]
+        assert header[1] == "m_hat,density"
+        want = _per_row("\n".join(header), "%.9g,%.9g\n", zip(pdf.grid(), pdf.densities))
+        assert text == want
+
+    def test_optimize_curve(self, capsys, tmp_path):
+        out = tmp_path / "curve.csv"
+        run_json(capsys, "optimize", "--dmax", "60", "--t", "4", *_P, "--objective", "cv",
+                 "--step", "0.5", "--curve-out", str(out))
+        report = optimize_cordon(60.0, 4.0, load_distribution("park-i35"), "cv", 1, 0.5)
+        want = _per_row("d,objective", "%.9g,%.9g\n", report.curve)
+        assert out.read_text(encoding="utf-8") == want
+
+    def test_simulate_hist(self, capsys, tmp_path):
+        out = tmp_path / "hist.csv"
+        run_json(capsys, "simulate", "--scenario", "s2", "--m", "3", "--trials", "2000",
+                 "--seed", "5", "--hist-out", str(out))
+        _, summary = probe_simulator.run_scenario(probe_simulator.load_scenario("s2", 3, 2000, 5))
+        edges = summary.hist_edges
+        rows = zip(edges[:-1], edges[1:], summary.hist_counts)
+        want = _per_row("bin_start,bin_end,count", "%.9g,%.9g,%d\n", rows)
+        assert out.read_text(encoding="utf-8") == want
+        assert all(re.fullmatch(r"\d+", line.rsplit(",", 1)[1]) for line in want.splitlines()[1:])
+
+    @pytest.mark.parametrize(
+        "n", [0, 1, CSV_BLOCK_ROWS - 1, CSV_BLOCK_ROWS, CSV_BLOCK_ROWS + 1, 2 * CSV_BLOCK_ROWS + 7]
+    )
+    def test_block_edges(self, tmp_path, n):
+        rng = np.random.default_rng(n)
+        special = [0.0, -0.0, 5e-324, 1e-300, 1e300, math.inf, -math.inf, math.nan, 0.1]
+        x = np.concatenate((special, rng.standard_normal(n) * 10.0 ** rng.integers(-20, 20, n)))[:n]
+        y = rng.random(n)
+        k = rng.integers(0, 2**62, n)
+        _write_csv(tmp_path / "a.csv", "x,y,k", "%.9g,%.9g,%d\n", x, y, k)
+        want = _per_row("x,y,k", "%.9g,%.9g,%d\n", zip(x, y, k))
+        assert (tmp_path / "a.csv").read_text(encoding="utf-8") == want
 
 
 class TestScenarioFile:

@@ -2,10 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from scipy.fft import irfft, next_fast_len, rfft
 from scipy.integrate import quad
 
 import probevolume.kernels as kernels
 from probevolume.distribution_engine import (
+    FOLD_TAIL_BOUND,
     VolumePdf,
     bernoulli_var_term,
     cv,
@@ -25,6 +27,41 @@ def _point_mass_pdf(at=1.0, step=1e-3, n=2001):
     dens = np.zeros(n)
     dens[round(at / step)] = 1.0 / step
     return VolumePdf(grid_start=0.0, grid_step=step, densities=dens, atom_at_zero=0.0)
+
+
+def _on_cells(pdf, n=None):
+    """The densities on lattice cells 0..n-1 (default: up to the last kept
+    cell), zero on the cells the pdf does not keep."""
+    k, size = pdf.first_cell, pdf.densities.size
+    n = k + size if n is None else n
+    out = np.zeros(max(n, k + size))
+    out[k : k + size] = pdf.densities
+    return out[:n]
+
+
+def _padded(pdf):
+    """The same pdf zero-padded to a grid anchored at cell 0."""
+    return VolumePdf(0.0, pdf.grid_step, _on_cells(pdf), pdf.atom_at_zero)
+
+
+def _full_grid_fold(single, m):
+    """Reference: the m-fold density on the whole grid 0..m*(n-1), as one
+    spectrum of that length, with the exact zeros outside the support
+    cleared; the ulp-sized negatives are left in (not clamped)."""
+    single = _padded(single)
+    q = single.atom_at_zero
+    masses = single.cell_masses()
+    support = np.flatnonzero(masses)
+    masses[0] += q
+    out_cells = m * (masses.size - 1) + 1
+    nfft = next_fast_len(out_cells, real=True)
+    folded = irfft(rfft(masses, nfft) ** m, nfft)[:out_cells]
+    atom = q**m
+    folded[0] -= atom
+    first, last = int(support[0]), int(support[-1])
+    folded[: first if q > 0.0 else m * first] = 0.0
+    folded[m * last + 1 :] = 0.0
+    return folded, atom
 
 
 class TestBernoulliVarTerm:
@@ -155,6 +192,37 @@ class TestSingleProbePdf:
         with pytest.raises(ValueError, match="grid_step"):
             single_probe_pdf(300.0, 4.0, park, grid_step=0.1)
 
+    @pytest.mark.parametrize(
+        "d,t,step",
+        [(300.0, 4.0, 1e-5), (300.0, 4.0, 1e-300), (0.05, 4.0, 1e-3), (1e-300, 4.0, 1e-2)],
+        ids=["fine-step", "tiny-step", "short-cordon", "tiny-cordon"],
+    )
+    def test_rejects_partition_over_cap(self, park, d, t, step):
+        with pytest.raises(ValueError, match="band pieces"):
+            single_probe_pdf(d, t, park, grid_step=step)
+
+    @pytest.mark.parametrize("preset", ["park-i35", "table2-30mph", "table2-60mph"])
+    @pytest.mark.parametrize("d,t,step", [(300.0, 4.0, 1e-3), (30.0, 4.0, 1e-2), (5.0, 4.0, 1e-2)])
+    def test_trimmed_to_nonzero_cells(self, preset, d, t, step):
+        # the kept cells are the band masses from their first to their last
+        # nonzero cell, bit for bit, and the grid is step times the cell index
+        dist = load_distribution(preset)
+        m_top = max(2.0, dist.upper * t / d * (1.0 + step))
+        n_cells = int(math.ceil(m_top / step)) + 1
+        masses, atom = kernels.band_masses(
+            dist._means, dist._sds, dist._norms, dist._cdf_lo, dist._cdf_w,
+            dist.lower, dist.upper, d, t, step, n_cells, int(math.ceil(2.0 / step)),
+        )
+        dens = np.clip(masses, 0.0, None) / step
+        pdf = single_probe_pdf(d, t, dist, grid_step=step)
+        k, size = pdf.first_cell, pdf.densities.size
+        assert pdf.grid_start == k * step
+        assert pdf.densities.tobytes() == dens[k : k + size].tobytes()
+        assert pdf.densities[0] > 0.0 and pdf.densities[-1] > 0.0
+        assert not dens[:k].any() and not dens[k + size :].any()
+        assert pdf.atom_at_zero == max(atom, 0.0)
+        assert pdf.grid().tobytes() == (step * np.arange(n_cells))[k : k + size].tobytes()
+
     def test_densities_nonnegative(self, park):
         for d, t in ((300.0, 4.0), (40.0, 1.0), (30.0, 4.0)):
             pdf = single_probe_pdf(d, t, park)
@@ -276,7 +344,7 @@ class TestMFold:
         # record, each term the normalized continuous part convolved r times
         single = single_probe_pdf(d, t, park, grid_step=step)
         q = single.atom_at_zero
-        c_mass = single.cell_masses()
+        c_mass = _on_cells(single) * step
         cont = float(np.sum(c_mass))
         want = np.zeros(m * (c_mass.size - 1) + 1)
         power = np.ones(1)
@@ -284,8 +352,8 @@ class TestMFold:
             power = np.convolve(power, c_mass / cont)
             want[: power.size] += math.comb(m, r) * q ** (m - r) * cont**r * power
         got = m_fold_pdf(single, m)
-        assert got.densities.size == want.size
-        assert np.max(np.abs(got.densities - want / step)) < 1e-8
+        assert got.first_cell + got.densities.size <= want.size
+        assert np.max(np.abs(_on_cells(got, want.size) - want / step)) < 1e-8
         assert got.atom_at_zero == q**m
 
     @pytest.mark.parametrize(
@@ -297,22 +365,55 @@ class TestMFold:
         # with the zero atom q, the continuous part of m probes starts at the
         # single density's first cell; without it, at m times that cell
         single = single_probe_pdf(d, t, park, grid_step=step)
-        cells = np.flatnonzero(single.densities)
-        first, last = int(cells[0]), int(cells[-1])
+        first = single.first_cell
+        last = first + single.densities.size - 1
         q = single.atom_at_zero
         assert (q > 0.0) == (d == 5.0)
         lo = first if q > 0.0 else m * first
         pdf = m_fold_pdf(single, m)
-        got = pdf.densities
-        assert not np.any(got[:lo])
-        assert not np.any(got[m * last + 1 :])
+        assert pdf.first_cell >= lo
+        assert pdf.first_cell + pdf.densities.size - 1 <= m * last
+        assert pdf.densities[0] > 0.0 and pdf.densities[-1] > 0.0
         assert pdf.total_mass() == pytest.approx(1.0, abs=1e-9)
 
     def test_rejects_mismatched_grid(self, park):
         single = single_probe_pdf(300.0, 4.0, park)
-        shifted = VolumePdf(0.5, single.grid_step, single.densities, single.atom_at_zero)
+        start = single.grid_start + 0.5 * single.grid_step
+        shifted = VolumePdf(start, single.grid_step, single.densities, single.atom_at_zero)
         with pytest.raises(ValueError, match="grid"):
             m_fold_pdf(shifted, 2)
+
+    @pytest.mark.parametrize("start", [math.inf, -math.inf, math.nan, -1e-2])
+    def test_rejects_start_off_the_cells(self, park, start):
+        single = single_probe_pdf(300.0, 4.0, park, grid_step=1e-2)
+        bad = VolumePdf(start, single.grid_step, single.densities, single.atom_at_zero)
+        assert bad.grid().size == single.densities.size
+        with pytest.raises(ValueError, match="grid"):
+            m_fold_pdf(bad, 2)
+
+    def test_accepts_start_on_lattice(self, park):
+        # three cells further out, one probe's law is shifted by 3 cells and
+        # m probes' by 3*m
+        single = single_probe_pdf(300.0, 4.0, park, grid_step=1e-2)
+        step = single.grid_step
+        shifted = VolumePdf(
+            (single.first_cell + 3) * step, step, single.densities, single.atom_at_zero
+        )
+        want, got = m_fold_pdf(single, 8), m_fold_pdf(shifted, 8)
+        n = got.first_cell + got.densities.size + 1
+        want_cells = np.concatenate((np.zeros(24), _on_cells(want, n - 24)))
+        assert np.max(np.abs(_on_cells(got, n) - want_cells)) * step < 1e-14
+
+    def test_rejects_m_past_exact_cells(self, park):
+        single = single_probe_pdf(300.0, 4.0, park, grid_step=1e-2)
+        with pytest.raises(ValueError, match="m="):
+            m_fold_pdf(single, 10**400)
+
+    def test_rejects_window_over_cap(self, park):
+        # 10^9 probes spread over about 2*8.7*sqrt(10^9 * 0.019)/0.01 cells
+        single = single_probe_pdf(300.0, 4.0, park, grid_step=1e-2)
+        with pytest.raises(ValueError, match="cells"):
+            m_fold_pdf(single, 10**9)
 
     def test_rejects_unnormalized(self):
         dens = np.zeros(200)
@@ -331,6 +432,100 @@ class TestMFold:
         for m in (2, 4, 8):
             _, vm = pdf_moments(m_fold_pdf(single, m))
             assert vm == pytest.approx(m * v1, rel=0.02)
+
+
+_WINDOW_CASES = [
+    (preset, 300.0, 4.0, m)
+    for preset in ("park-i35", "table2-30mph", "table2-60mph")
+    for m in (2, 8, 64, 65, 500, 2000)
+] + [("park-i35", 5.0, 4.0, m) for m in (2, 8, 64, 65, 500, 2000)]
+
+
+class TestFoldWindow:
+    # the fold on its window against the whole grid, at grid step 1e-2; the
+    # d=5, t=4 cases carry a zero atom of 0.92
+    @pytest.fixture(scope="class")
+    def folds(self):
+        cache = {}
+
+        def fold(preset, d, t, m):
+            if (preset, d, t, m) not in cache:
+                single = single_probe_pdf(d, t, load_distribution(preset), grid_step=1e-2)
+                ref, ref_atom = _full_grid_fold(single, m)
+                cache[preset, d, t, m] = single, m_fold_pdf(single, m), ref, ref_atom
+            return cache[preset, d, t, m]
+
+        return fold
+
+    @pytest.mark.parametrize("preset,d,t,m", _WINDOW_CASES)
+    def test_kept_cells_match_full_grid(self, folds, preset, d, t, m):
+        single, pdf, ref, _ = folds(preset, d, t, m)
+        k, size = pdf.first_cell, pdf.densities.size
+        assert k + size <= ref.size
+        kept = ref[k : k + size]
+        assert np.max(np.abs(pdf.cell_masses() - np.clip(kept, 0.0, None))) <= 1e-14
+        # outside the kept cells the reference holds at most the window's
+        # tail bound, plus its own round-off: no more, per cell, than its
+        # largest negative value (the exact masses are nonnegative)
+        noise = max(-float(np.min(ref)), 0.0)
+        outside = np.concatenate((ref[:k], ref[k + size :]))
+        assert float(np.sum(np.clip(outside, 0.0, None))) <= FOLD_TAIL_BOUND + noise * outside.size
+        assert pdf.atom_at_zero == single.atom_at_zero**m
+
+    @pytest.mark.parametrize("preset,d,t,m", _WINDOW_CASES)
+    def test_trimmed_matches_zero_padded(self, folds, preset, d, t, m):
+        _, pdf, ref, _ = folds(preset, d, t, m)
+        padded = VolumePdf(0.0, pdf.grid_step, _on_cells(pdf, ref.size), pdf.atom_at_zero)
+        for got, want in zip(pdf_moments(pdf), pdf_moments(padded)):
+            assert got == pytest.approx(want, rel=1e-12, abs=1e-12)
+        for level in (0.5, 0.95, 0.999999):
+            got = interval_estimate(pdf, level)
+            want = interval_estimate(padded, level)
+            assert got == pytest.approx(want, rel=1e-12, abs=1e-12)
+
+    def test_window_shorter_than_cell_index(self):
+        # three cells at m_hat = 1: the window, and so the transform, is far
+        # shorter than the cells' index, and they wrap around it
+        step = 1e-3
+        single = VolumePdf(1000 * step, step, np.array([0.25, 0.5, 0.25]) / step, 0.0)
+        for m in (2, 3, 50):
+            pdf = m_fold_pdf(single, m)
+            ref, _ = _full_grid_fold(single, m)
+            k, size = pdf.first_cell, pdf.densities.size
+            assert (k, size) == (1000 * m, 2 * m + 1)
+            assert np.max(np.abs(pdf.cell_masses() - ref[k : k + size])) < 1e-15
+
+    def test_window_against_binomial(self):
+        # a zero atom of 0.1 and one cell at m_hat = 1: m probes put
+        # C(m, k) 0.9^k 0.1^(m-k) on cell 1000k, and the window keeps all but
+        # FOLD_TAIL_BOUND of it; the widest deviation is the atom's, |0 - mu|
+        step, q, m = 1e-3, 0.1, 100
+        single = VolumePdf(1000 * step, step, np.array([(1.0 - q) / step]), q)
+        pdf = m_fold_pdf(single, m)
+        assert pdf.atom_at_zero == q**m
+        k, size = pdf.first_cell, pdf.densities.size
+        kept = _on_cells(pdf, 1000 * m + 1)
+        dropped = 0.0
+        for r in range(1, m + 1):
+            pmf = math.comb(m, r) * (1.0 - q) ** r * q ** (m - r)
+            if k <= 1000 * r < k + size:
+                assert kept[1000 * r] * step == pytest.approx(pmf, abs=1e-14)
+            else:
+                dropped += pmf
+        assert dropped <= FOLD_TAIL_BOUND
+
+    def test_all_mass_in_atom(self):
+        single = VolumePdf(0.0, 1e-2, np.zeros(200), 1.0)
+        pdf = m_fold_pdf(single, 5)
+        assert pdf.atom_at_zero == 1.0
+        assert pdf.densities.tolist() == [0.0]
+
+    def test_window_grows_as_sqrt_m(self, park):
+        # beyond the Bernstein bound's linear term the window is sqrt(m) wide
+        single = single_probe_pdf(300.0, 4.0, park, grid_step=1e-3)
+        widths = {m: m_fold_pdf(single, m).densities.size for m in (1000, 4000, 16000)}
+        assert widths[4000] < 2.1 * widths[1000]
+        assert widths[16000] < 2.1 * widths[4000]
 
 
 class TestNormalApprox:
