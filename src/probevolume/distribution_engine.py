@@ -23,11 +23,11 @@ VARIANCE_TAIL_BOUND = 1e-8
 # up to VARIANCE_COMPONENTS components: the kink pieces, about d/t times
 # (1/s_stop - 1/upper) for the distribution's tail stop s_stop, and 21 fixed
 # pieces per component. Each piece gets 8 quadrature nodes, and the mixture
-# density builds (nodes, components) temporaries, so for more components the
-# cap shrinks in proportion: at the cap a park-i35 request peaks at 160 MB
-# (fresh-process RSS, 56 MB of it the import), and so does a mixture of any
-# size. d/t = 1000 needs about 38,000 kink pieces on table2-30mph, the preset
-# with the most. A larger request raises ValueError before anything is built.
+# density is evaluated one component at a time, so memory is O(nodes)
+# whatever the component count; the time is O(nodes x components), and for
+# more components the cap shrinks in proportion to bound it. d/t = 1000
+# needs about 38,000 kink pieces on table2-30mph, the preset with the most.
+# A larger request raises ValueError before anything is built.
 MAX_VARIANCE_PIECES = 10**5
 VARIANCE_COMPONENTS = 4
 
@@ -190,7 +190,9 @@ def variance(m: int, d: float, t: float, dist: SpeedDistribution) -> float:
         raise ValueError(f"the variance at d={d}, t={t} is not finite")
 
     def b_weight(s: np.ndarray) -> np.ndarray:
-        p = np.mod(d / (s * t), 1.0)
+        # p = r mod 1 for r = d/(s t) > 0; r - floor(r) is exact (Sterbenz)
+        r = d / (s * t)
+        p = r - np.floor(r)
         return s * s * p * (1.0 - p)
 
     integral = integrate_weighted(dist, b_weight, _variance_breakpoints(d, t, dist))

@@ -14,6 +14,9 @@ from scipy.special import erf as _sc_erf
 
 _SQRT2 = math.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
+# the mixture cdf's constants as 0-d arrays: an operand that is a Python
+# float costs a conversion on every call, which shows on a call of a few points
+_CDF_SQRT2, _CDF_ONE, _CDF_HALF = np.array(_SQRT2), np.array(1.0), np.array(0.5)
 
 
 # ---------------------------------------------------------------------------
@@ -23,26 +26,78 @@ _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 # Z_j the truncation mass, so the density is sum_j norms[j]*phi((s-mu_j)/sd_j)
 # on (lower, upper] and 0 elsewhere. cdf_lo[j] = Phi((lower-mu_j)/sd_j) and
 # cdf_w[j] = w_j / Z_j feed the mixture CDF.
+#
+# Both add the components' terms into the result in the order j = 0, 1, ...,
+# k-1, one term at a time, so a point's value does not depend on the other
+# points of the call. A vectorised step evaluates as many components as fit
+# in _STEP_VALUES values, and at least one: a call of a few points takes
+# every component in one step, a call of many points one component a step,
+# so the temporaries are O(points) whatever k is.
 # ---------------------------------------------------------------------------
+
+_STEP_VALUES = 1 << 15
+
+
+def _per_step(n_points):
+    """How many components one vectorised step evaluates over n_points."""
+    return max(1, _STEP_VALUES // max(n_points, 1))
+
+
+def _add_rows(acc, terms):
+    """acc + terms[0] + terms[1] + ..., added in that order (from terms[0]
+    when acc is None); the sum is made in place in acc or in terms[0]."""
+    rows = iter(terms)
+    if acc is None:
+        acc = next(rows)
+    for row in rows:
+        acc += row
+    return acc
 
 
 def mixture_pdf(s, means, sds, norms, lower, upper):
     s = np.asarray(s, dtype=np.float64)
+    inside = (s > lower) & (s <= upper)
+    everywhere = bool(inside.all())
+    x = s.ravel() if everywhere else s[inside]
+    scale = norms * _INV_SQRT_2PI
+    acc = None
+    per_step = _per_step(x.size)
+    for j in range(0, means.size, per_step):
+        c = slice(j, j + per_step)
+        # exp((-0.5*z)*z) * scale with z = (s - mu)/sd, a row per component
+        z = x - means[c, None]
+        z /= sds[c, None]
+        terms = z * -0.5
+        terms *= z
+        np.exp(terms, out=terms)
+        terms *= scale[c, None]
+        acc = _add_rows(acc, terms)
+    if everywhere:
+        return acc.reshape(s.shape)
     out = np.zeros(s.shape, dtype=np.float64)
-    mask = (s > lower) & (s <= upper)
-    if np.any(mask):
-        x = s[mask]
-        z = (x[:, None] - means[None, :]) / sds[None, :]
-        out[mask] = np.exp(-0.5 * z * z) @ (norms * _INV_SQRT_2PI)
+    out[inside] = acc
     return out
 
 
 def mixture_cdf(s, means, sds, cdf_lo, cdf_w, lower, upper):
-    s = np.asarray(s, dtype=np.float64)
-    x = np.clip(s, lower, upper)
-    z = (x[:, None] - means[None, :]) / sds[None, :]
-    phi = 0.5 * (1.0 + _sc_erf(z / _SQRT2))
-    return (phi - cdf_lo[None, :]) @ cdf_w
+    # np.clip's bits, at a third of its cost on a few points
+    x = np.minimum(np.maximum(np.asarray(s, dtype=np.float64), lower), upper)
+    flat = x.ravel()
+    acc = None
+    per_step = _per_step(flat.size)
+    for j in range(0, means.size, per_step):
+        c = slice(j, j + per_step)
+        # (0.5*(1 + erf(z/sqrt 2)) - lo) * w with z = (s - mu)/sd
+        terms = flat - means[c, None]
+        terms /= sds[c, None]
+        terms /= _CDF_SQRT2
+        _sc_erf(terms, out=terms)
+        terms += _CDF_ONE
+        terms *= _CDF_HALF
+        terms -= cdf_lo[c, None]
+        terms *= cdf_w[c, None]
+        acc = _add_rows(acc, terms)
+    return acc.reshape(x.shape)
 
 
 # Band accumulation evaluates the mixture through these import-time bindings,
@@ -91,9 +146,9 @@ _GL8_X, _GL8_W = np.polynomial.legendre.leggauss(8)
 _GL8_X.setflags(write=False)
 _GL8_W.setflags(write=False)
 
-# Pieces evaluated per vectorised step at up to 4 mixture components; more
-# components take proportionally fewer pieces, so the (pieces, 8 nodes,
-# components) temporaries stay near 1 MB whatever the mixture.
+# Pieces evaluated per vectorised step. The mixture kernels' temporaries are
+# the size of the chunk's 8 nodes per piece whatever the component count, so
+# a chunk's arrays stay near 1 MB for any mixture.
 _CHUNK = 4096
 
 
@@ -122,10 +177,9 @@ def band_masses(
 
     masses = np.zeros(n_cells, dtype=np.float64)
     no_record = [np.zeros(0)]
-    chunk = max(1, _CHUNK * 4 // max(4, means.size))
-    for c in range(0, band.size, chunk):
-        e = edges[c : c + chunk + 1]
-        u = band[c : c + chunk]
+    for c in range(0, band.size, _CHUNK):
+        e = edges[c : c + _CHUNK + 1]
+        u = band[c : c + _CHUNK]
         a = e[:-1]
         b = e[1:]
         delta = np.diff(_mixture_cdf(e, means, sds, cdf_lo, cdf_w, lower, upper))

@@ -67,9 +67,11 @@ class SpeedDistribution:
     _cdf_lo: np.ndarray = field(init=False, repr=False)
     _cdf_w: np.ndarray = field(init=False, repr=False)
     _cdf_span: np.ndarray = field(init=False, repr=False)
-    # speed under which the variance tail bound holds; found on first use by
-    # distribution_engine, since a distribution that is only sampled never needs it
+    # speed under which the variance tail bound holds, and the anchor cuts
+    # inside the support; found on first use by distribution_engine and
+    # integrate_weighted, since a distribution that is only sampled never needs them
     _tail_stop: float | None = field(default=None, init=False, repr=False, compare=False)
+    _anchors: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.components = tuple(self.components)
@@ -187,15 +189,19 @@ def integrate_weighted(
     pts = np.asarray(breakpoints, dtype=np.float64)
     if pts.size and np.any(np.diff(pts) < 0):
         raise ValueError("breakpoints must be sorted ascending")
-    cuts = np.concatenate((pts, _anchor_cuts(dist)))
-    inner = cuts[(cuts > dist.lower) & (cuts < dist.upper)]
-    edges = np.unique(np.concatenate(([dist.lower], inner, [dist.upper])))
+    if dist._anchors is None:
+        cuts = _anchor_cuts(dist)
+        dist._anchors = cuts[(cuts > dist.lower) & (cuts < dist.upper)]
+        dist._anchors.setflags(write=False)
+    inner = pts[(pts > dist.lower) & (pts < dist.upper)]
+    edges = np.unique(np.concatenate(([dist.lower], inner, dist._anchors, [dist.upper])))
 
     half = 0.5 * np.diff(edges)
     mid = 0.5 * (edges[:-1] + edges[1:])
 
-    nodes = (mid[:, None] + half[:, None] * _GL8_X).ravel()
-    wts = (half[:, None] * _GL8_W).ravel()
+    # (node, piece) with the pieces contiguous, then flattened piece by piece
+    nodes = (mid + half * _GL8_X[:, None]).T.ravel()
+    wts = (half * _GL8_W[:, None]).T.ravel()
 
     gv = kernels.mixture_pdf(
         nodes, dist._means, dist._sds, dist._norms, dist.lower, dist.upper

@@ -1,5 +1,6 @@
-"""Kernels against loop oracles: the leave-pair-out calibration sweep and
-single-probe band accumulation."""
+"""Kernels against independent oracles: the truncated-normal mixture
+pdf/cdf, the leave-pair-out calibration sweep and single-probe band
+accumulation."""
 
 import itertools
 import math
@@ -7,8 +8,11 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.stats import norm
 
-from probevolume import kernels
+from probevolume import kernels, speed_model
 from probevolume.distribution_engine import single_probe_pdf
 from probevolume.speed_model import SpeedComponent, SpeedDistribution, load_distribution
 
@@ -21,6 +25,140 @@ def _mixture(k, seed=5):
         for mu, sd in zip(rng.uniform(2.0, 38.0, k), rng.uniform(0.5, 5.0, k))
     )
     return SpeedDistribution(comps, 0.0, 40.0)
+
+
+def _kernel_pdf(dist, s):
+    return kernels.mixture_pdf(s, dist._means, dist._sds, dist._norms, dist.lower, dist.upper)
+
+
+def _kernel_cdf(dist, s):
+    return kernels.mixture_cdf(
+        s, dist._means, dist._sds, dist._cdf_lo, dist._cdf_w, dist.lower, dist.upper
+    )
+
+
+def _mixtures():
+    presets = [load_distribution(name) for name in speed_model.PRESET_NAMES]
+    return presets + [_mixture(k) for k in (2, 9, 50)]
+
+
+_EPS = 2.0**-52
+
+
+class TestMixtureKernels:
+    @pytest.mark.parametrize("dist", _mixtures(), ids=lambda d: f"k{len(d.components)}")
+    def test_match_per_component_oracle(self, dist):
+        # oracle: each component's term from scipy.stats.norm, summed exactly;
+        # the terms are nonnegative, so the kernel's k-term sum is within
+        # k ulps of the total, plus a few ulps of rounding in each term (the
+        # cdf's 1 + erf(z/sqrt 2) is good to an ulp of 1, not of the term)
+        lower, upper = dist.lower, dist.upper
+        weights = np.array([c.weight for c in dist.components])
+        weights = weights / weights.sum()
+        comps = [(c.mean, c.sd, w) for c, w in zip(dist.components, weights)]
+        mass = [norm.cdf(upper, mu, sd) - norm.cdf(lower, mu, sd) for mu, sd, _ in comps]
+        k = len(comps)
+        s = np.linspace(lower, upper, 997)[1:]
+        pdf_terms = np.array([w / z * norm.pdf(s, mu, sd) for (mu, sd, w), z in zip(comps, mass)])
+        cdf_terms = np.array([
+            w / z * (norm.cdf(s, mu, sd) - norm.cdf(lower, mu, sd))
+            for (mu, sd, w), z in zip(comps, mass)
+        ])
+        want_pdf = np.array([math.fsum(col) for col in pdf_terms.T])
+        want_cdf = np.array([math.fsum(col) for col in cdf_terms.T])
+        slack = math.fsum(4.0 * _EPS * w / z for (_, _, w), z in zip(comps, mass))
+        got_pdf, got_cdf = _kernel_pdf(dist, s), _kernel_cdf(dist, s)
+        assert np.all(np.abs(got_pdf - want_pdf) <= (k + 8) * _EPS * want_pdf + 1e-300)
+        assert np.all(np.abs(got_cdf - want_cdf) <= (k + 8) * _EPS * want_cdf + slack)
+
+    @pytest.mark.parametrize("k", [2, 9, 50])
+    def test_any_split_gives_the_same_bits(self, k):
+        # the components are summed in one fixed order whatever the points
+        # share the call with, so a point's value does not depend on them;
+        # the whole call takes one component a step, its parts several
+        dist = _mixture(k)
+        rng = np.random.default_rng(k)
+        s = rng.uniform(-1.0, 41.0, 2 * kernels._STEP_VALUES)
+        whole_pdf, whole_cdf = _kernel_pdf(dist, s), _kernel_cdf(dist, s)
+        for _ in range(5):
+            cuts = np.sort(rng.integers(0, s.size, int(rng.integers(1, 40))))
+            parts = np.split(s, cuts)
+            assert np.concatenate([_kernel_pdf(dist, p) for p in parts]).tobytes() == (
+                whole_pdf.tobytes()
+            )
+            assert np.concatenate([_kernel_cdf(dist, p) for p in parts]).tobytes() == (
+                whole_cdf.tobytes()
+            )
+        perm = rng.permutation(s.size)
+        assert _kernel_pdf(dist, s[perm]).tobytes() == whole_pdf[perm].tobytes()
+
+    @pytest.mark.parametrize("name", ["table2-30mph", "table2-60mph"])
+    def test_one_component_is_the_single_term(self, name):
+        # the one term is the expression a (points, components) matrix product
+        # gave before, so one-component mixtures keep every bit
+        dist = load_distribution(name)
+        s = np.linspace(dist.lower, dist.upper, 4001)[1:]
+        (mu,), (sd,) = dist._means, dist._sds
+        z = (s - mu) / sd
+        want_pdf = np.exp((-0.5 * z) * z) * (dist._norms[0] * kernels._INV_SQRT_2PI)
+        want_cdf = (0.5 * (1.0 + kernels._sc_erf(z / kernels._SQRT2)) - dist._cdf_lo[0]) * (
+            dist._cdf_w[0]
+        )
+        assert _kernel_pdf(dist, s).tobytes() == want_pdf.tobytes()
+        assert _kernel_cdf(dist, s).tobytes() == want_cdf.tobytes()
+
+    @pytest.mark.parametrize("shape", [(), (7,), (3, 5), (5, 3)])
+    def test_keeps_input_shape(self, shape):
+        dist = load_distribution("park-i35")
+        s = np.linspace(-2.0, dist.upper + 2.0, max(1, math.prod(shape))).reshape(shape)
+        flat = s.ravel()
+        for kernel in (_kernel_pdf, _kernel_cdf):
+            got = kernel(dist, s)
+            assert got.shape == shape
+            assert got.ravel().tobytes() == kernel(dist, flat).tobytes()
+        # a strided view is evaluated as its values
+        wide = np.linspace(0.5, 30.0, 24).reshape(4, 6)
+        assert _kernel_pdf(dist, wide[:, ::2]).tobytes() == (
+            _kernel_pdf(dist, wide[:, ::2].copy()).tobytes()
+        )
+
+    def test_pdf_is_zero_outside_the_support(self):
+        dist = _mixture(9)
+        lower, upper = dist.lower, dist.upper
+        s = np.array([-np.inf, -1.0, lower, np.nextafter(lower, np.inf), 20.0, upper,
+                      np.nextafter(upper, np.inf), 1e300, np.inf, np.nan])
+        got = _kernel_pdf(dist, s)
+        inside = np.array([False, False, False, True, True, True, False, False, False, False])
+        assert np.all(got[~inside] == 0.0)
+        assert np.all(got[inside] > 0.0)
+        assert _kernel_pdf(dist, np.full((2, 2), np.nan)).tolist() == [[0.0, 0.0], [0.0, 0.0]]
+        assert float(_kernel_pdf(dist, np.float64(np.inf))) == 0.0
+        cdf = _kernel_cdf(dist, np.array([-np.inf, lower, upper, np.inf]))
+        # clipped to the support: its ends up to the erf form's round-off
+        assert cdf[0] == cdf[1] == pytest.approx(0.0, abs=1e-14)
+        assert cdf[2] == cdf[3] == pytest.approx(1.0, abs=1e-14)
+
+    @given(st.floats(min_value=0.0, exclude_min=True, allow_infinity=False))
+    @settings(max_examples=500, deadline=None)
+    def test_fractional_part_by_floor_is_mod(self, r):
+        # the variance weight's p = r mod 1 for r = d/(s t) > 0 is taken as
+        # r - floor(r): for positive finite r that subtraction is exact
+        for x in (r, np.nextafter(r, 0.0), np.nextafter(r, np.inf), float(math.floor(r)) or r):
+            if not math.isfinite(x):
+                continue
+            x = np.array([x], dtype=np.float64)
+            assert (x - np.floor(x)).tobytes() == np.mod(x, 1.0).tobytes()
+
+    @pytest.mark.parametrize("dist", _mixtures(), ids=lambda d: f"k{len(d.components)}")
+    def test_anchor_cuts_cached_as_computed(self, dist):
+        assert dist._anchors is None
+        first = speed_model.integrate_weighted(dist, lambda s: s * s)
+        cached = dist._anchors
+        fresh = speed_model._anchor_cuts(dist)
+        assert np.array_equal(cached, fresh[(fresh > dist.lower) & (fresh < dist.upper)])
+        assert not cached.flags.writeable
+        assert speed_model.integrate_weighted(dist, lambda s: s * s) == first
+        assert dist._anchors is cached
 
 
 def loop_mape(m_hats, volumes, weights, pairs):
@@ -159,8 +297,7 @@ class TestBandMasses:
     @pytest.mark.parametrize("step", [1e-2, 5e-3])
     def test_matches_loop_oracle(self, preset, step):
         # one partition of the speed axis must cut and weigh every piece as the
-        # band-by-band loop does: the same zero atom, cell sums to round-off;
-        # over 4 components the pieces go in smaller chunks
+        # band-by-band loop does: the same zero atom, cell sums to round-off
         dist = _mixture(9) if preset == "mixture-9" else load_distribution(preset)
         for d, t in ((300.0, 4.0), (40.0, 1.0), (90.1, 2.0), (30.0, 4.0), (5.0, 4.0), (2.0, 1.0)):
             n_cells = int(math.ceil(max(2.0, dist.upper * t / d * (1.0 + step)) / step)) + 1
@@ -170,17 +307,33 @@ class TestBandMasses:
                 dist.lower, dist.upper, d, t, step, n_cells, u_max,
             )
             want, want_atom = loop_band_masses(dist, d, t, step, n_cells, u_max)
-            if len(dist.components) > 4:
-                # BLAS sums a row of over 4 components in an order set by the
-                # row's place in the matrix, so a chunk moves the atom by an ulp
-                assert got_atom == pytest.approx(want_atom, rel=1e-15, abs=0.0)
-            else:
-                assert got_atom == want_atom
+            assert got_atom == want_atom
             np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-15)
 
+    @pytest.mark.parametrize("preset", ["park-i35", "table2-30mph", "table2-60mph", "mixture-9"])
+    def test_atom_independent_of_chunk(self, preset, monkeypatch):
+        # each point's mixture value is summed over the components in one
+        # order, so the zero atom is the same bits however the pieces are
+        # chunked (the cells' per-chunk bincount sums may still differ)
+        dist = _mixture(9) if preset == "mixture-9" else load_distribution(preset)
+        step = 1e-2
+        for d, t in ((5.0, 4.0), (2.0, 1.0), (90.1, 2.0)):
+            n_cells = int(math.ceil(max(2.0, dist.upper * t / d * (1.0 + step)) / step)) + 1
+            u_max = int(math.ceil(2.0 / step))
+            atoms = set()
+            for chunk in (100, 808, 1820, 4096, 8192):
+                monkeypatch.setattr(kernels, "_CHUNK", chunk)
+                _, atom = kernels.band_masses(
+                    dist._means, dist._sds, dist._norms, dist._cdf_lo, dist._cdf_w,
+                    dist.lower, dist.upper, d, t, step, n_cells, u_max,
+                )
+                atoms.add(atom.hex())
+            assert len(atoms) == 1, (d, t, atoms)
+
     def test_memory_bounded_in_components(self):
-        # the (pieces, 8 nodes, components) temporaries shrink with the chunk:
-        # 500 components traced 377 MB at 4096 pieces a chunk, 3.8 MB now
+        # the mixture is evaluated one component at a time, so 500 components
+        # need no more than one: (pieces, 8 nodes, components) temporaries
+        # traced 377 MB at 4096 pieces a chunk, about 2.5 MB now
         dist = _mixture(500)
         tracemalloc.start()
         try:
