@@ -117,9 +117,18 @@ _mixture_cdf = mixture_cdf
 
 
 def pass_counts(speeds, offsets, d, t):
-    first = speeds * offsets
-    counts = 1.0 + np.floor((d - first) / (speeds * t))
-    return np.where(first >= d, 0.0, counts)
+    """Records of each pass, ``0 if first >= d else 1 + floor((d - first) /
+    (speeds * t))`` with first = speeds * offsets, computed in place in two
+    new arrays; the inputs are not written."""
+    counts = speeds * offsets
+    missed = counts >= d
+    np.subtract(d, counts, out=counts)
+    spacing = speeds * t
+    np.divide(counts, spacing, out=counts)
+    np.floor(counts, out=counts)
+    counts += 1.0
+    counts[missed] = 0.0
+    return counts
 
 
 # ---------------------------------------------------------------------------

@@ -40,6 +40,7 @@ from .distribution_engine import vmr
 from .footprint_data import Footprints
 from .speed_model import (
     SpeedDistribution,
+    config_number,
     from_dict,
     load_distribution,
     read_config,
@@ -146,7 +147,8 @@ def load_scenario(spec: str, m: int, trials: int, seed: int) -> ScenarioConfig:
     dist = from_dict(dist_spec) if isinstance(dist_spec, dict) else load_distribution(dist_spec)
     try:
         return ScenarioConfig(
-            d=float(doc["d"]), t=float(doc["t"]), m=m, dist=dist, trials=trials, seed=seed
+            d=config_number(doc, "d"), t=config_number(doc, "t"),
+            m=m, dist=dist, trials=trials, seed=seed,
         )
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"bad scenario config: {exc}") from exc
@@ -156,8 +158,16 @@ def _passes(dist, n, d, t, rng):
     """Speeds, entry offsets and record counts of n independent passes; the
     offset, the lag from cordon entry to the next recording tick, is U[0, t)."""
     speeds = sample_with_rng(dist, n, rng)
-    offsets = rng.random(n) * t
+    offsets = rng.random(n)
+    offsets *= t
     return speeds, offsets, kernels.pass_counts(speeds, offsets, d, t)
+
+
+def _trial_sums(speeds, counts, k):
+    """Per-trial sums of speeds * counts over k trials of consecutive passes,
+    the products made in place in ``counts``."""
+    counts *= speeds
+    return counts.reshape(k, -1).sum(axis=1)
 
 
 class _ScenarioStreams:
@@ -213,9 +223,9 @@ def run_scenario(config: ScenarioConfig) -> tuple[np.ndarray, SimSummary]:
         for start in range(0, trials, block):
             k = min(block, trials - start)
             speeds, _, counts = _passes(config.dist, k * m, config.d, config.t, streams)
-            samples[start:start + k] = (config.t / config.d) * (speeds * counts).reshape(
-                k, m
-            ).sum(axis=1)
+            np.multiply(
+                config.t / config.d, _trial_sums(speeds, counts, k), out=samples[start:start + k]
+            )
     return samples, summarize(samples)
 
 
@@ -308,7 +318,7 @@ def load_sites(spec: str) -> list[SiteConfig]:
     dists: dict[str, SpeedDistribution] = {}
     sites = []
     try:
-        t = float(doc.get("t", 1.0))
+        t = config_number(doc, "t") if "t" in doc else 1.0
         for row in doc["sites"]:
             key = row["dist"]
             if key not in dists:
@@ -316,9 +326,9 @@ def load_sites(spec: str) -> list[SiteConfig]:
             sites.append(
                 SiteConfig(
                     site_id=str(row["site_id"]),
-                    adt=float(row["adt"]),
-                    m=int(row["m"]),
-                    d=float(row["d"]),
+                    adt=config_number(row, "adt"),
+                    m=config_number(row, "m", integral=True),
+                    d=config_number(row, "d"),
                     dist=dists[key],
                     t=t,
                 )
@@ -376,7 +386,7 @@ def run_regression_experiment(
             speeds, _, counts = _passes(
                 site.dist, k * site.m, site.d, site.t, _RowStreams(rows)
             )
-            m_hats[:, i] = (site.t / site.d) * (speeds * counts).reshape(k, site.m).sum(axis=1)
+            np.multiply(site.t / site.d, _trial_sums(speeds, counts, k), out=m_hats[:, i])
         for r in range(k):
             mape_ols[start + r] = kernels.all_pairs_mape(m_hats[r], volumes, ols_weights, pairs)
             mape_wls[start + r] = kernels.all_pairs_mape(m_hats[r], volumes, wls_weights, pairs)

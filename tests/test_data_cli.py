@@ -148,6 +148,73 @@ class TestConfigErrors:
         assert json.loads(err)["code"] == EXIT_IO_FAILURE
 
 
+def _site_rows(**first):
+    """A three-site set; ``first`` overrides keys of the first row."""
+    rows = [{"site_id": str(i), "dist": "table2-60mph", "adt": 40, "m": 5, "d": d}
+            for i, d in enumerate((14, 53, 64))]
+    rows[0].update(first)
+    return json.dumps({"t": 1.0, "sites": rows})
+
+
+_DIST = {"components": [{"mean": 20.0, "sd": 4.0, "weight": 1.0}], "lower": 0.0, "upper": 40.0}
+
+
+def _dist_with(where, key, value):
+    doc = json.loads(json.dumps(_DIST))
+    (doc["components"][0] if where == "component" else doc)[key] = value
+    return json.dumps(doc)
+
+
+class TestConfigValuesNotCoerced:
+    # each used to run with the value coerced: m 4.9 as 4, true as 1, "4" as 4
+    @pytest.mark.parametrize(
+        "argv,config,key",
+        [
+            (_EXPERIMENT, _site_rows(m=4.9), "m"),
+            (_EXPERIMENT, _site_rows(m=True), "m"),
+            (_EXPERIMENT, _site_rows(m="5"), "m"),
+            (_EXPERIMENT, _site_rows(adt="40"), "adt"),
+            (_EXPERIMENT, _site_rows(d=None), "d"),
+            (_EXPERIMENT, json.dumps({"t": "1", "sites": json.loads(_site_rows())["sites"]}),
+             "t"),
+            (_SIMULATE, '{"d": true, "t": 4}', "d"),
+            (_SIMULATE, '{"d": 300, "t": "4"}', "t"),
+            (_SIMULATE, json.dumps({"d": 300, "t": 4, "dist": json.loads(
+                _dist_with("component", "mean", "20"))}), "mean"),
+            (_PRECISION, _dist_with("component", "mean", "20"), "mean"),
+            (_PRECISION, _dist_with("component", "sd", True), "sd"),
+            (_PRECISION, _dist_with("component", "weight", "1"), "weight"),
+            (_PRECISION, _dist_with("support", "lower", False), "lower"),
+            (_PRECISION, _dist_with("support", "upper", "40"), "upper"),
+        ],
+        ids=[
+            "site-m-fraction", "site-m-bool", "site-m-string", "site-adt-string",
+            "site-d-null", "sites-t-string", "scenario-d-bool", "scenario-t-string",
+            "scenario-dist-mean-string", "dist-mean-string", "dist-sd-bool",
+            "dist-weight-string", "dist-lower-bool", "dist-upper-string",
+        ],
+    )
+    def test_exit_3_naming_the_key(self, capsys, tmp_path, argv, config, key):
+        path = tmp_path / "config.json"
+        path.write_text(config, encoding="utf-8")
+        code, out, err = run_cli(capsys, *argv, str(path))
+        assert code == EXIT_BAD_PARAMETER
+        assert out == ""
+        error = json.loads(err)
+        assert error["code"] == EXIT_BAD_PARAMETER
+        assert repr(key) in error["error"]
+
+    def test_integral_float_m_runs_as_the_integer(self, capsys, tmp_path):
+        outs = []
+        for m in (5, 5.0):
+            path = tmp_path / "sites.json"
+            path.write_text(_site_rows(m=m), encoding="utf-8")
+            code, out, _ = run_cli(capsys, *_EXPERIMENT, str(path))
+            assert code == 0
+            outs.append(out)
+        assert outs[0] == outs[1]
+
+
 def _sites(d="53", t="1.0"):
     rows = ", ".join(
         f'{{"site_id": "{i}", "dist": "table2-60mph", "adt": 40, "m": 5, "d": {dd}}}'

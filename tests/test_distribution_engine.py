@@ -20,7 +20,12 @@ from probevolume.distribution_engine import (
     vmr,
 )
 from probevolume.probe_simulator import ScenarioConfig, run_scenario
-from probevolume.speed_model import integrate_weighted, load_distribution
+from probevolume.speed_model import (
+    SpeedComponent,
+    SpeedDistribution,
+    integrate_weighted,
+    load_distribution,
+)
 
 
 def _point_mass_pdf(at=1.0, step=1e-3, n=2001):
@@ -308,6 +313,22 @@ class TestSingleProbePdf:
         )
         assert want >= 1e-6
         assert single_probe_pdf(d, t, dist).atom_at_zero == pytest.approx(want, rel=1e-9)
+
+    # A tail-only component above the support: mixture_cdf's
+    # 0.5 * (1 + erf(z / sqrt 2)) cancels, and the band masses, CDF
+    # differences, lose about 9.2e-3 of the total at 8 sd and the whole
+    # component (0.5) from about 9 sd. Fixing the CDF moves round-off atoms
+    # that the density benchmark holds to 1e-9 (CHANGES.md, FOUND).
+    @pytest.mark.xfail(strict=True, reason="mixture_cdf cancels in a tail-only component")
+    @pytest.mark.parametrize("z", [8.0, 10.0])
+    def test_mass_with_tail_only_component_above_support(self, z):
+        dist = SpeedDistribution(
+            (SpeedComponent(40.0 + 1.5 * z, 1.5, 0.5), SpeedComponent(20.0, 4.0, 0.5)),
+            0.0,
+            40.0,
+        )
+        pdf = single_probe_pdf(300.0, 4.0, dist, grid_step=1e-2)
+        assert pdf.total_mass() == pytest.approx(1.0, abs=1e-6)
 
 
 class TestMFold:

@@ -161,6 +161,39 @@ class TestMixtureKernels:
         assert dist._anchors is cached
 
 
+def reference_pass_counts(speeds, offsets, d, t):
+    """Pass counting as first written, every step a new array."""
+    first = speeds * offsets
+    counts = 1.0 + np.floor((d - first) / (speeds * t))
+    return np.where(first >= d, 0.0, counts)
+
+
+class TestPassCounts:
+    def _inputs(self, n, seed):
+        rng = np.random.default_rng(seed)
+        speeds = rng.uniform(0.1, 45.0, n)
+        offsets = rng.uniform(0.0, 4.0, n)
+        # passes whose first record lands on, just past and just short of d
+        speeds[:3] = 75.0
+        offsets[:3] = (4.0, np.nextafter(4.0, np.inf), np.nextafter(4.0, 0.0))
+        return speeds, offsets
+
+    @pytest.mark.parametrize("d", [0.5, 40.0, 300.0])
+    def test_matches_reference(self, d):
+        speeds, offsets = self._inputs(100_000, seed=int(d))
+        got = kernels.pass_counts(speeds, offsets, d, 4.0)
+        assert np.array_equal(got, reference_pass_counts(speeds, offsets, d, 4.0))
+        # no count is a negative zero where the reference writes +0.0
+        assert np.array_equal(np.signbit(got), np.zeros(got.size, dtype=bool))
+
+    def test_inputs_not_written(self):
+        speeds, offsets = self._inputs(1000, seed=2)
+        before = speeds.copy(), offsets.copy()
+        got = kernels.pass_counts(speeds, offsets, 300.0, 4.0)
+        assert np.array_equal(speeds, before[0]) and np.array_equal(offsets, before[1])
+        assert not np.shares_memory(got, speeds) and not np.shares_memory(got, offsets)
+
+
 def loop_mape(m_hats, volumes, weights, pairs):
     """Reference sweep: one through-origin fit and held-out MAPE per pair."""
     n = m_hats.size

@@ -3,8 +3,10 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import ndtri
 
 from probevolume.speed_model import (
+    MAX_STREAMED_EDGES,
     PRESET_NAMES,
     QuadratureError,
     SpeedComponent,
@@ -13,6 +15,7 @@ from probevolume.speed_model import (
     integrate_weighted,
     load_distribution,
     sample,
+    sample_with_rng,
     to_dict,
 )
 
@@ -107,6 +110,113 @@ class TestSample:
         assert ks < 0.005
 
 
+def _reference_sample_with_rng(dist, count, rng):
+    """The draw as first written: a binary search for the component, clamped
+    to the last one, and every step a new array."""
+    if count == 0:
+        return np.empty(0, dtype=np.float64)
+    cum = np.cumsum(dist._weights)
+    comp = np.searchsorted(cum, rng.random(count), side="right")
+    comp = np.minimum(comp, len(cum) - 1)
+    u = 1.0 - rng.random(count)
+    q = dist._cdf_lo[comp] + u * dist._cdf_span[comp]
+    s = dist._means[comp] + dist._sds[comp] * ndtri(q)
+    np.minimum(s, dist.upper, out=s)
+    np.maximum(s, np.nextafter(dist.lower, np.inf), out=s)
+    return s
+
+
+class _GivenUniforms:
+    """A generator stand-in whose ``random`` calls return the given arrays,
+    each call a fresh copy (the draw may overwrite what it is given)."""
+
+    def __init__(self, *arrays):
+        self._arrays = iter(arrays)
+
+    def random(self, size):
+        out = np.array(next(self._arrays), dtype=np.float64)
+        assert out.size == size
+        return out
+
+
+def _spread_mixture(k, seed):
+    """k components with random weights, means and sds on (0, 40]."""
+    rng = np.random.default_rng(seed)
+    return SpeedDistribution(
+        tuple(
+            SpeedComponent(float(mu), float(sd), float(w))
+            for mu, sd, w in zip(
+                rng.uniform(1.0, 39.0, k), rng.uniform(0.3, 6.0, k), rng.dirichlet(np.ones(k))
+            )
+        ),
+        0.0,
+        40.0,
+    )
+
+
+def _zero_weight_mixture():
+    # components 1 and 2 carry no weight: three equal cumulative weights
+    return SpeedDistribution(
+        (
+            SpeedComponent(10.0, 2.0, 0.3),
+            SpeedComponent(20.0, 2.0, 0.0),
+            SpeedComponent(25.0, 2.0, 0.0),
+            SpeedComponent(30.0, 3.0, 0.7),
+        ),
+        0.0,
+        40.0,
+    )
+
+
+def _degenerate_mixture():
+    return SpeedDistribution(
+        (SpeedComponent(12.0, 1e-9, 0.4), SpeedComponent(27.0, 1e-12, 0.6)), 0.0, 40.0
+    )
+
+
+class TestSampleMatchesReference:
+    """The in-place draw equals the binary-search draw bit for bit."""
+
+    def _check(self, dist, count, seed):
+        got = sample_with_rng(dist, count, np.random.default_rng(seed))
+        want = _reference_sample_with_rng(dist, count, np.random.default_rng(seed))
+        assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("name", PRESET_NAMES)
+    @pytest.mark.parametrize("count", [1, 7, 100_003])
+    def test_presets(self, name, count):
+        self._check(load_distribution(name), count, seed=count)
+
+    # both sides of the streamed-edge limit, which sits at k = 256
+    @pytest.mark.parametrize("k", [2, 3, 9, 50, 256, 257, 300, 500])
+    def test_random_mixtures(self, k):
+        dist = _spread_mixture(k, seed=k)
+        assert (k - 1 > MAX_STREAMED_EDGES) == (k > 256)
+        self._check(dist, 50_000, seed=k + 1)
+
+    @pytest.mark.parametrize(
+        "dist", [_zero_weight_mixture(), _degenerate_mixture()], ids=["zero-weight", "degenerate"]
+    )
+    def test_special_mixtures(self, dist):
+        self._check(dist, 50_000, seed=3)
+
+    @pytest.mark.parametrize(
+        "dist",
+        [load_distribution("park-i35"), load_distribution("table2-60mph"),
+         _zero_weight_mixture(), _spread_mixture(9, seed=4), _spread_mixture(300, seed=4)],
+        ids=["park-i35", "table2-60mph", "zero-weight", "k9", "k300"],
+    )
+    def test_uniforms_on_and_just_below_cumulative_weights(self, dist):
+        cum = np.cumsum(dist._weights)
+        r = np.concatenate(
+            (cum, np.nextafter(cum, -np.inf), [0.0, np.nextafter(1.0, 0.0), 1.0])
+        )
+        u = np.linspace(0.0, 1.0, r.size, endpoint=False)
+        got = sample_with_rng(dist, r.size, _GivenUniforms(r, u))
+        want = _reference_sample_with_rng(dist, r.size, _GivenUniforms(r, u))
+        assert np.array_equal(got, want)
+
+
 class TestIntegrateWeighted:
     def test_normalization(self, park, m60, m30, narrow20):
         for dist in (park, m60, m30, narrow20):
@@ -125,6 +235,20 @@ class TestIntegrateWeighted:
         dist = SpeedDistribution(
             (SpeedComponent(40.0 + 1.5 * z, 1.5, 0.5), SpeedComponent(20.0, 4.0, 0.5)),
             0.0,
+            40.0,
+        )
+        assert integrate_weighted(dist, lambda s: 1.0) == pytest.approx(1.0, abs=1e-12)
+
+    # The same component below the support: its truncation mass
+    # ndtr(b) - ndtr(a) cancels (both near 1), so the density is off by
+    # 7.7e-11 at 5 sd and 2.0e-5 at 7 sd; at 8 sd its draws collapse onto a
+    # few values, and from 9 sd construction raises (CHANGES.md, FOUND).
+    @pytest.mark.xfail(strict=True, reason="truncation mass cancels below the support")
+    @pytest.mark.parametrize("z", [5.0, 7.0])
+    def test_normalization_component_mean_below_support(self, z):
+        dist = SpeedDistribution(
+            (SpeedComponent(10.0 - 1.5 * z, 1.5, 0.5), SpeedComponent(25.0, 4.0, 0.5)),
+            10.0,
             40.0,
         )
         assert integrate_weighted(dist, lambda s: 1.0) == pytest.approx(1.0, abs=1e-12)
@@ -218,3 +342,19 @@ class TestConfig:
     def test_malformed_config(self):
         with pytest.raises(ValueError, match="malformed"):
             from_dict({"components": [{"mean": 1.0}], "lower": 0, "upper": 1})
+
+    def test_numpy_numbers_taken(self):
+        doc = {"components": [{"mean": np.float64(20.0), "sd": np.int64(4), "weight": 1}],
+               "lower": np.float32(0.0), "upper": 40}
+        dist = from_dict(doc)
+        assert dist.components == (SpeedComponent(20.0, 4.0, 1.0),)
+        assert (dist.lower, dist.upper) == (0.0, 40.0)
+
+    @pytest.mark.parametrize("key", ["mean", "sd", "weight", "lower", "upper"])
+    @pytest.mark.parametrize("value", ["20", True, np.bool_(True), None, [20.0]])
+    def test_non_numbers_rejected_by_key(self, key, value):
+        doc = {"components": [{"mean": 20.0, "sd": 4.0, "weight": 1.0}],
+               "lower": 0.0, "upper": 40.0}
+        (doc["components"][0] if key in doc["components"][0] else doc)[key] = value
+        with pytest.raises(ValueError, match=f"malformed.*'{key}' must be a number"):
+            from_dict(doc)
