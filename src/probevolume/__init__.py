@@ -9,12 +9,11 @@ of it.
 
 __version__ = "0.1.0"
 
-from .calibration import CalibrationModel, CalibrationPair, fit_through_origin, mape, predict
+from .calibration import CalibrationModel, CalibrationPair, fit_through_origin, mape
 from .cordon_optimizer import OptimumReport, objective_curve, optimize_cordon
 from .distribution_engine import (
     PrecisionReport,
     VolumePdf,
-    bernoulli_var_term,
     cv,
     interval_estimate,
     m_fold_pdf,
@@ -24,7 +23,9 @@ from .distribution_engine import (
     variance,
     vmr,
 )
-from .estimator import VolumeEstimate, estimate_probe_volume, extra_record_prob, min_records
+from .estimator import (
+    VolumeEstimate, bernoulli_var_term, estimate_probe_volume, extra_record_prob, min_records
+)
 from .footprint_data import (
     CordonSample,
     CordonSpec,
@@ -81,7 +82,6 @@ __all__ = [
     "optimize_cordon",
     "pdf_moments",
     "precision_report",
-    "predict",
     "read_footprints_csv",
     "run_regression_experiment",
     "run_scenario",

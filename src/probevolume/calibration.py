@@ -98,11 +98,6 @@ def fit_through_origin(
     return CalibrationModel(beta=beta, method=method)
 
 
-def predict(model: CalibrationModel, m_hat: float) -> float:
-    """Traffic volume estimate beta * m_hat."""
-    return model.beta * m_hat
-
-
 def mape(predicted: Sequence[float], truth: Sequence[float]) -> float:
     """Mean absolute percentage error of paired predictions."""
     if len(predicted) != len(truth) or not truth:

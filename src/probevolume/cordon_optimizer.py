@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distribution_engine import vmr
+from .distribution_engine import precision_report, vmr
 from .speed_model import SpeedDistribution
 
 OBJECTIVES = ("vmr", "cv")
@@ -40,8 +40,10 @@ def objective_curve(
 
     The objective is continuous but non-smooth in d with dense local minima,
     so no derivative-based refinement: an exhaustive grid is deterministic
-    and auditable. A grid of more than ``MAX_GRID_POINTS`` points raises
-    ``ValueError`` before it is built.
+    and auditable. The ``cv`` objective is ``precision_report``'s cv for m
+    probes. A grid of more than ``MAX_GRID_POINTS`` points raises
+    ``ValueError`` before it is built, as does an m, for either objective,
+    that is not an integer >= 1 (a non-integer such as 2.5 included).
     """
     if kind not in OBJECTIVES:
         raise ValueError(f"objective kind must be one of {OBJECTIVES}, got {kind!r}")
@@ -49,8 +51,8 @@ def objective_curve(
         raise ValueError(f"need 0 < d_min < d_max < inf, got ({d_min}, {d_max})")
     if not (0.0 < step < math.inf):
         raise ValueError(f"step must be positive and finite, got {step}")
-    if kind == "cv" and m < 1:
-        raise ValueError(f"cv objective requires m >= 1, got {m}")
+    if not (m >= 1 and m % 1 == 0):
+        raise ValueError(f"m must be an integer >= 1, got {m}")
 
     # inclusive endpoint; build by index so accumulation error cannot drop it
     intervals = (d_max - d_min) / step + 1e-9
@@ -59,10 +61,9 @@ def objective_curve(
             f"grid from {d_min} to {d_max} by {step} has over {MAX_GRID_POINTS} points"
         )
     curve = []
-    for d in d_min + step * np.arange(int(intervals) + 1):
-        ratio = vmr(float(d), t, dist)
-        value = math.sqrt(ratio / m) if kind == "cv" else ratio
-        curve.append((float(d), value))
+    for d in (d_min + step * np.arange(int(intervals) + 1)).tolist():
+        value = precision_report(m, d, t, dist).cv if kind == "cv" else vmr(d, t, dist)
+        curve.append((d, value))
     return curve
 
 
@@ -77,7 +78,7 @@ def optimize_cordon(
     """Minimize the objective over the grid {step, 2*step, ..., <= d_max}.
 
     Ties break toward larger d: more data points per probe at equal
-    theoretical precision.
+    theoretical precision. m is checked as in ``objective_curve``.
     """
     if not (math.inf > d_max > step > 0.0):
         raise ValueError(f"need inf > d_max > step > 0, got ({d_max}, {step})")

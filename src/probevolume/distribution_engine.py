@@ -10,7 +10,7 @@ import numpy as np
 from scipy.fft import irfft, next_fast_len, rfft
 
 from . import kernels
-from .estimator import extra_record_prob
+from .estimator import _var_term
 from .speed_model import SpeedDistribution, integrate_weighted, quadrature_pieces
 
 # Breakpoint generation for the variance integral stops at the first kink s
@@ -109,12 +109,6 @@ class VolumePdf:
         return self.atom_at_zero + float(np.sum(self.cell_masses()))
 
 
-def bernoulli_var_term(s: float, d: float, t: float) -> float:
-    """Speed-conditional variance kernel: s^2 * p * (1 - p)."""
-    p = extra_record_prob(s, d, t)
-    return s * s * p * (1.0 - p)
-
-
 def _tail_stop(dist: SpeedDistribution) -> float:
     """The speed under which the variance tail bound holds, found once.
 
@@ -177,56 +171,50 @@ def _variance_breakpoints(d: float, t: float, dist: SpeedDistribution) -> np.nda
     return pts[::-1]
 
 
-def variance(m: int, d: float, t: float, dist: SpeedDistribution) -> float:
-    """Var[m_hat] = (m t^2 / d^2) * integral of b(s,d,t) g(s) ds."""
-    if m < 0 or m != int(m):
-        raise ValueError(f"m must be a nonnegative integer, got {m}")
+def vmr(d: float, t: float, dist: SpeedDistribution) -> float:
+    """Variance-to-mean ratio of the estimate, independent of m:
+    (t^2 / d^2) * integral of bernoulli_var_term(s, d, t) g(s) ds."""
     if not (0.0 < d < math.inf and 0.0 < t < math.inf):
         raise ValueError(f"d and t must be positive and finite, got ({d}, {t})")
-    if m == 0:
-        return 0.0
-    # for small d/t, Var[m_hat] is about m (t/d) E[s - d/t]: infinite with t/d
+    # for small d/t, the VMR is about (t/d) E[s - d/t]: infinite with t/d
     if t / d == math.inf:
         raise ValueError(f"the variance at d={d}, t={t} is not finite")
-
-    def b_weight(s: np.ndarray) -> np.ndarray:
-        # p = r mod 1 for r = d/(s t) > 0; r - floor(r) is exact (Sterbenz)
-        r = d / (s * t)
-        p = r - np.floor(r)
-        return s * s * p * (1.0 - p)
-
-    integral = integrate_weighted(dist, b_weight, _variance_breakpoints(d, t, dist))
+    # unchecked: the nodes lie in (lower, upper] with lower >= 0
+    pts = _variance_breakpoints(d, t, dist)
+    integral = integrate_weighted(dist, lambda s: _var_term(s, d, t), pts)
     # t and d enter as mantissa times a power of two, which is exact: the
-    # result is m t^2 / d^2 times the integral to the last bit wherever
-    # that product does not over- or underflow, and d*d cannot underflow
+    # result is t^2 / d^2 times the integral to the last bit wherever that
+    # product does not over- or underflow, and d*d cannot underflow
     (tm, te), (dm, de) = math.frexp(t), math.frexp(d)
     try:
-        return math.ldexp(m * (tm * tm) / (dm * dm) * integral, 2 * (te - de))
+        return math.ldexp((tm * tm) / (dm * dm) * integral, 2 * (te - de))
     except OverflowError:
         raise ValueError(f"the variance at d={d}, t={t} is not finite") from None
 
 
-def vmr(d: float, t: float, dist: SpeedDistribution) -> float:
-    """Variance-to-mean ratio of the estimate; independent of m."""
-    return variance(1, d, t, dist)
+def precision_report(m: int, d: float, t: float, dist: SpeedDistribution) -> PrecisionReport:
+    """Mean m, variance m * vmr and CV sqrt(vmr / m) for m probes: the one place
+    a VMR becomes moments. ValueError where they are not finite floats."""
+    if not (m >= 1 and m % 1 == 0):
+        raise ValueError(f"m must be an integer >= 1, got {m}")
+    ratio = vmr(d, t, dist)
+    try:
+        var, cv_m, mean = m * ratio, math.sqrt(ratio / m), float(m)
+    except OverflowError:  # m past the float range
+        var = math.inf
+    if not math.isfinite(var):
+        raise ValueError(f"the variance for m={m} probes at d={d}, t={t} is not finite")
+    return PrecisionReport(m=m, d=d, t=t, mean=mean, variance=var, vmr=ratio, cv=cv_m)
+
+
+def variance(m: int, d: float, t: float, dist: SpeedDistribution) -> float:
+    """Var[m_hat] = m * vmr: precision_report's, or 0.0 for m = 0 where vmr is finite."""
+    return 0 * vmr(d, t, dist) if m == 0 else precision_report(m, d, t, dist).variance
 
 
 def cv(m: int, d: float, t: float, dist: SpeedDistribution) -> float:
-    """Coefficient of variation: sqrt(Var[m_hat]) / m."""
-    if m < 1:
-        raise ValueError(f"cv requires m >= 1, got {m}")
-    return math.sqrt(variance(m, d, t, dist)) / m
-
-
-def precision_report(m: int, d: float, t: float, dist: SpeedDistribution) -> PrecisionReport:
-    """Bundle mean/variance/VMR/CV with their defining identities exact."""
-    if m < 1:
-        raise ValueError(f"precision report requires m >= 1, got {m}")
-    ratio = vmr(d, t, dist)
-    var = m * ratio
-    return PrecisionReport(
-        m=m, d=d, t=t, mean=float(m), variance=var, vmr=ratio, cv=math.sqrt(var) / m
-    )
+    """Coefficient of variation: sqrt(Var[m_hat]) / m = sqrt(vmr / m)."""
+    return precision_report(m, d, t, dist).cv
 
 
 def single_probe_pdf(

@@ -5,11 +5,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .footprint_data import CordonSample
+import numpy as np
 
-# Ratios within this relative distance of an integer snap to it before
-# floor/mod, so the guaranteed record count cannot flip by one ulp.
-_INT_SNAP_RTOL = 1e-12
+from .footprint_data import CordonSample
 
 
 @dataclass(frozen=True)
@@ -37,22 +35,44 @@ def estimate_probe_volume(sample: CordonSample) -> VolumeEstimate:
     )
 
 
-def _snapped_ratio(s: float, d: float, t: float) -> float:
-    if s <= 0.0 or d <= 0.0 or t <= 0.0:
-        raise ValueError(f"s, d, t must all be positive, got ({s}, {d}, {t})")
+# The record model: a probe at speed s leaves n = floor(r) records, r = d/(s*t),
+# and one more with probability p = r - n, exact (Sterbenz): n + p == r bit for
+# bit, with no snapping. The public functions check their input and take a
+# scalar s (giving a Python scalar) or a float64 array (giving an array).
+def _split(s, d, t):
+    """(n, p) for speeds s, unchecked."""
     r = d / (s * t)
-    nearest = round(r)
-    if abs(r - nearest) <= _INT_SNAP_RTOL * max(1.0, r):
-        return float(nearest)
-    return r
+    n = np.floor(r)
+    return n, r - n
 
 
-def min_records(s: float, d: float, t: float) -> int:
+def _var_term(s, d, t):
+    """s^2 p (1 - p) for speeds s, unchecked: the variance integrand."""
+    p = _split(s, d, t)[1]
+    return s * s * p * (1.0 - p)
+
+
+def _checked(core, s, d, t, kind=float):
+    """core(s, d, t) once s, d, t and d/(s*t) are checked positive and finite."""
+    s = np.asarray(s, dtype=np.float64)
+    with np.errstate(divide="ignore", over="ignore"):
+        ok = (0.0 < s) & (s < math.inf) & (d / (s * t) < math.inf)
+    if not (0.0 < d < math.inf and 0.0 < t < math.inf and np.all(ok)):
+        raise ValueError(f"s, d, t and d/(s*t) must be positive and finite, got ({s}, {d}, {t})")
+    out = core(s, d, t)
+    return kind(out) if out.ndim == 0 else out
+
+
+def min_records(s, d, t):
     """Guaranteed record count of a probe at speed s: floor(d / (s*t))."""
-    return int(math.floor(_snapped_ratio(s, d, t)))
+    return _checked(lambda *a: _split(*a)[0], s, d, t, int)
 
 
-def extra_record_prob(s: float, d: float, t: float) -> float:
-    """Probability of one extra record: the fractional part of d / (s*t)."""
-    r = _snapped_ratio(s, d, t)
-    return r - math.floor(r)
+def extra_record_prob(s, d, t):
+    """Probability of one extra record: d / (s*t) - min_records(s, d, t)."""
+    return _checked(lambda *a: _split(*a)[1], s, d, t)
+
+
+def bernoulli_var_term(s, d, t):
+    """Speed-conditional variance kernel: s^2 * p * (1 - p)."""
+    return _checked(_var_term, s, d, t)

@@ -150,7 +150,7 @@ def pass_counts(speeds, offsets, d, t):
 # unbiased to within a cell.
 # ---------------------------------------------------------------------------
 
-# Gauss-Legendre rule for the k-split ratio inside one piece.
+# Gauss-Legendre rule for the k-split ratio inside one piece, shared with speed_model.
 _GL8_X, _GL8_W = np.polynomial.legendre.leggauss(8)
 _GL8_X.setflags(write=False)
 _GL8_W.setflags(write=False)
@@ -197,6 +197,7 @@ def band_masses(
         nodes = 0.5 * (a[:, None] + b[:, None]) + 0.5 * (b - a)[:, None] * _GL8_X
         gv = _mixture_pdf(nodes.ravel(), means, sds, norms, lower, upper).reshape(nodes.shape)
         g_int = gv @ _GL8_W
+        # r - u, not r - floor(r): near a band end floor(r) can round to u + 1 and move atoms
         gp_int = (gv * (d / (nodes * t) - u[:, None])) @ _GL8_W
         mid = 0.5 * (a + b)
         p_bar = np.where(

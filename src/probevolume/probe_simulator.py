@@ -312,30 +312,31 @@ def simulate_footprints(config: ScenarioConfig) -> tuple[Footprints, float]:
 
 
 def load_sites(spec: str) -> list[SiteConfig]:
-    """Site preset table2 or JSON config: ``sites`` rows (site_id, adt, m, d,
-    ``dist`` preset name or path) and a shared ``t`` (default 1 s)."""
+    """Site preset table2 or JSON config: ``sites`` rows (site_id, a unique string;
+    adt, m, d, ``dist`` preset name or path) and a shared ``t`` (default 1 s)."""
     doc = read_config(spec, {"table2": "table2_sites.json"}, "site set")
     dists: dict[str, SpeedDistribution] = {}
-    sites = []
+    sites: dict[str, SiteConfig] = {}
     try:
         t = config_number(doc, "t") if "t" in doc else 1.0
         for row in doc["sites"]:
+            site_id = row["site_id"]
+            if not isinstance(site_id, str) or site_id in sites:
+                raise TypeError(f"'site_id' must be a string no other site has, got {site_id!r}")
             key = row["dist"]
             if key not in dists:
                 dists[key] = load_distribution(key)
-            sites.append(
-                SiteConfig(
-                    site_id=str(row["site_id"]),
-                    adt=config_number(row, "adt"),
-                    m=config_number(row, "m", integral=True),
-                    d=config_number(row, "d"),
-                    dist=dists[key],
-                    t=t,
-                )
+            sites[site_id] = SiteConfig(
+                site_id=site_id,
+                adt=config_number(row, "adt"),
+                m=config_number(row, "m", integral=True),
+                d=config_number(row, "d"),
+                dist=dists[key],
+                t=t,
             )
     except (KeyError, TypeError, OverflowError) as exc:
         raise ValueError(f"malformed site set config {spec!r}: {exc}") from exc
-    return sites
+    return list(sites.values())
 
 
 def run_regression_experiment(

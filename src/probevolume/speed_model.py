@@ -22,10 +22,6 @@ WEIGHT_SUM_TOL = 5e-3
 PRESET_NAMES = ("park-i35", "table2-60mph", "table2-30mph")
 _PRESET_FILES = {name: name.replace("-", "_") + ".json" for name in PRESET_NAMES}
 
-_GL8_X, _GL8_W = np.polynomial.legendre.leggauss(8)
-_GL8_X.setflags(write=False)
-_GL8_W.setflags(write=False)
-
 
 class QuadratureError(RuntimeError):
     """A weighted integral hit a non-finite evaluation."""
@@ -243,9 +239,9 @@ def integrate_weighted(
     half = 0.5 * np.diff(edges)
     mid = 0.5 * (edges[:-1] + edges[1:])
 
-    # (node, piece) with the pieces contiguous, then flattened piece by piece
-    nodes = (mid + half * _GL8_X[:, None]).T.ravel()
-    wts = (half * _GL8_W[:, None]).T.ravel()
+    # kernels' shared GL8 rule: (node, piece) with the pieces contiguous, flattened
+    nodes = (mid + half * kernels._GL8_X[:, None]).T.ravel()
+    wts = (half * kernels._GL8_W[:, None]).T.ravel()
 
     gv = kernels.mixture_pdf(
         nodes, dist._means, dist._sds, dist._norms, dist.lower, dist.upper

@@ -2,13 +2,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from probevolume.calibration import (
-    CalibrationModel,
-    CalibrationPair,
-    fit_through_origin,
-    mape,
-    predict,
-)
+from probevolume.calibration import CalibrationPair, fit_through_origin, mape
 
 
 def _pairs(rows):
@@ -63,13 +57,6 @@ class TestFit:
             CalibrationPair(1.0, 0.0)
         with pytest.raises(ValueError):
             CalibrationPair(1.0, 10.0, weight=0.0)
-
-
-class TestPredict:
-    def test_through_origin(self):
-        model = CalibrationModel(beta=50.0, method="ols")
-        assert predict(model, 0.0) == 0.0
-        assert predict(model, 2.0) == 100.0
 
 
 class TestMape:

@@ -34,8 +34,12 @@ class TestObjectiveCurve:
             objective_curve(0.0, 10.0, 1.0, 4.0, park, "cv")
         with pytest.raises(ValueError):
             objective_curve(1.0, 10.0, 1.0, 4.0, park, "nope")
-        with pytest.raises(ValueError):
-            objective_curve(1.0, 10.0, 1.0, 4.0, park, "cv", m=0)
+        for kind in ("cv", "vmr"):
+            for m in (0, -5, 2.5, math.nan, math.inf):
+                with pytest.raises(ValueError, match="m must be an integer >= 1"):
+                    objective_curve(1.0, 10.0, 1.0, 4.0, park, kind, m=m)
+                with pytest.raises(ValueError, match="m must be an integer >= 1"):
+                    optimize_cordon(10.0, 4.0, park, kind, m=m, step=1.0)
 
 
 class TestOptimize:

@@ -186,12 +186,21 @@ class TestConfigValuesNotCoerced:
             (_PRECISION, _dist_with("component", "weight", "1"), "weight"),
             (_PRECISION, _dist_with("support", "lower", False), "lower"),
             (_PRECISION, _dist_with("support", "upper", "40"), "upper"),
+            (_EXPERIMENT, _site_rows(site_id=True), "site_id"),
+            (_EXPERIMENT, _site_rows(site_id=None), "site_id"),
+            (_EXPERIMENT, _site_rows(site_id=7.5), "site_id"),
+            (_EXPERIMENT, _site_rows(site_id="1"), "site_id"),
+            (_EXPERIMENT, json.dumps({"sites": [
+                {"site_id": i, "dist": "table2-60mph", "adt": 40, "m": 5, "d": 14}
+                for i in (True, True, None, "x", 7.5)]}), "site_id"),
         ],
         ids=[
             "site-m-fraction", "site-m-bool", "site-m-string", "site-adt-string",
             "site-d-null", "sites-t-string", "scenario-d-bool", "scenario-t-string",
             "scenario-dist-mean-string", "dist-mean-string", "dist-sd-bool",
             "dist-weight-string", "dist-lower-bool", "dist-upper-string",
+            "site-id-bool", "site-id-null", "site-id-number", "site-id-duplicate",
+            "site-ids-mixed",
         ],
     )
     def test_exit_3_naming_the_key(self, capsys, tmp_path, argv, config, key):
@@ -274,6 +283,36 @@ class TestNonFiniteParameters:
         assert json.loads(err)["code"] == EXIT_BAD_PARAMETER
         assert "Traceback" not in err
         assert "NaN to integer" not in err
+
+
+class TestProbeCount:
+    # a 401-digit m used to exit 1 with an OverflowError traceback, and a
+    # negative m to run the vmr objective
+    _HUGE_M = "1" + "0" * 400
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("precision", "--m", _HUGE_M, "--d", "300", "--t", "4", *_P),
+            ("precision", "--m", "1" + "0" * 308, "--d", "7", "--t", "1", *_P),
+            ("optimize", "--dmax", "20", "--t", "4", "--objective", "cv", "--m", _HUGE_M, *_P),
+            ("optimize", "--dmax", "20", "--t", "4", "--objective", "vmr", "--m", "-5", *_P),
+            ("optimize", "--dmax", "20", "--t", "4", "--objective", "vmr", "--m", "0", *_P),
+        ],
+        ids=["precision-huge", "precision-variance-overflows", "optimize-cv-huge",
+             "optimize-vmr-negative", "optimize-vmr-zero"],
+    )
+    def test_exit_3(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == EXIT_BAD_PARAMETER
+        assert out == ""
+        assert json.loads(err)["code"] == EXIT_BAD_PARAMETER
+
+    def test_cv_is_the_optimize_curve_value(self, capsys):
+        report = run_json(capsys, "precision", "--m", "3", "--d", "110", "--t", "4", *_P)
+        curve = run_json(capsys, "optimize", "--dmax", "220", "--step", "110", "--t", "4",
+                         "--objective", "cv", "--m", "3", *_P)["curve"]
+        assert curve[0] == [110.0, report["cv"]]
 
 
 _HUGE_SITE = json.dumps({"sites": [

@@ -6,10 +6,10 @@ from scipy.fft import irfft, next_fast_len, rfft
 from scipy.integrate import quad
 
 import probevolume.kernels as kernels
+from probevolume.cordon_optimizer import objective_curve
 from probevolume.distribution_engine import (
     FOLD_TAIL_BOUND,
     VolumePdf,
-    bernoulli_var_term,
     cv,
     interval_estimate,
     m_fold_pdf,
@@ -19,6 +19,7 @@ from probevolume.distribution_engine import (
     variance,
     vmr,
 )
+from probevolume.estimator import bernoulli_var_term
 from probevolume.probe_simulator import ScenarioConfig, run_scenario
 from probevolume.speed_model import (
     SpeedComponent,
@@ -83,9 +84,13 @@ class TestBernoulliVarTerm:
             bernoulli_var_term(-1.0, 100.0, 1.0)
 
     def test_vanishes_at_every_integer_ratio(self):
+        # zero where the double d/(s*t) is an integer; where s = d/(t*j)
+        # rounds to a ratio an ulp off j (j = 7, 14, 28 here), p is that ulp
         for j in range(1, 40):
             s = 300.0 / (4.0 * j)
-            assert bernoulli_var_term(s, 300.0, 4.0) == 0.0
+            r = 300.0 / (s * 4.0)
+            term = bernoulli_var_term(s, 300.0, 4.0)
+            assert term == 0.0 if r == j else 0.0 < term < s * s * 4.0 * math.ulp(r)
 
 
 class TestVariance:
@@ -152,7 +157,34 @@ class TestPrecisionReport:
         rep = precision_report(8, 300.0, 4.0, park)
         assert rep.mean == 8.0
         assert rep.variance == 8 * rep.vmr
-        assert rep.cv == math.sqrt(rep.variance) / 8
+        assert rep.cv == math.sqrt(rep.vmr / 8)
+
+    @pytest.mark.parametrize("preset", ["park-i35", "table2-60mph", "table2-30mph"])
+    def test_one_formula_per_moment(self, preset):
+        # bit for bit: every moment of m probes is precision_report's, and the
+        # cv objective's curve value is its cv
+        dist = load_distribution(preset)
+        for m in (1, 2, 3, 7, 64):
+            curve = objective_curve(3.0, 243.0, 20.0, 2.0, dist, "cv", m)
+            for d, objective in curve:
+                ratio = vmr(d, 2.0, dist)
+                rep = precision_report(m, d, 2.0, dist)
+                assert variance(m, d, 2.0, dist) == m * ratio == rep.variance
+                assert cv(m, d, 2.0, dist) == rep.cv == objective
+
+    @pytest.mark.parametrize("m", [10**308, 10**309, 10**400], ids=["1e308", "1e309", "1e400"])
+    def test_moments_not_finite(self, park, m):
+        # 10**308 probes: m * vmr overflows; past 2**1024, m is no float
+        for call in (precision_report, variance, cv):
+            with pytest.raises(ValueError, match="not finite"):
+                call(m, 7.0, 1.0, park)
+        with pytest.raises(ValueError, match="not finite"):
+            objective_curve(5.0, 7.0, 1.0, 1.0, park, "cv", m)
+
+    def test_m_zero(self, park):
+        assert variance(0, 300.0, 4.0, park) == 0.0
+        with pytest.raises(ValueError):
+            variance(0, 0.0, 4.0, park)
 
 
 class TestSingleProbePdf:

@@ -239,9 +239,10 @@ _CLI_INPUTS = {
 }
 _CLI_SIZES = ("1", "2", "3")  # small, so no request takes more than about 1 s
 # over the trial, probe-pass, per-trial pass, grid-point, variance-piece,
-# band-piece and fold-window caps, and cordons so short that the variance
-# overflows; drawn only for the flags they cap, since an uncapped size flag
-# elsewhere would still try to allocate
+# band-piece and fold-window caps, cordons so short that the variance
+# overflows, and probe counts whose moments are not finite floats; drawn only
+# for the flags they cap, since an uncapped size flag elsewhere would still
+# try to allocate
 _CLI_OVER_CAP = {
     ("simulate", "trials"): ("100000001", "1000000000000"),
     ("experiment", "trials"): ("1000000", "100000001", "1000000000000"),
@@ -251,6 +252,8 @@ _CLI_OVER_CAP = {
     ("pdf", "m"): ("1000000000", "1" + "0" * 30),
     ("pdf", "grid_step"): ("1e-6", "1e-300"),
     ("pdf", "d"): ("1e-300",),
+    ("precision", "m"): ("1" + "0" * 400,),
+    ("optimize", "m"): ("1" + "0" * 400,),
 }
 _CLI_NUMBERS = ("x", "-1", "0", "nan", "inf", *_CLI_SIZES)
 _CLI_OUTPUTS = {"out", "curve_out", "hist_out", "emit_footprints"}
