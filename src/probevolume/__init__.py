@@ -9,7 +9,7 @@ of it.
 
 __version__ = "0.1.0"
 
-from .calibration import CalibrationModel, CalibrationPair, fit_through_origin, mape
+from .calibration import CalibrationModel, CalibrationPair, fit_through_origin
 from .cordon_optimizer import OptimumReport, objective_curve, optimize_cordon
 from .distribution_engine import (
     PrecisionReport,
@@ -47,7 +47,6 @@ from .speed_model import (
     SpeedDistribution,
     integrate_weighted,
     load_distribution,
-    sample,
 )
 
 __all__ = [
@@ -76,7 +75,6 @@ __all__ = [
     "interval_estimate",
     "load_distribution",
     "m_fold_pdf",
-    "mape",
     "min_records",
     "objective_curve",
     "optimize_cordon",
@@ -85,7 +83,6 @@ __all__ = [
     "read_footprints_csv",
     "run_regression_experiment",
     "run_scenario",
-    "sample",
     "single_probe_pdf",
     "variance",
     "vmr",

@@ -96,12 +96,3 @@ def fit_through_origin(
     if method not in ("ols", "wls"):
         raise ValueError(f"method must be 'ols' or 'wls', got {method!r}")
     return CalibrationModel(beta=beta, method=method)
-
-
-def mape(predicted: Sequence[float], truth: Sequence[float]) -> float:
-    """Mean absolute percentage error of paired predictions."""
-    if len(predicted) != len(truth) or not truth:
-        raise ValueError("predicted and truth must be equal-length, non-empty")
-    if any(y <= 0.0 for y in truth):
-        raise ValueError("truth values must be positive")
-    return math.fsum(abs(p - y) / y for p, y in zip(predicted, truth)) / len(truth)

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distribution_engine import precision_report, vmr
+from .distribution_engine import precision_report, probe_count, vmr
 from .speed_model import SpeedDistribution
 
 OBJECTIVES = ("vmr", "cv")
@@ -51,8 +51,7 @@ def objective_curve(
         raise ValueError(f"need 0 < d_min < d_max < inf, got ({d_min}, {d_max})")
     if not (0.0 < step < math.inf):
         raise ValueError(f"step must be positive and finite, got {step}")
-    if not (m >= 1 and m % 1 == 0):
-        raise ValueError(f"m must be an integer >= 1, got {m}")
+    m = probe_count(m)
 
     # inclusive endpoint; build by index so accumulation error cannot drop it
     intervals = (d_max - d_min) / step + 1e-9
@@ -78,10 +77,8 @@ def optimize_cordon(
     """Minimize the objective over the grid {step, 2*step, ..., <= d_max}.
 
     Ties break toward larger d: more data points per probe at equal
-    theoretical precision. m is checked as in ``objective_curve``.
+    theoretical precision. ``objective_curve`` checks m and the grid.
     """
-    if not (math.inf > d_max > step > 0.0):
-        raise ValueError(f"need inf > d_max > step > 0, got ({d_max}, {step})")
     curve = objective_curve(step, d_max, step, t, dist, kind, m)
     best_d, best_val = curve[0]
     for d, value in curve[1:]:

@@ -2,8 +2,9 @@
 
 Exit codes: 0 success, 2 unknown subcommand, 3 missing or invalid
 parameter, 4 file I/O failure. Failures emit a machine-readable JSON object
-on stderr. Every randomized subcommand requires an explicit --seed; there is
-no wall-clock default.
+on stderr. Flags pass to the library unchecked, so a bad value's error is the
+library's message. Every randomized subcommand requires an explicit --seed;
+there is no wall-clock default.
 """
 
 from __future__ import annotations
@@ -108,14 +109,7 @@ def _write_csv(path: str, header: str, row_format: str, *columns: np.ndarray) ->
 # -- handlers ----------------------------------------------------------------
 
 
-def _positive(name: str, value: float) -> None:
-    if not (0.0 < value < math.inf):
-        raise ValueError(f"--{name} must be positive and finite, got {value}")
-
-
 def _run_estimate(args) -> dict:
-    _positive("d", args.d)
-    _positive("t", args.t)
     cordon = footprint_data.CordonSpec(args.start, args.d, args.label)
     read = footprint_data.read_footprints_csv(args.footprints, strict=args.strict)
     crop = footprint_data.crop_to_cordon(read.records, cordon, args.t)
@@ -128,17 +122,11 @@ def _run_estimate(args) -> dict:
 
 
 def _run_precision(args) -> dict:
-    if args.m < 1:
-        raise ValueError(f"--m must be >= 1, got {args.m}")
-    _positive("d", args.d)
-    _positive("t", args.t)
     dist = load_distribution(args.dist)
     return _fields(distribution_engine.precision_report(args.m, args.d, args.t, dist))
 
 
 def _run_pdf(args) -> None:
-    if args.m < 1:
-        raise ValueError(f"--m must be >= 1, got {args.m}")
     dist = load_distribution(args.dist)
     single = distribution_engine.single_probe_pdf(args.d, args.t, dist, args.grid_step)
     pdf = distribution_engine.m_fold_pdf(single, args.m)

@@ -179,9 +179,12 @@ def vmr(d: float, t: float, dist: SpeedDistribution) -> float:
     # for small d/t, the VMR is about (t/d) E[s - d/t]: infinite with t/d
     if t / d == math.inf:
         raise ValueError(f"the variance at d={d}, t={t} is not finite")
-    # unchecked: the nodes lie in (lower, upper] with lower >= 0
-    pts = _variance_breakpoints(d, t, dist)
-    integral = integrate_weighted(dist, lambda s: _var_term(s, d, t), pts)
+    # unchecked: the nodes lie in (lower, upper] with lower >= 0. On a support
+    # so wide that s*s overflows, integrate_weighted raises ValueError, so the
+    # overflow is not warned of as well
+    with np.errstate(over="ignore", invalid="ignore"):
+        pts = _variance_breakpoints(d, t, dist)
+        integral = integrate_weighted(dist, lambda s: _var_term(s, d, t), pts)
     # t and d enter as mantissa times a power of two, which is exact: the
     # result is t^2 / d^2 times the integral to the last bit wherever that
     # product does not over- or underflow, and d*d cannot underflow
@@ -192,11 +195,21 @@ def vmr(d: float, t: float, dist: SpeedDistribution) -> float:
         raise ValueError(f"the variance at d={d}, t={t} is not finite") from None
 
 
+def probe_count(m, least: int = 1, name: str = "m") -> int:
+    """m as an int, once it is an integer >= least: the one probe-count check.
+
+    An integral float or numpy scalar passes (2.0 gives 2); any other value,
+    NaN and infinity included, raises ValueError.
+    """
+    if not (least <= m < math.inf and m % 1 == 0):
+        raise ValueError(f"{name} must be an integer >= {least}, got {m}")
+    return int(m)
+
+
 def precision_report(m: int, d: float, t: float, dist: SpeedDistribution) -> PrecisionReport:
     """Mean m, variance m * vmr and CV sqrt(vmr / m) for m probes: the one place
     a VMR becomes moments. ValueError where they are not finite floats."""
-    if not (m >= 1 and m % 1 == 0):
-        raise ValueError(f"m must be an integer >= 1, got {m}")
+    m = probe_count(m)
     ratio = vmr(d, t, dist)
     try:
         var, cv_m, mean = m * ratio, math.sqrt(ratio / m), float(m)
@@ -298,8 +311,7 @@ def m_fold_pdf(single: VolumePdf, m: int) -> VolumePdf:
     recorded, moves from residue 0 back to the atom, and the window's cells
     are read off at their residues.
     """
-    if m < 1 or m != int(m):
-        raise ValueError(f"m must be a positive integer, got {m}")
+    m = probe_count(m)
     step = single.grid_step
     if single.first_cell < 0 or single.first_cell * step != single.grid_start:
         raise ValueError(
@@ -309,7 +321,6 @@ def m_fold_pdf(single: VolumePdf, m: int) -> VolumePdf:
     _check_normalized(single, "m_fold_pdf input")
     if m == 1:
         return single
-    m = int(m)
 
     q = single.atom_at_zero
     masses = single.cell_masses()

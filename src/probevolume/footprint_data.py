@@ -92,8 +92,6 @@ def crop_to_cordon(footprints: Footprints, cordon: CordonSpec, t: float) -> Crop
     rejects such a speed, so only a hand-built ``Footprints`` can reach the
     drop.
     """
-    if not (0.0 < t < math.inf):
-        raise ValueError(f"t must be positive and finite, got {t}")
     positions = footprints.positions
     keep = (positions > cordon.start) & (positions <= cordon.start + cordon.length)
     if cordon.label_filter is not None:

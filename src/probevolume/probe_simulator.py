@@ -36,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .distribution_engine import vmr
+from .distribution_engine import probe_count, vmr
 from .footprint_data import Footprints
 from .speed_model import (
     SpeedDistribution,
@@ -94,8 +94,7 @@ class ScenarioConfig:
     def __post_init__(self):
         if not (0.0 < self.d < math.inf and 0.0 < self.t < math.inf):
             raise ValueError(f"d and t must be positive and finite, got ({self.d}, {self.t})")
-        if self.m < 0:
-            raise ValueError(f"m must be >= 0, got {self.m}")
+        object.__setattr__(self, "m", probe_count(self.m, least=0))
         _check_size(self.trials, self.m, "m")
 
 
@@ -111,8 +110,7 @@ class SiteConfig:
     def __post_init__(self):
         if not (0.0 < self.adt < math.inf):
             raise ValueError(f"site {self.site_id}: adt must be positive and finite: {self.adt}")
-        if self.m < 1:
-            raise ValueError(f"site {self.site_id}: m must be >= 1, got {self.m}")
+        object.__setattr__(self, "m", probe_count(self.m, name=f"site {self.site_id}: m"))
         if not (0.0 < self.d < math.inf and 0.0 < self.t < math.inf):
             raise ValueError(f"site {self.site_id}: d and t must be positive and finite")
 
@@ -357,7 +355,7 @@ def run_regression_experiment(
     """
     if len(sites) < 3:
         raise ValueError(f"need at least 3 sites, got {len(sites)}")
-    passes = sum(int(site.m) for site in sites)
+    passes = sum(site.m for site in sites)
     _check_size(trials, passes, "the sum of site m")
 
     volumes = np.array([site.adt for site in sites], dtype=np.float64)

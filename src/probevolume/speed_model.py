@@ -23,10 +23,6 @@ PRESET_NAMES = ("park-i35", "table2-60mph", "table2-30mph")
 _PRESET_FILES = {name: name.replace("-", "_") + ".json" for name in PRESET_NAMES}
 
 
-class QuadratureError(RuntimeError):
-    """A weighted integral hit a non-finite evaluation."""
-
-
 @dataclass(frozen=True)
 class SpeedComponent:
     """One truncated-normal mixture component (pre-truncation parameters)."""
@@ -121,20 +117,6 @@ class SpeedDistribution:
         return float(out[0]) if scalar else out
 
 
-def sample(dist: SpeedDistribution, count: int, seed: int) -> np.ndarray:
-    """Draw i.i.d. speeds, deterministic in (seed, count).
-
-    Components are chosen by weight, then each draw maps a uniform through
-    the component's truncated CDF (exact inverse transform, rejection-free).
-    """
-    if not isinstance(dist, SpeedDistribution):
-        raise TypeError("dist must be a SpeedDistribution")
-    if count < 0:
-        raise ValueError(f"count must be >= 0, got {count}")
-    rng = np.random.default_rng(seed)
-    return sample_with_rng(dist, count, rng)
-
-
 # Most inner edges a component draw compares its uniforms against one edge
 # at a time: the count of edges at or below a uniform fits a uint8 counter
 # up to 255 edges, and the pass costs about 0.015 ms per edge per 65,536
@@ -224,7 +206,7 @@ def integrate_weighted(
     Gauss-Legendre rule, exact for polynomials up to degree 15. It suits a
     weight that is smooth between breakpoints, such as the variance kernel,
     a quadratic between its kinks. ``weight`` must accept an ndarray of
-    speeds.
+    speeds; a non-finite value at a node raises ``ValueError``.
     """
     pts = np.asarray(breakpoints, dtype=np.float64)
     if pts.size and np.any(np.diff(pts) < 0):
@@ -249,8 +231,8 @@ def integrate_weighted(
     wv = np.asarray(weight(nodes), dtype=np.float64)
     if not np.all(np.isfinite(wv)):
         bad = nodes[~np.isfinite(np.broadcast_to(wv, nodes.shape))]
-        raise QuadratureError(
-            f"weight function returned non-finite values, first at s={bad.flat[0]!r}"
+        raise ValueError(
+            f"weight function returned non-finite values, first at s={float(bad.flat[0])!r}"
         )
     # np.sum (pairwise, single-threaded) rather than BLAS dot: reruns must be
     # bit-identical regardless of thread count
@@ -288,16 +270,6 @@ def from_dict(doc: dict) -> SpeedDistribution:
     except (KeyError, TypeError, OverflowError) as exc:
         raise ValueError(f"malformed speed distribution config: {exc}") from exc
     return SpeedDistribution(comps, lower, upper)
-
-
-def to_dict(dist: SpeedDistribution) -> dict:
-    return {
-        "components": [
-            {"mean": c.mean, "sd": c.sd, "weight": c.weight} for c in dist.components
-        ],
-        "lower": dist.lower,
-        "upper": dist.upper,
-    }
 
 
 def read_config(spec: str, presets: Mapping[str, str | dict], what: str) -> dict:

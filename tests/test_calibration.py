@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from probevolume.calibration import CalibrationPair, fit_through_origin, mape
+from probevolume.calibration import CalibrationPair, fit_through_origin
 
 
 def _pairs(rows):
@@ -59,27 +59,6 @@ class TestFit:
             CalibrationPair(1.0, 10.0, weight=0.0)
 
 
-class TestMape:
-    def test_identical(self):
-        assert mape([5.0, 7.0], [5.0, 7.0]) == 0.0
-
-    def test_single_ten_percent(self):
-        assert mape([110.0], [100.0]) == pytest.approx(0.1, rel=1e-12)
-
-    def test_hand_mean(self):
-        assert mape([90.0, 120.0], [100.0, 100.0]) == pytest.approx(0.15, rel=1e-12)
-
-    def test_rejects_zero_truth(self):
-        with pytest.raises(ValueError):
-            mape([1.0], [0.0])
-
-    def test_rejects_mismatched(self):
-        with pytest.raises(ValueError):
-            mape([1.0], [1.0, 2.0])
-        with pytest.raises(ValueError):
-            mape([], [])
-
-
 class TestProperties:
     @given(
         st.lists(
@@ -125,19 +104,3 @@ class TestProperties:
         plain = fit_through_origin(_pairs(rows))
         weighted = fit_through_origin(_pairs([(x, y, 7.5) for x, y in rows]))
         assert weighted.beta == pytest.approx(plain.beta, rel=1e-12)
-
-    @given(
-        st.lists(
-            st.tuples(st.floats(0.0, 500.0), st.floats(1.0, 500.0)),
-            min_size=1,
-            max_size=10,
-        ),
-        st.randoms(),
-    )
-    def test_mape_permutation_invariant(self, rows, rnd):
-        pred = [r[0] for r in rows]
-        truth = [r[1] for r in rows]
-        order = list(range(len(rows)))
-        rnd.shuffle(order)
-        shuffled = mape([pred[i] for i in order], [truth[i] for i in order])
-        assert shuffled == pytest.approx(mape(pred, truth), rel=1e-12)

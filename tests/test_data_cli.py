@@ -315,6 +315,89 @@ class TestProbeCount:
         assert curve[0] == [110.0, report["cv"]]
 
 
+_WIDE = '{"components": [{"mean": 20, "sd": 5, "weight": 1}], "lower": 0, "upper": 1e200}'
+_E = ("estimate", "--footprints", "{csv}", "--start", "0")
+
+
+class TestOneCheckPerInput:
+    # the CLI passes --m, --d and --t through, and stderr carries the
+    # library's message; each of these had a text of the CLI's own
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            ((*_E, "--d", "inf", "--t", "1"), "cordon length must be positive and finite, got inf"),
+            ((*_E, "--d", "10", "--t", "0"), "t must be positive and finite, got 0.0"),
+            (("precision", "--m", "0", "--d", "300", "--t", "4", *_P),
+             "m must be an integer >= 1, got 0"),
+            (("precision", "--m", "1", "--d", "300", "--t", "nan", *_P),
+             "d and t must be positive and finite, got (300.0, nan)"),
+            (("pdf", "--m", "-3", "--d", "300", "--t", "4", "--out", "{out}", *_P),
+             "m must be an integer >= 1, got -3"),
+            (("optimize", "--dmax", "0.2", "--t", "4", "--objective", "cv", *_P),
+             "need 0 < d_min < d_max < inf, got (0.5, 0.2)"),
+            (("simulate", "--scenario", "s1", "--m", "-1", "--trials", "1", "--seed", "1"),
+             "bad scenario config: m must be an integer >= 0, got -1"),
+            ((*_EXPERIMENT, "{sites}"), "site 0: m must be an integer >= 1, got 0"),
+        ],
+        ids=["estimate-d", "estimate-t", "precision-m", "precision-t", "pdf-m", "optimize-range",
+             "simulate-m", "experiment-site-m"],
+    )
+    def test_library_message(self, capsys, tmp_path, argv, message):
+        (tmp_path / "f.csv").write_text("position_m,speed_mps\n10,5\n", encoding="utf-8")
+        (tmp_path / "sites.json").write_text(json.dumps({"sites": [
+            {"site_id": str(i), "dist": "park-i35", "adt": 40, "m": 3 * i, "d": 50}
+            for i in range(3)]}), encoding="utf-8")
+        paths = {"{csv}": "f.csv", "{out}": "out.csv", "{sites}": "sites.json"}
+        argv = [str(tmp_path / paths[a]) if a in paths else a for a in argv]
+        code, out, err = run_cli(capsys, *argv)
+        assert code == EXIT_BAD_PARAMETER
+        assert out == ""
+        assert json.loads(err) == {"error": message, "code": EXIT_BAD_PARAMETER}
+
+    # a bad number and an unreadable file: the file is read before the
+    # library checks the number, so the request exits 4 (it exited 3)
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("precision", "--m", "0", "--d", "300", "--t", "4", "--dist", "{bad}"),
+            ("pdf", "--m", "0", "--d", "300", "--t", "4", "--out", "{out}", "--dist", "{bad}"),
+            ("estimate", "--footprints", "{missing}", "--start", "0", "--d", "10", "--t", "0"),
+        ],
+        ids=["precision", "pdf", "estimate"],
+    )
+    def test_unreadable_file_is_reported_first(self, capsys, tmp_path, argv):
+        (tmp_path / "bad.json").write_text("{not json", encoding="utf-8")
+        paths = {"{bad}": "bad.json", "{out}": "out.csv", "{missing}": "missing.csv"}
+        argv = [str(tmp_path / paths[a]) if a in paths else a for a in argv]
+        code, out, err = run_cli(capsys, *argv)
+        assert code == EXIT_IO_FAILURE
+        assert out == ""
+        assert json.loads(err)["code"] == EXIT_IO_FAILURE
+
+    # s*s overflows at the quadrature nodes far above the speeds, where the
+    # density is 0: a QuadratureError traceback and exit 1 before
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("precision", "--m", "1", "--d", "300", "--t", "4", "--dist", "{wide}"),
+            ("optimize", "--dmax", "2", "--t", "4", "--objective", "cv", "--dist", "{wide}"),
+            (*_EXPERIMENT, "{sites}"),
+        ],
+        ids=["precision", "optimize", "experiment"],
+    )
+    def test_wide_speed_support_exits_3(self, capsys, tmp_path, argv):
+        wide = tmp_path / "wide.json"
+        wide.write_text(_WIDE, encoding="utf-8")
+        (tmp_path / "sites.json").write_text(json.dumps({"sites": [
+            {"site_id": str(i), "dist": str(wide), "adt": 40, "m": 3, "d": 50}
+            for i in range(3)]}), encoding="utf-8")
+        argv = [str(tmp_path / f"{a[1:-1]}.json") if a[0] == "{" else a for a in argv]
+        code, out, err = run_cli(capsys, *argv)
+        assert code == EXIT_BAD_PARAMETER
+        assert out == ""
+        assert "non-finite" in json.loads(err)["error"]
+
+
 _HUGE_SITE = json.dumps({"sites": [
     {"site_id": str(i), "adt": 100, "m": 10**13 if i == 0 else 10, "d": 40,
      "dist": "park-i35"} for i in range(3)]})

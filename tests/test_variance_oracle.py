@@ -7,6 +7,7 @@ import subprocess
 import sys
 import time
 import tracemalloc
+from importlib import resources
 from pathlib import Path
 
 import numpy as np
@@ -27,7 +28,6 @@ from probevolume.speed_model import (
     SpeedDistribution,
     from_dict,
     load_distribution,
-    to_dict,
 )
 
 from conftest import random_mixture
@@ -216,10 +216,12 @@ print(json.dumps([vmr(d, t, dist).hex() for d, t in cases]))
 
 
 class TestFreshDistributions:
-    def test_interleaved_equal_isolated_processes(self, park, m60):
+    def test_interleaved_equal_isolated_processes(self):
         # a distribution is built per request, so a new one often takes the
         # address, and the id(), of one just freed; its vmr must not change
-        configs = [to_dict(park), to_dict(m60)]
+        presets = resources.files("probevolume.presets")
+        configs = [json.loads(presets.joinpath(name).read_text(encoding="utf-8"))
+                   for name in ("park_i35.json", "table2_60mph.json")]
         cases = [(50.0, 2.0), (14.0, 1.0), (300.0, 4.0)]
         got = [[] for _ in configs]
         for _ in range(4):
