@@ -7,12 +7,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distribution_engine import precision_report, probe_count, vmr
+from .distribution_engine import moments_report, probe_count, vmr
 from .speed_model import SpeedDistribution
 
 OBJECTIVES = ("vmr", "cv")
-# most d values one curve evaluates; each costs one variance quadrature
-# (about 1 ms at d/t = 40 on park-i35, at most about 0.2 s at the variance
+# most d values one curve evaluates; each costs one variance quadrature of
+# its own pieces, all of a curve made in one batched vmr call (about 0.05 ms
+# a point at d/t = 40 on park-i35, at most about 0.1 s at the variance
 # piece cap), so the cap bounds one request to minutes, not years
 MAX_GRID_POINTS = 10**5
 
@@ -40,10 +41,12 @@ def objective_curve(
 
     The objective is continuous but non-smooth in d with dense local minima,
     so no derivative-based refinement: an exhaustive grid is deterministic
-    and auditable. The ``cv`` objective is ``precision_report``'s cv for m
-    probes. A grid of more than ``MAX_GRID_POINTS`` points raises
-    ``ValueError`` before it is built, as does an m, for either objective,
-    that is not an integer >= 1 (a non-integer such as 2.5 included).
+    and auditable. The grid's VMRs come from one ``vmr`` call, each the
+    bits of ``vmr`` at that d alone, and the ``cv`` objective is
+    ``precision_report``'s cv for m probes. A grid of more than
+    ``MAX_GRID_POINTS`` points raises ``ValueError`` before it is built, as
+    does an m, for either objective, that is not an integer >= 1 (a
+    non-integer such as 2.5 included).
     """
     if kind not in OBJECTIVES:
         raise ValueError(f"objective kind must be one of {OBJECTIVES}, got {kind!r}")
@@ -59,11 +62,11 @@ def objective_curve(
         raise ValueError(
             f"grid from {d_min} to {d_max} by {step} has over {MAX_GRID_POINTS} points"
         )
-    curve = []
-    for d in (d_min + step * np.arange(int(intervals) + 1)).tolist():
-        value = precision_report(m, d, t, dist).cv if kind == "cv" else vmr(d, t, dist)
-        curve.append((d, value))
-    return curve
+    grid = (d_min + step * np.arange(int(intervals) + 1)).tolist()
+    ratios = vmr(np.array(grid), t, dist).tolist()
+    if kind == "cv":
+        ratios = [moments_report(m, d, t, ratio).cv for d, ratio in zip(grid, ratios)]
+    return list(zip(grid, ratios))
 
 
 def optimize_cordon(

@@ -11,25 +11,55 @@ from scipy.fft import irfft, next_fast_len, rfft
 
 from . import kernels
 from .estimator import _var_term
-from .speed_model import SpeedDistribution, integrate_weighted, quadrature_pieces
+from .speed_model import (
+    SpeedDistribution,
+    _PDF_ZERO_SDS,
+    _anchor_scales,
+    integrate_weighted,
+    quadrature_pieces,
+)
 
-# Breakpoint generation for the variance integral stops at the first kink s
-# below which the residual contribution is bounded under this value; the
-# bound is (s^2/4)*CDF(s) since the Bernoulli kernel never exceeds s^2/4. The
-# scaled effect on Var[m_hat] stays below m * (t/d)^2 * 1e-8.
-VARIANCE_TAIL_BOUND = 1e-8
+# The variance integral resolves the kinks s = R/j, R = d/t, of its kernel
+# s^2 p (1 - p) one by one only for j = first..J, first = floor(R/upper) + 1
+# being the highest kink's index. Below s_J = R/J, in r = R/s, the kernel is
+# s^2 (1/6 - B2(r)), B2 the periodic Bernoulli function of order 2 (DLMF
+# 24.2, 24.17), so that part of the integral is the smooth integral of
+# s^2/6 times g plus Euler-Maclaurin end terms (DLMF 2.10) in the odd
+# derivatives of H(r) = s^4 g(s) / R at r = J. On a support with lower > 0
+# the lattice ends at J_e = floor(R/lower), with end terms there too, and
+# the last partial unit (lower, R/J_e] keeps the exact kernel. J is at
+# least EM_MIN_J, first and ceil(sqrt(8 R / sigma)) for each component's
+# anchor scale sigma, so H varies on scales of 8 or more in r at J and
+# beyond; a component whose density term is 0 in double precision at and
+# below R/J (40 sd under its mean) adds nothing there and sets no bound. J
+# doubles while the first end term left out, of H's 11th derivative,
+# exceeds EM_TERM_TOL of the integral.
+EM_MIN_J = 32
+EM_TERM_TOL = 1e-17
+# 2 B_2k (2k-3)! / (2k)! for k = 2..7: the weight of H's Taylor coefficient
+# of order 2k - 3 in the end terms; the last (k = 7) is the one left out
+_EM_WEIGHTS = (-1 / 360, 1 / 2520, -1 / 5040, 1 / 4752, -691 / 1801800, 1 / 936)
+# the highest order of H's Taylor coefficients taken, and the steps 1..11
+_EM_ORDER = 11
+_EM_STEPS = np.arange(1.0, _EM_ORDER + 1.0)
 
 # Most quadrature pieces one variance integral is cut into, for a mixture of
-# up to VARIANCE_COMPONENTS components: the kink pieces, about d/t times
-# (1/s_stop - 1/upper) for the distribution's tail stop s_stop, and 21 fixed
-# pieces per component. Each piece gets 8 quadrature nodes, and the mixture
-# density is evaluated one component at a time, so memory is O(nodes)
-# whatever the component count; the time is O(nodes x components), and for
-# more components the cap shrinks in proportion to bound it. d/t = 1000
-# needs about 38,000 kink pieces on table2-30mph, the preset with the most.
-# A larger request raises ValueError before anything is built.
+# up to VARIANCE_COMPONENTS components: the J - first + 1 kink pieces, one
+# at J_e, and 21 fixed pieces per component. Each piece gets 8 quadrature
+# nodes, and the mixture density is evaluated one component at a time, so
+# memory is O(nodes) whatever the component count; the time is O(nodes x
+# components), and for more components the cap shrinks in proportion to
+# bound it. Whatever d/t, J - first is at most a few times upper/sigma
+# (under 80 on the presets), so the cap binds on the component count or a
+# near-point mass (one component of sd 1e-6 at 20 m/s on (0, 40] passes it
+# near d/t = 4e6); a kink index past 2**53, from d/t near 2**53 upper, is
+# not an exact float. Either raises ValueError before anything is built.
 MAX_VARIANCE_PIECES = 10**5
 VARIANCE_COMPONENTS = 4
+# A batch of d is integrated a chunk of about this many pieces at a time (at
+# least one d, however many pieces it has), so that the quadrature's arrays
+# stay at a few MB however many d there are
+BATCH_PIECES = 1 << 12
 
 # A fold whose mass drifts from 1 by more than this triggers a warning.
 FOLD_DRIFT_WARN = 1e-4
@@ -109,90 +139,176 @@ class VolumePdf:
         return self.atom_at_zero + float(np.sum(self.cell_masses()))
 
 
-def _tail_stop(dist: SpeedDistribution) -> float:
-    """The speed under which the variance tail bound holds, found once.
+def _end_terms(s0, lattice_j, R, dist):
+    """Euler-Maclaurin end terms at the lattice point r = lattice_j, s0 = R/r:
+    the sum of their first five, and the first one left out, per element.
 
-    The bound (s^2/4)*CDF(s) rises with s and is under VARIANCE_TAIL_BOUND
-    below 2*sqrt(VARIANCE_TAIL_BOUND) for any CDF, so a bracket on the rest
-    of the support is narrowed 256-fold per vectorised step until no step
-    moves it. The result depends on the distribution alone and is kept on it.
+    With h_n = H^(n)(r)/n! and H(r) = s^4 g(s) / R, the terms are
+    _EM_WEIGHTS[k-2] * h_(2k-3) for k = 2..7. Each h_n is a finite sum over
+    the Taylor coefficients of s^4 g at s0, and the mixture's derivatives
+    there are g^(n) = sum of norm * phi(z) (-1)^n He_n(z) / sd^n over its
+    components. Every sum runs in a fixed order over elementwise operations,
+    so an element's terms do not depend on the others.
     """
-    if dist._tail_stop is None:
-        lo, hi = max(dist.lower, 2.0 * math.sqrt(VARIANCE_TAIL_BOUND)), dist.upper
-        while lo < hi:
-            s = np.linspace(lo, hi, 257)
-            over = 0.25 * s * s * dist.cdf(s) >= VARIANCE_TAIL_BOUND
-            if not over.any():
-                lo = hi
-                break
-            k = int(np.argmax(over))
-            # k == 0: over at lo already, from CDF round-off at the support's
-            # bottom or with all the mass below 2*sqrt(VARIANCE_TAIL_BOUND)
-            if k == 0 or (s[k - 1], s[k]) == (lo, hi):
-                break
-            lo, hi = float(s[k - 1]), float(s[k])
-        dist._tail_stop = min(lo, dist.upper)
-    return dist._tail_stop
+    z = (s0 - dist._means[:, None]) / dist._sds[:, None]
+    phi = np.exp(z * -0.5 * z) * (dist._norms * kernels._INV_SQRT_2PI)[:, None]
+    live = phi > 0.0
+    # where phi underflows the component adds 0; z = 0 keeps its series finite
+    z[~live] = 0.0
+    q = -s0 / dist._sds[:, None]
+    # e_n = He_n(z) q^n / n! = sum over i of (qz)^(n-2i)/(n-2i)! (-q^2/2)^i/i!
+    # (DLMF 18.5.13), so that phi e_n = s0^n g^(n)(s0) / n! per component
+    powers = np.empty((_EM_ORDER + 1, *z.shape))
+    powers[0] = 1.0
+    powers[1:] = q * z / _EM_STEPS[:, None, None]
+    np.cumprod(powers, axis=0, out=powers)
+    halves = np.empty((_EM_ORDER // 2 + 1, *z.shape))
+    halves[0] = 1.0
+    halves[1:] = q * q * -0.5 / _EM_STEPS[: _EM_ORDER // 2, None, None]
+    np.cumprod(halves, axis=0, out=halves)
+    e = powers.copy()
+    for i in range(1, halves.shape[0]):
+        e[2 * i :] += powers[: -2 * i] * halves[i]
+    # b_n = s0^(n+4) g^(n)(s0) / (n! R), the components added in their order
+    e *= np.where(live, phi * s0**4 / R, 0.0)
+    b = kernels._add_rows(None, (e[:, c] for c in range(z.shape[0])))
+    # u_m = s0^m F^(m)(s0) / (m! R) for F = s^4 g: b times (1 + y)^4
+    u = b.copy()
+    for i, binom in ((1, 4.0), (2, 6.0), (3, 4.0), (4, 1.0)):
+        u[i:] += binom * b[:-i]
+    # v_k = sum over m of C(k-1, m-1) u_m by Pascal's rule, and for odd k
+    # h_k = -v_k / r^k
+    v, rows = np.empty_like(u[1:]), u[1:]
+    for k in range(_EM_ORDER):
+        v[k] = rows[0]
+        rows = rows[:-1] + rows[1:]
+    h = -v[::2] / lattice_j ** _EM_STEPS[::2, None]
+    kept = _EM_WEIGHTS[4] * h[4]
+    for k in (3, 2, 1, 0):
+        kept = kept + _EM_WEIGHTS[k] * h[k]
+    return kept, _EM_WEIGHTS[5] * h[5]
 
 
-def _variance_breakpoints(d: float, t: float, dist: SpeedDistribution) -> np.ndarray:
-    """Kink locations s = d/(t*j) of the variance integrand, largest first.
+def _variance_integrals(d, t, R, first, J, Je, dist):
+    """The variance integrals for cordon lengths d (R = d/t), kinks resolved
+    from first to J, each with its first omitted end term.
 
-    The exact kink set is infinite when the support reaches 0. Kinks run from
-    the first one under the support's top down to, and including, the first
-    one that is at or below its bottom or whose tail bound (s^2/4)*CDF(s) is
-    under VARIANCE_TAIL_BOUND, so the one quadrature piece left below the
-    last kink holds no more than the bound covers. The bound rises with s, so
-    that stopping kink is among the few next to the distribution's tail stop,
-    and the test is applied to those alone. An integral of more pieces than
-    the cap its component count allows (see MAX_VARIANCE_PIECES) raises
-    ValueError before any is built.
+    One integrate_weighted pass takes them all: the exact kernel above R/J
+    and below R/Je, the kernel's cycle mean s^2/6 between (a lattice only
+    where J < Je), and the end terms are subtracted after.
     """
-    stop = _tail_stop(dist)
-    top = d / (t * dist.upper)
-    near = d / (t * stop)  # the index j of the kink at the tail stop
-    n_comp = len(dist.components)
-    cap = MAX_VARIANCE_PIECES * VARIANCE_COMPONENTS // max(n_comp, VARIANCE_COMPONENTS)
-    # a kink index past 2**53 is no longer an exact float
-    if not (quadrature_pieces(dist, near - top) < cap and near < 2.0**53):
-        raise ValueError(
-            f"variance at d={d}, t={t} needs over {cap} quadrature pieces (kink pieces "
-            f"and 21 per component) for a mixture of {n_comp} components"
-        )
-    # the stopping kink is the one just past the tail stop; two kinks either
-    # side leave a margin for rounding
-    first, near = math.floor(top) + 1, math.floor(near)
-    jj = np.arange(max(first, near - 2), max(first, near + 3), dtype=np.float64)
-    s = d / (t * jj)
-    stops = (s <= dist.lower) | (0.25 * s * s * dist.cdf(s) < VARIANCE_TAIL_BOUND)
-    last = jj[int(np.argmax(stops)) if stops.any() else -1]
-    pts = d / (t * np.arange(first, last + 1, dtype=np.float64))
-    pts = pts[(pts > dist.lower) & (pts < dist.upper)]
-    return pts[::-1]
+    lattice = J < Je
+    end = lattice & (Je < math.inf)
+    count = np.maximum(J - first + 1.0, 0.0).astype(np.int64) + end
+    owner = np.repeat(np.arange(d.size), count)
+    local = np.arange(owner.size) - np.repeat(np.cumsum(count) - count, count)
+    # ascending: R/Je where the lattice ends above lower, then R/J, ..., R/first
+    j = J[owner] - (local - end[owner])
+    j = np.where(end[owner] & (local == 0), Je[owner], j)
+    with np.errstate(divide="ignore"):
+        top = np.where(lattice, R / J, 0.0)
+        bottom = np.where(end, R / Je, 0.0)
+
+    def weight(s, of):
+        smooth = (bottom[of] < s) & (s < top[of])
+        return np.where(smooth, s * s / 6.0, _var_term(s, d[of], t))
+
+    integral = integrate_weighted(dist, weight, R[owner] / j, count)
+    omitted = np.zeros_like(integral)
+    for at, sign in ((lattice, 1.0), (end, -1.0)):
+        i = np.flatnonzero(at)
+        if not i.size:
+            continue
+        point = J[i] if sign > 0 else Je[i]
+        kept, left = _end_terms(R[i] / point, point, R[i], dist)
+        integral[i] -= sign * kept
+        omitted[i] += sign * left
+    return integral, omitted
 
 
-def vmr(d: float, t: float, dist: SpeedDistribution) -> float:
+def vmr(d, t: float, dist: SpeedDistribution):
     """Variance-to-mean ratio of the estimate, independent of m:
-    (t^2 / d^2) * integral of bernoulli_var_term(s, d, t) g(s) ds."""
-    if not (0.0 < d < math.inf and 0.0 < t < math.inf):
-        raise ValueError(f"d and t must be positive and finite, got ({d}, {t})")
+    (t^2 / d^2) * integral of bernoulli_var_term(s, d, t) g(s) ds.
+
+    ``d`` may also be a 1-D array of cordon lengths: the ratios come back as
+    an array, each the bits the call for that d alone gives. Every d is
+    checked before any is integrated, and they are integrated a chunk of
+    about BATCH_PIECES pieces at a time.
+    """
+    ds = np.asarray(d, dtype=np.float64)
+    if ds.ndim > 1:
+        raise ValueError(f"d must be a number or a 1-D array, got shape {ds.shape}")
+    d = ds.reshape(-1)
+    bad = ~((0.0 < d) & (d < math.inf))
+    if bad.any() or not (0.0 < t < math.inf):
+        shown = d[bad][0] if bad.any() else ds
+        raise ValueError(f"d and t must be positive and finite, got ({shown}, {t})")
     # for small d/t, the VMR is about (t/d) E[s - d/t]: infinite with t/d
-    if t / d == math.inf:
-        raise ValueError(f"the variance at d={d}, t={t} is not finite")
-    # unchecked: the nodes lie in (lower, upper] with lower >= 0. On a support
-    # so wide that s*s overflows, integrate_weighted raises ValueError, so the
-    # overflow is not warned of as well
-    with np.errstate(over="ignore", invalid="ignore"):
-        pts = _variance_breakpoints(d, t, dist)
-        integral = integrate_weighted(dist, lambda s: _var_term(s, d, t), pts)
-    # t and d enter as mantissa times a power of two, which is exact: the
-    # result is t^2 / d^2 times the integral to the last bit wherever that
-    # product does not over- or underflow, and d*d cannot underflow
-    (tm, te), (dm, de) = math.frexp(t), math.frexp(d)
-    try:
-        return math.ldexp((tm * tm) / (dm * dm) * integral, 2 * (te - de))
-    except OverflowError:
-        raise ValueError(f"the variance at d={d}, t={t} is not finite") from None
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        over = t / d == math.inf
+        if over.any():
+            raise ValueError(f"the variance at d={d[over][0]}, t={t} is not finite")
+        R = d / t
+        first = np.floor(R / dist.upper) + 1.0
+        # each component bounds J by its anchor scale, unless its density term
+        # is 0 in double precision at and below R/J
+        zero_below = dist._means - _PDF_ZERO_SDS * dist._sds
+        smooth = np.ceil(np.sqrt(8.0 * R / _anchor_scales(dist)[:, None]))
+        vanish = np.where(zero_below[:, None] > 0.0, np.ceil(R / zero_below[:, None]), math.inf)
+        J = np.maximum(np.maximum(first, EM_MIN_J), np.max(np.minimum(smooth, vanish), axis=0))
+        Je = np.full_like(R, math.inf)
+        if dist.lower > 0.0:
+            # the last whole unit, R/Je >= lower; past 2**53 no longer an exact float
+            Je = np.floor(R / dist.lower)
+            Je -= R / Je < dist.lower
+            Je[Je >= 2.0**53] = math.inf
+        J = np.minimum(J, Je)
+        integral = np.empty_like(R)
+        todo = np.arange(d.size)
+        while todo.size:
+            pieces = _check_pieces(d[todo], t, first[todo], J[todo], Je[todo], dist)
+            total, again, start = np.cumsum(pieces), [], 0
+            while start < todo.size:
+                stop = np.searchsorted(total, total[start] - pieces[start] + BATCH_PIECES, "right")
+                stop = max(int(stop), start + 1)
+                c = todo[start:stop]
+                got, omitted = _variance_integrals(d[c], t, R[c], first[c], J[c], Je[c], dist)
+                integral[c] = got
+                again.append(c[np.abs(omitted) > EM_TERM_TOL * np.abs(got)])
+                start = stop
+            # J doubles where the first end term left out is too large
+            todo = np.concatenate(again)
+            J[todo] = np.minimum(2.0 * J[todo], Je[todo])
+        # t and d enter as mantissa times a power of two, which is exact: the
+        # result is t^2 / d^2 times the integral to the last bit wherever that
+        # product does not over- or underflow, and d*d cannot underflow
+        tm, te = math.frexp(t)
+        dm, de = np.frexp(d)
+        out = np.ldexp((tm * tm) / (dm * dm) * integral, 2 * (te - de))
+    infinite = ~np.isfinite(out)
+    if infinite.any():
+        raise ValueError(f"the variance at d={d[infinite][0]}, t={t} is not finite")
+    return float(out[0]) if ds.ndim == 0 else out
+
+
+def _check_pieces(d, t, first, J, Je, dist):
+    """Each integral's piece count, once all are under the cap; ValueError
+    naming the first d over it."""
+    kinks = np.maximum(J - first + 1.0, 0.0) + ((J < Je) & (Je < math.inf))
+    pieces = quadrature_pieces(dist, kinks)
+    k = len(dist.components)
+    cap = MAX_VARIANCE_PIECES * VARIANCE_COMPONENTS // max(k, VARIANCE_COMPONENTS)
+    # past 2**53 a kink index is no longer an exact float
+    inexact = ~(J < 2.0**53)
+    if inexact.any():
+        raise ValueError(f"variance at d={d[inexact][0]}, t={t} has kink indices past 2**53")
+    over = ~(pieces < cap)
+    if over.any():
+        raise ValueError(
+            f"variance at d={d[over][0]}, t={t} needs over {cap} quadrature pieces (kink "
+            f"pieces and 21 per component) for a mixture of {k} components"
+        )
+    return pieces
 
 
 def probe_count(m, least: int = 1, name: str = "m") -> int:
@@ -207,10 +323,15 @@ def probe_count(m, least: int = 1, name: str = "m") -> int:
 
 
 def precision_report(m: int, d: float, t: float, dist: SpeedDistribution) -> PrecisionReport:
-    """Mean m, variance m * vmr and CV sqrt(vmr / m) for m probes: the one place
-    a VMR becomes moments. ValueError where they are not finite floats."""
+    """Mean m, variance m * vmr and CV sqrt(vmr / m) for m probes.
+    ValueError where they are not finite floats."""
     m = probe_count(m)
-    ratio = vmr(d, t, dist)
+    return moments_report(m, d, t, vmr(d, t, dist))
+
+
+def moments_report(m: int, d: float, t: float, ratio: float) -> PrecisionReport:
+    """The moments of m >= 1 probes whose VMR is ``ratio``: the one place a
+    VMR becomes moments, for precision_report and the cv objective alike."""
     try:
         var, cv_m, mean = m * ratio, math.sqrt(ratio / m), float(m)
     except OverflowError:  # m past the float range

@@ -68,18 +68,21 @@ SCENARIO_PRESETS = {
 }
 
 
-def _check_size(trials: int, passes: int, what: str) -> None:
-    """Reject a request of ``trials`` trials of ``passes`` probe passes each
-    (``what`` names the per-trial count) over the size caps."""
-    if not (1 <= trials <= MAX_TRIALS):
+def _check_size(trials: int, passes: int, what: str) -> int:
+    """``trials`` as an int, once ``probe_count`` takes it as an integer >= 1
+    and a request of that many trials of ``passes`` probe passes each
+    (``what`` names the per-trial count) is within the size caps."""
+    trials = probe_count(trials, name="trials")
+    if trials > MAX_TRIALS:
         raise ValueError(f"trials must be in [1, {MAX_TRIALS}], got {trials}")
-    total = int(trials) * int(passes)  # numpy integers would wrap
+    total = trials * int(passes)  # numpy integers would wrap
     if total > MAX_PASSES:
         raise ValueError(f"trials * {what} must be <= {MAX_PASSES} probe passes, got {total}")
     if passes > MAX_TRIAL_PASSES:
         raise ValueError(
             f"{what} must be <= {MAX_TRIAL_PASSES} probe passes per trial, got {passes}"
         )
+    return trials
 
 
 @dataclass(frozen=True)
@@ -95,7 +98,7 @@ class ScenarioConfig:
         if not (0.0 < self.d < math.inf and 0.0 < self.t < math.inf):
             raise ValueError(f"d and t must be positive and finite, got ({self.d}, {self.t})")
         object.__setattr__(self, "m", probe_count(self.m, least=0))
-        _check_size(self.trials, self.m, "m")
+        object.__setattr__(self, "trials", _check_size(self.trials, self.m, "m"))
 
 
 @dataclass(frozen=True)
@@ -356,12 +359,18 @@ def run_regression_experiment(
     if len(sites) < 3:
         raise ValueError(f"need at least 3 sites, got {len(sites)}")
     passes = sum(site.m for site in sites)
-    _check_size(trials, passes, "the sum of site m")
+    trials = _check_size(trials, passes, "the sum of site m")
 
     volumes = np.array([site.adt for site in sites], dtype=np.float64)
-    wls_weights = np.array(
-        [1.0 / vmr(site.d, site.t, site.dist) for site in sites], dtype=np.float64
-    )
+    # one batched vmr per distribution and t, each ratio the bits of its own call
+    ratios = np.empty(len(sites), dtype=np.float64)
+    groups: dict[tuple[int, float], list[int]] = {}
+    for i, site in enumerate(sites):
+        groups.setdefault((id(site.dist), site.t), []).append(i)
+    for members in groups.values():
+        site = sites[members[0]]
+        ratios[members] = vmr(np.array([sites[i].d for i in members]), site.t, site.dist)
+    wls_weights = 1.0 / ratios
     ols_weights = np.ones_like(wls_weights)
 
     n = len(sites)

@@ -63,10 +63,8 @@ class SpeedDistribution:
     # cumulative weights of components 0..k-2: the edges a component draw
     # compares its uniform against
     _cum_inner: np.ndarray = field(init=False, repr=False)
-    # speed under which the variance tail bound holds, and the anchor cuts
-    # inside the support; found on first use by distribution_engine and
+    # the anchor cuts inside the support, found on first use by
     # integrate_weighted, since a distribution that is only sampled never needs them
-    _tail_stop: float | None = field(default=None, init=False, repr=False, compare=False)
     _anchors: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -179,16 +177,26 @@ def sample_with_rng(dist: SpeedDistribution, count: int, rng: np.random.Generato
 # stay bit-stable across runs.
 _ANCHOR_SDS = (1.0, 2.0, 3.0, 4.0, 6.0, 8.0, 12.0, 16.0, 24.0, 32.0)
 
+# exp(-z*z/2) is 0 in double precision once z*z/2 passes about 745.1, so
+# every term of the mixture density is exactly 0 more than this many sd
+# above its component's mean
+_PDF_ZERO_SDS = 40.0
+
+
+def _anchor_scales(dist: SpeedDistribution) -> np.ndarray:
+    """Each component's local scale: its sd, or sd/z for a mean z > 1 sd
+    outside the support."""
+    outside = np.maximum(dist.lower - dist._means, dist._means - dist.upper) / dist._sds
+    return dist._sds / np.maximum(outside, 1.0)
+
 
 def _anchor_cuts(dist: SpeedDistribution) -> np.ndarray:
     offs = np.concatenate(([0.0], _ANCHOR_SDS, [-k for k in _ANCHOR_SDS]))
-    outside = np.maximum(dist.lower - dist._means, dist._means - dist.upper) / dist._sds
-    scale = dist._sds / np.maximum(outside, 1.0)
     centre = np.clip(dist._means, dist.lower, dist.upper)
-    return (centre[:, None] + scale[:, None] * offs[None, :]).ravel()
+    return (centre[:, None] + _anchor_scales(dist)[:, None] * offs[None, :]).ravel()
 
 
-def quadrature_pieces(dist: SpeedDistribution, n_breakpoints: float) -> float:
+def quadrature_pieces(dist: SpeedDistribution, n_breakpoints: np.ndarray) -> np.ndarray:
     """Most pieces ``integrate_weighted`` cuts the support into, given the
     number of breakpoints: one more than the breakpoints and anchor cuts."""
     return n_breakpoints + dist._means.size * (2 * len(_ANCHOR_SDS) + 1) + 1
@@ -196,47 +204,78 @@ def quadrature_pieces(dist: SpeedDistribution, n_breakpoints: float) -> float:
 
 def integrate_weighted(
     dist: SpeedDistribution,
-    weight: Callable[[np.ndarray], np.ndarray],
+    weight: Callable[..., np.ndarray],
     breakpoints: Sequence[float] = (),
-) -> float:
+    sizes: Sequence[int] | None = None,
+):
     """Integrate weight(s)*g(s) over the support with piecewise quadrature.
 
     The support is cut at the given breakpoints (clipped to it) plus the
     fixed anchor cuts of each component; every piece gets one 8-node
     Gauss-Legendre rule, exact for polynomials up to degree 15. It suits a
     weight that is smooth between breakpoints, such as the variance kernel,
-    a quadratic between its kinks. ``weight`` must accept an ndarray of
-    speeds; a non-finite value at a node raises ``ValueError``.
+    a quadratic between its kinks. The top piece ends where every
+    component's density term underflows to 0 (40 sd above the highest
+    mean), if that is below the support's top, so that no weight is taken
+    where g is exactly 0. ``weight`` must accept an ndarray of speeds; a
+    non-finite value at a node raises ``ValueError``.
+
+    With ``sizes``, one pass makes ``len(sizes)`` integrals: ``breakpoints``
+    holds their ascending breakpoints one integral after another, sizes[i]
+    of them for integral i, ``weight`` is called as ``weight(nodes, owner)``
+    with owner[k] the integral that nodes[k] belongs to, and the integrals
+    come back as an array. Each integral gets the pieces, nodes and sum, so
+    the bits, that it gets on its own.
     """
-    pts = np.asarray(breakpoints, dtype=np.float64)
-    if pts.size and np.any(np.diff(pts) < 0):
+    pts = np.asarray(breakpoints, dtype=np.float64).reshape(-1)
+    counts = np.asarray([pts.size] if sizes is None else sizes, dtype=np.int64)
+    n = counts.size
+    owner = np.repeat(np.arange(n), counts)
+    if np.any((pts[1:] < pts[:-1]) & (owner[1:] == owner[:-1])):
         raise ValueError("breakpoints must be sorted ascending")
     if dist._anchors is None:
         cuts = _anchor_cuts(dist)
         dist._anchors = cuts[(cuts > dist.lower) & (cuts < dist.upper)]
         dist._anchors.setflags(write=False)
-    inner = pts[(pts > dist.lower) & (pts < dist.upper)]
-    edges = np.unique(np.concatenate(([dist.lower], inner, dist._anchors, [dist.upper])))
+    top = min(dist.upper, float(np.max(dist._means + _PDF_ZERO_SDS * dist._sds)))
+    fixed = np.concatenate(([dist.lower, top], dist._anchors[dist._anchors < top]))
+    inner = (pts > dist.lower) & (pts < top)
+    edges = np.concatenate((pts[inner], np.tile(fixed, n)))
+    edge_owner = np.concatenate((owner[inner], np.repeat(np.arange(n), fixed.size)))
+    order = np.lexsort((edges, edge_owner))
+    edges, edge_owner = edges[order], edge_owner[order]
+    # one edge per distinct (integral, speed); a piece joins two edges of one integral
+    keep = np.ones(edges.size, dtype=np.bool_)
+    keep[1:] = (edges[1:] != edges[:-1]) | (edge_owner[1:] != edge_owner[:-1])
+    edges, edge_owner = edges[keep], edge_owner[keep]
+    piece = edge_owner[1:] == edge_owner[:-1]
+    lo, hi, piece_owner = edges[:-1][piece], edges[1:][piece], edge_owner[1:][piece]
 
-    half = 0.5 * np.diff(edges)
-    mid = 0.5 * (edges[:-1] + edges[1:])
-
-    # kernels' shared GL8 rule: (node, piece) with the pieces contiguous, flattened
-    nodes = (mid + half * kernels._GL8_X[:, None]).T.ravel()
-    wts = (half * kernels._GL8_W[:, None]).T.ravel()
+    half = 0.5 * (hi - lo)
+    mid = 0.5 * (lo + hi)
+    # kernels' shared GL8 rule: the 8 nodes of each piece contiguous, flattened
+    nodes = (mid[:, None] + half[:, None] * kernels._GL8_X).ravel()
+    wts = (half[:, None] * kernels._GL8_W).ravel()
 
     gv = kernels.mixture_pdf(
         nodes, dist._means, dist._sds, dist._norms, dist.lower, dist.upper
     )
-    wv = np.asarray(weight(nodes), dtype=np.float64)
+    if sizes is None:
+        wv = weight(nodes)
+    else:
+        wv = weight(nodes, np.repeat(piece_owner, kernels._GL8_X.size))
+    wv = np.asarray(wv, dtype=np.float64)
     if not np.all(np.isfinite(wv)):
         bad = nodes[~np.isfinite(np.broadcast_to(wv, nodes.shape))]
         raise ValueError(
             f"weight function returned non-finite values, first at s={float(bad.flat[0])!r}"
         )
-    # np.sum (pairwise, single-threaded) rather than BLAS dot: reruns must be
-    # bit-identical regardless of thread count
-    return float(np.sum(wts * gv * wv))
+    # each integral's nodes summed pairwise by np.add.reduceat, single-threaded
+    # and in a fixed order (no BLAS dot): reruns are bit-identical whatever the
+    # thread count, and an integral's sum does not depend on the others
+    first_node = kernels._GL8_X.size * np.searchsorted(piece_owner, np.arange(n))
+    sums = np.add.reduceat(wts * gv * wv, first_node)
+    return float(sums[0]) if sizes is None else sums
 
 
 # -- configuration ----------------------------------------------------------

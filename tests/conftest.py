@@ -1,9 +1,13 @@
+import math
+
 import numpy as np
 import pytest
 
+from probevolume.estimator import _var_term
 from probevolume.speed_model import (
     SpeedComponent,
     SpeedDistribution,
+    integrate_weighted,
     load_distribution,
 )
 
@@ -52,3 +56,32 @@ def random_mixture(rng: np.random.Generator) -> SpeedDistribution:
         for mu, sd, w in zip(means, sds, weights)
     )
     return SpeedDistribution(comps, lower, upper)
+
+
+def kink_sum_vmr(d, t, dist, tail=1e-15, chunk=1 << 13):
+    """(t/d)^2 times the variance integral over every kink piece, the kink
+    set of the variance integral as it was before the Euler-Maclaurin sum.
+
+    The kinks s = d/(t*j) are taken from the support's top down, a chunk at
+    a time, each chunk integrated with the library's rule on the chunk's
+    kinks and its own range only. It stops at the first chunk whose last
+    kink is at or below the support's bottom, or under which (s^2/4) CDF(s),
+    a bound on the integral left, is below ``tail`` times the sum so far:
+    the result is short of the whole by at most that fraction.
+    """
+    j = math.floor(d / (t * dist.upper)) + 1
+    parts, above = [], math.inf
+    while True:
+        # the chunk's first kink is the last one of the chunk before
+        kinks = d / (t * np.arange(max(j - 1, 1), j + chunk, dtype=np.float64))
+        below = kinks[-1]
+
+        def weight(s, above=above, below=below):
+            return np.where((s > below) & (s < above), _var_term(s, d, t), 0.0)
+
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            parts.append(integrate_weighted(dist, weight, kinks[::-1]))
+        total = math.fsum(parts)
+        if below <= dist.lower or 0.25 * below * below * dist.cdf(below) < tail * total:
+            return (t / d) ** 2 * total
+        above, j = below, j + chunk

@@ -18,7 +18,9 @@ from probevolume.data_cli import (
     dumps_json,
     main,
 )
-from probevolume.speed_model import load_distribution
+from probevolume.speed_model import from_dict, integrate_weighted, load_distribution
+
+from conftest import kink_sum_vmr
 
 
 def run_cli(capsys, *argv):
@@ -374,8 +376,9 @@ class TestOneCheckPerInput:
         assert out == ""
         assert json.loads(err)["code"] == EXIT_IO_FAILURE
 
-    # s*s overflows at the quadrature nodes far above the speeds, where the
-    # density is 0: a QuadratureError traceback and exit 1 before
+    # s*s overflows past 1.3e154, but the top quadrature piece ends where
+    # the density underflows to 0, 40 sd above the mean: a QuadratureError
+    # traceback and exit 1 at first, then exit 3 for the non-finite weight
     @pytest.mark.parametrize(
         "argv",
         [
@@ -385,17 +388,18 @@ class TestOneCheckPerInput:
         ],
         ids=["precision", "optimize", "experiment"],
     )
-    def test_wide_speed_support_exits_3(self, capsys, tmp_path, argv):
+    def test_wide_speed_support_computed(self, capsys, tmp_path, argv):
         wide = tmp_path / "wide.json"
         wide.write_text(_WIDE, encoding="utf-8")
         (tmp_path / "sites.json").write_text(json.dumps({"sites": [
             {"site_id": str(i), "dist": str(wide), "adt": 40, "m": 3, "d": 50}
             for i in range(3)]}), encoding="utf-8")
         argv = [str(tmp_path / f"{a[1:-1]}.json") if a[0] == "{" else a for a in argv]
-        code, out, err = run_cli(capsys, *argv)
-        assert code == EXIT_BAD_PARAMETER
-        assert out == ""
-        assert "non-finite" in json.loads(err)["error"]
+        doc = run_json(capsys, *argv)
+        if argv[0] == "precision":
+            tight = from_dict({**json.loads(_WIDE), "upper": 1e3})
+            assert doc["vmr"] == pytest.approx(distribution_engine.vmr(300.0, 4.0, tight),
+                                               rel=1e-15)
 
 
 _HUGE_SITE = json.dumps({"sites": [
@@ -430,10 +434,6 @@ class TestSizeCaps:
             # 1.5e8 points: allocatable, but days of variance quadratures
             (("optimize", "--dmax", "150", "--t", "4", "--objective", "vmr", "--dist",
               "park-i35", "--step", "1e-6"), None),
-            # 2.7e10 kinks: the variance quadrature stopped at 10^7 with a traceback
-            (("precision", "--m", "1", "--d", "1e9", "--t", "1", "--dist", "park-i35"), None),
-            # 5.4e6 kinks: a node array over 1 GB and an (N, K) temporary of several
-            (("precision", "--m", "1", "--d", "2e5", "--t", "1", "--dist", "park-i35"), None),
             # 10^9 passes in one trial, so in one block: 24 GB or more
             (("simulate", "--scenario", "s1", "--m", "1000000000", "--trials", "1",
               "--seed", "1"), None),
@@ -457,7 +457,7 @@ class TestSizeCaps:
         ],
         ids=["simulate-trials", "simulate-passes", "simulate-m", "experiment-trials",
              "simulate-histogram-bins", "optimize-step-alloc", "optimize-step-time",
-             "precision-d-kinks", "precision-d-memory", "simulate-trial-passes",
+             "simulate-trial-passes",
              "experiment-passes", "experiment-trial-passes", "precision-components",
              "pdf-grid-step", "pdf-short-cordon", "pdf-fold-window", "pdf-m-huge"],
     )
@@ -473,6 +473,26 @@ class TestSizeCaps:
         assert out == ""
         assert json.loads(err)["code"] == EXIT_BAD_PARAMETER
         assert not (tmp_path / "out.csv").exists()
+
+
+    # 2.7e10 and 5.4e6 kinks to the old tail stop, over the variance piece
+    # cap (exit 3): now the first kink is resolved, the rest summed by
+    # Euler-Maclaurin
+    @pytest.mark.parametrize("d", ["1e9", "2e5"], ids=["precision-d-kinks", "precision-d-memory"])
+    def test_long_cordon_computed(self, capsys, park, d):
+        start = time.perf_counter()
+        doc = run_json(capsys, "precision", "--m", "1", "--d", d, "--t", "1", "--dist", "park-i35")
+        assert time.perf_counter() - start < 1.0
+        r = float(d)
+        if r > 1e6:
+            # the kink spacing in s is under upper^2/r = 1.6e-6 m/s: the
+            # integral is its kernel's cycle mean E[s^2]/6 to far below 1e-14
+            want = integrate_weighted(park, lambda s: s * s / 6.0) / (r * r)
+            assert doc["vmr"] == pytest.approx(want, rel=1e-14)
+        else:
+            # every kink resolved down to a tail under 1e-8 of the integral
+            low = kink_sum_vmr(r, 1.0, park, tail=1e-8, chunk=1 << 15)
+            assert low * (1.0 - 1e-14) <= doc["vmr"] <= low * (1.0 + 1e-8)
 
 
 _OVERSIZED = "1" * 200_000  # over the csv module's 131072-character field limit

@@ -384,3 +384,26 @@ class TestSitePreset:
         # 30 mph sites use the slower modelled distribution
         assert by_id["5121"].dist.components[0].mean == pytest.approx(13.41)
         assert by_id["4945"].dist.components[0].mean == pytest.approx(26.82)
+
+
+class TestTrialsCount:
+    # trials has the probe-count check: a non-integer once reached numpy's
+    # TypeError, an integral float ran on as a float
+    def test_non_integer_rejected(self, park):
+        with pytest.raises(ValueError, match="trials must be an integer >= 1, got 2.5"):
+            ScenarioConfig(d=300.0, t=4.0, m=2, dist=park, trials=2.5, seed=1)
+        with pytest.raises(ValueError, match="trials must be an integer >= 1, got 2.5"):
+            run_regression_experiment(_uniform_sites(3), trials=2.5, seed=0)
+
+    @pytest.mark.parametrize("trials", [2.0, np.float64(2.0)], ids=["float", "numpy"])
+    def test_integral_float_runs_as_int(self, park, trials):
+        cfg = ScenarioConfig(d=300.0, t=4.0, m=2, dist=park, trials=trials, seed=1)
+        assert type(cfg.trials) is int and cfg.trials == 2
+        samples, summary = run_scenario(cfg)
+        want_samples, want_summary = run_scenario(dataclasses.replace(cfg, trials=2))
+        assert samples.tobytes() == want_samples.tobytes()
+        assert (summary.mean, summary.variance) == (want_summary.mean, want_summary.variance)
+        sites = load_sites("table2")[:4]
+        report = run_regression_experiment(sites, trials=trials, seed=3)
+        assert report == run_regression_experiment(sites, trials=2, seed=3)
+        assert type(report.trials) is int

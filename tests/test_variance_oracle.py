@@ -1,4 +1,4 @@
-"""Independent oracles for the variance integral and its kink set."""
+"""Oracles for the variance integral: every kink resolved, and mpmath."""
 
 import json
 import math
@@ -12,16 +12,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
-from hypothesis import strategies as st
 
 import probevolume
-from probevolume.distribution_engine import (
-    MAX_VARIANCE_PIECES,
-    VARIANCE_TAIL_BOUND,
-    _variance_breakpoints,
-    vmr,
-)
+from probevolume import distribution_engine
+from probevolume.distribution_engine import BATCH_PIECES, vmr
 from probevolume.speed_model import (
     PRESET_NAMES,
     SpeedComponent,
@@ -30,29 +24,7 @@ from probevolume.speed_model import (
     load_distribution,
 )
 
-from conftest import random_mixture
-
-
-def _chunked_breakpoints(d, t, dist):
-    """The kink search as it was: the bound tested on every kink, 1024 at a time.
-
-    It keeps the first kink that fails the bound as the last cut.
-    """
-    out = []
-    j = int(math.floor(d / (t * dist.upper))) + 1
-    while True:
-        jj = np.arange(j, j + 1024, dtype=np.float64)
-        s = d / (t * jj)
-        bound = 0.25 * s * s * dist.cdf(s)
-        stop = (s <= dist.lower) | (bound < VARIANCE_TAIL_BOUND)
-        if np.any(stop):
-            out.append(s[: int(np.argmax(stop)) + 1])
-            break
-        out.append(s)
-        j += 1024
-    pts = np.concatenate(out)
-    pts = pts[(pts > dist.lower) & (pts < dist.upper)]
-    return pts[::-1]
+from conftest import kink_sum_vmr, random_mixture
 
 
 def _spread_mixture(k):
@@ -63,64 +35,101 @@ def _spread_mixture(k):
     )
 
 
-class TestKinkSet:
-    @given(
-        which=st.one_of(st.sampled_from(PRESET_NAMES), st.integers(0, 2**32 - 1)),
-        d=st.floats(0.01, 3000.0),
-        t=st.floats(0.1, 10.0),
-    )
-    @settings(max_examples=1000, deadline=None)
-    def test_matches_chunked_loop(self, which, d, t):
-        if isinstance(which, str):
-            dist = load_distribution(which)
-        else:
-            # random mixtures have lower > 0, the presets lower = 0
-            try:
-                dist = random_mixture(np.random.default_rng(which))
-            except ValueError:  # a component with no mass inside the support
-                assume(False)
-        try:
-            got = _variance_breakpoints(d, t, dist)
-        except ValueError:  # over the piece cap, too many for the loop as well
-            assume(False)
-        want = _chunked_breakpoints(d, t, dist)
-        assert got.dtype == want.dtype
-        assert np.array_equal(got, want)
+_NEAR_DEGENERATE = ((20.0, 0.05, 0.7), (12.0, 4.0, 0.3))
+# a component whose mean is 8 sd above the support: only its tail is inside
+_TAIL_ONLY = ((52.0, 1.5, 0.4), (20.0, 4.0, 0.6))
 
-    def test_piece_cap(self, park):
-        # park's tail stop is near 0.037 m/s: d/t = 1e5 would need 2.7e6 kinks
+
+def _on_0_40(components):
+    return SpeedDistribution(tuple(SpeedComponent(*c) for c in components), 0.0, 40.0)
+
+
+class TestKinkSum:
+    # the Euler-Maclaurin sum below the kink J against every kink resolved,
+    # to a tail under 1e-15 of the integral
+    @pytest.mark.parametrize("t", [1.0, 2.0, 4.0])
+    @pytest.mark.parametrize("name", PRESET_NAMES)
+    def test_presets(self, name, t):
+        dist = load_distribution(name)
+        for ratio in (0.25, 0.7, 3.3, 10.0, 37.5, 123.4, 400.0, 1000.0):
+            d = ratio * t
+            assert vmr(d, t, dist) == pytest.approx(kink_sum_vmr(d, t, dist), rel=1e-14)
+
+    def test_random_mixtures_above_zero(self):
+        # lower > 0: the lattice ends at J_e = floor(d/(t*lower)), with end
+        # terms there, and the partial unit below R/J_e keeps the exact kernel
+        for seed in range(40):
+            dist = random_mixture(np.random.default_rng(seed))
+            assert dist.lower > 0.0
+            for ratio in (0.5, 3.3, 47.0, 300.0):
+                want = kink_sum_vmr(ratio, 1.0, dist)
+                assert vmr(ratio, 1.0, dist) == pytest.approx(want, rel=1e-14)
+
+    @pytest.mark.parametrize("which", [_NEAR_DEGENERATE, _TAIL_ONLY],
+                             ids=["near-degenerate", "tail-only"])
+    def test_near_degenerate_and_tail_only(self, which):
+        dist = _on_0_40(which)
+        for ratio in (0.5, 6.0, 10.0, 47.0, 300.0, 1000.0):
+            want = kink_sum_vmr(ratio, 1.0, dist)
+            assert vmr(ratio, 1.0, dist) == pytest.approx(want, rel=1e-14)
+
+    def test_support_top_past_the_density(self):
+        # s*s overflows past 1.3e154, but the density is 0 past 40 sd above
+        # the mean, where the top quadrature piece ends
+        config = {"components": [{"mean": 20, "sd": 5, "weight": 1}], "lower": 0}
+        wide, tight = from_dict({**config, "upper": 1e200}), from_dict({**config, "upper": 1e3})
+        for d, t in ((300.0, 4.0), (50.0, 1.0), (7.0, 2.0), (2e5, 1.0)):
+            assert vmr(d, t, wide) == pytest.approx(vmr(d, t, tight), rel=1e-15)
+
+
+class TestBatch:
+    def test_array_equals_scalar_across_chunks(self, monkeypatch, park, m60):
+        # about 120 pieces each on park-i35: chunks of a few d each. On
+        # table2-60mph d/t = 1000 doubles J once; on the random mixture the
+        # lattice ends above lower
+        monkeypatch.setattr(distribution_engine, "BATCH_PIECES", 500)
+        lifted = random_mixture(np.random.default_rng(1))
+        for dist in (park, m60, lifted):
+            ds = np.concatenate((np.linspace(0.5, 400.0, 61), [1000.0, 3.0]))
+            got = vmr(ds, 1.0, dist)
+            assert isinstance(got, np.ndarray) and got.shape == ds.shape
+            want = [vmr(d, 1.0, dist) for d in ds.tolist()]
+            assert [x.hex() for x in got.tolist()] == [x.hex() for x in want]
+
+    def test_array_checked_before_any_is_integrated(self, park):
+        with pytest.raises(ValueError, match="positive and finite"):
+            vmr(np.array([300.0, -1.0]), 4.0, park)
+        with pytest.raises(ValueError, match="not finite"):
+            vmr(np.array([300.0, 5e-324]), 1.0, park)
+        with pytest.raises(ValueError, match="1-D"):
+            vmr(np.ones((2, 2)), 1.0, park)
+        assert vmr(np.array([]), 1.0, park).shape == (0,)
+
+
+class TestKinkSet:
+    def test_piece_cap(self, park, narrow20):
+        # sd 1e-6: J is the kink 40 sd below the mean, near d/(20 t), so the
+        # kinks from d/(40 t) on pass the cap from d/t near 4e6
+        assert math.isfinite(vmr(3e6, 1.0, narrow20))
         with pytest.raises(ValueError, match="kink pieces"):
-            _variance_breakpoints(1e5, 1.0, park)
-        with pytest.raises(ValueError, match="kink pieces"):
-            _variance_breakpoints(1e300, 1e-300, park)
-        for name in PRESET_NAMES:
-            assert _variance_breakpoints(1000.0, 1.0, load_distribution(name)).size < (
-                MAX_VARIANCE_PIECES
-            )
-            # the d/t the README documents for every preset
-            _variance_breakpoints(2600.0, 1.0, load_distribution(name))
+            vmr(1e7, 1.0, narrow20)
+        with pytest.raises(ValueError, match="2\\*\\*53"):
+            vmr(1e300, 1e-300, park)
 
     @pytest.mark.parametrize("k", [1, 16, 64])
-    def test_memory_at_cap_bounded_in_components(self, k):
-        # the (nodes, components) temporaries of the mixture density: the cap
-        # shrinks with k, so the largest admitted d/t peaks alike for any k
-        # (a 16-component mixture used to peak near 320 MB at d/t = 2412)
+    def test_memory_bounded_by_chunks(self, k):
+        # a batch of 100 chunks is integrated a chunk at a time, and the
+        # mixture one component at a time: the peak is alike for any k and
+        # batch size
         dist = _spread_mixture(k)
-        lo, hi = 1.0, 1e6
-        while hi - lo > 1.0:
-            mid = 0.5 * (lo + hi)
-            try:
-                _variance_breakpoints(mid, 1.0, dist)
-                lo = mid
-            except ValueError:
-                hi = mid
+        ds = np.linspace(1.0, 300.0, 100 * BATCH_PIECES // (21 * k + 40))
         tracemalloc.start()
         try:
-            assert math.isfinite(vmr(lo, 1.0, dist))
+            assert np.all(np.isfinite(vmr(ds, 1.0, dist)))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 128 << 20
+        assert peak < 16 << 20
 
     def test_many_components_rejected_before_building(self):
         dist = _spread_mixture(500)
@@ -128,6 +137,10 @@ class TestKinkSet:
         with pytest.raises(ValueError, match="500 components"):
             vmr(1.0, 1.0, dist)
         assert time.perf_counter() - start < 1.0
+
+
+# the mpmath oracle's own stopping bound on the tail it leaves out
+_MP_TAIL_BOUND = 1e-8
 
 
 def _mp_oracle(mp, d, t, dist):
@@ -161,7 +174,7 @@ def _mp_oracle(mp, d, t, dist):
             j += 1
             s = r / j
             edges.append(max(s, lower))
-            if s <= lower or s * s * cdf(s) / 4 < VARIANCE_TAIL_BOUND:
+            if s <= lower or s * s * cdf(s) / 4 < _MP_TAIL_BOUND:
                 break
         # extra cuts every sd around each mean keep each Gauss-Legendre piece smooth
         cuts = sorted({mu + sd * k for mu, sd, _, _ in comps for k in range(-8, 9)})
@@ -174,13 +187,9 @@ def _mp_oracle(mp, d, t, dist):
         return float(mp.fsum(pieces) / (r * r))
 
 
-_NEAR_DEGENERATE = ((20.0, 0.05, 0.7), (12.0, 4.0, 0.3))
-# a component whose mean is 8 sd above the support: only its tail is inside
-_TAIL_ONLY = ((52.0, 1.5, 0.4), (20.0, 4.0, 0.6))
-
-
 class TestVmrOracle:
-    # few kinks each, so that 30-digit quadrature of every piece takes seconds
+    # few kinks each but the last two, so that 30-digit quadrature of every
+    # piece takes seconds
     @pytest.mark.parametrize(
         "d,t,which",
         [
@@ -189,25 +198,29 @@ class TestVmrOracle:
             (5.0, 1.0, "table2-30mph"),
             (6.0, 1.0, _NEAR_DEGENERATE),
             (10.0, 1.0, _TAIL_ONLY),
+            # the old tail stop left 3e-11 of the integral out here (570
+            # kink pieces: about 20 s)
+            (400.0, 1.0, "table2-30mph"),
         ],
-        ids=["park-i35", "table2-60mph", "table2-30mph", "near-degenerate", "tail-only"],
+        ids=["park-i35", "table2-60mph", "table2-30mph", "near-degenerate", "tail-only",
+             "table2-30mph-400"],
     )
     def test_within_tail_bound_of_mpmath(self, d, t, which):
         mp = pytest.importorskip("mpmath")
         if isinstance(which, str):
             dist = load_distribution(which)
         else:
-            dist = SpeedDistribution(tuple(SpeedComponent(*c) for c in which), 0.0, 40.0)
+            dist = _on_0_40(which)
         got = vmr(d, t, dist)
         want = _mp_oracle(mp, d, t, dist)
         # the tail piece below the stopping kink adds between 0 and the bound
         slack = 1e-12 * got
-        assert -slack <= got - want <= (t / d) ** 2 * VARIANCE_TAIL_BOUND + slack
+        assert -slack <= got - want <= (t / d) ** 2 * _MP_TAIL_BOUND + slack
 
 
 _ISOLATED = """
 import json, sys
-from probevolume.distribution_engine import vmr
+from probevolume.distribution_engine import BATCH_PIECES, vmr
 from probevolume.speed_model import from_dict
 config, cases = json.loads(sys.argv[1])
 dist = from_dict(config)
