@@ -66,13 +66,10 @@ def read_pairs_csv(path: str | Path, weighted: bool) -> list[CalibrationPair]:
     return pairs
 
 
-def fit_through_origin(
-    pairs: Sequence[CalibrationPair], method: str | None = None
-) -> CalibrationModel:
+def fit_through_origin(pairs: Sequence[CalibrationPair], method: str) -> CalibrationModel:
     """beta = sum(w x y) / sum(w x^2); OLS is the all-weights-equal case.
 
-    ``method`` only labels the model; when omitted it is inferred from
-    whether the weights are uniform.
+    ``method``, "ols" or "wls", only labels the model.
     """
     if not pairs:
         raise ValueError("need at least one calibration pair")
@@ -91,8 +88,6 @@ def fit_through_origin(
     beta = sxy / sxx
     if not (math.isfinite(sxx) and math.isfinite(beta)):
         raise ValueError("cannot fit: weighted normal equation overflowed")
-    if method is None:
-        method = "ols" if len({p.weight for p in pairs}) == 1 else "wls"
     if method not in ("ols", "wls"):
         raise ValueError(f"method must be 'ols' or 'wls', got {method!r}")
     return CalibrationModel(beta=beta, method=method)

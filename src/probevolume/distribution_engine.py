@@ -56,10 +56,6 @@ _EM_STEPS = np.arange(1.0, _EM_ORDER + 1.0)
 # not an exact float. Either raises ValueError before anything is built.
 MAX_VARIANCE_PIECES = 10**5
 VARIANCE_COMPONENTS = 4
-# A batch of d is integrated a chunk of about this many pieces at a time (at
-# least one d, however many pieces it has), so that the quadrature's arrays
-# stay at a few MB however many d there are
-BATCH_PIECES = 1 << 12
 
 # A fold whose mass drifts from 1 by more than this triggers a warning.
 FOLD_DRIFT_WARN = 1e-4
@@ -233,7 +229,7 @@ def vmr(d, t: float, dist: SpeedDistribution):
     ``d`` may also be a 1-D array of cordon lengths: the ratios come back as
     an array, each the bits the call for that d alone gives. Every d is
     checked before any is integrated, and they are integrated a chunk of
-    about BATCH_PIECES pieces at a time.
+    about ``kernels.CHUNK_PIECES`` pieces at a time.
     """
     ds = np.asarray(d, dtype=np.float64)
     if ds.ndim > 1:
@@ -269,7 +265,8 @@ def vmr(d, t: float, dist: SpeedDistribution):
             pieces = _check_pieces(d[todo], t, first[todo], J[todo], Je[todo], dist)
             total, again, start = np.cumsum(pieces), [], 0
             while start < todo.size:
-                stop = np.searchsorted(total, total[start] - pieces[start] + BATCH_PIECES, "right")
+                end = total[start] - pieces[start] + kernels.CHUNK_PIECES
+                stop = np.searchsorted(total, end, "right")
                 stop = max(int(stop), start + 1)
                 c = todo[start:stop]
                 got, omitted = _variance_integrals(d[c], t, R[c], first[c], J[c], Je[c], dist)

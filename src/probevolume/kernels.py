@@ -14,9 +14,6 @@ from scipy.special import erf as _sc_erf
 
 _SQRT2 = math.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
-# the mixture cdf's constants as 0-d arrays: an operand that is a Python
-# float costs a conversion on every call, which shows on a call of a few points
-_CDF_SQRT2, _CDF_ONE, _CDF_HALF = np.array(_SQRT2), np.array(1.0), np.array(0.5)
 
 
 # ---------------------------------------------------------------------------
@@ -80,8 +77,7 @@ def mixture_pdf(s, means, sds, norms, lower, upper):
 
 
 def mixture_cdf(s, means, sds, cdf_lo, cdf_w, lower, upper):
-    # np.clip's bits, at a third of its cost on a few points
-    x = np.minimum(np.maximum(np.asarray(s, dtype=np.float64), lower), upper)
+    x = np.clip(np.asarray(s, dtype=np.float64), lower, upper)
     flat = x.ravel()
     acc = None
     per_step = _per_step(flat.size)
@@ -90,10 +86,10 @@ def mixture_cdf(s, means, sds, cdf_lo, cdf_w, lower, upper):
         # (0.5*(1 + erf(z/sqrt 2)) - lo) * w with z = (s - mu)/sd
         terms = flat - means[c, None]
         terms /= sds[c, None]
-        terms /= _CDF_SQRT2
+        terms /= _SQRT2
         _sc_erf(terms, out=terms)
-        terms += _CDF_ONE
-        terms *= _CDF_HALF
+        terms += 1.0
+        terms *= 0.5
         terms -= cdf_lo[c, None]
         terms *= cdf_w[c, None]
         acc = _add_rows(acc, terms)
@@ -155,10 +151,12 @@ _GL8_X, _GL8_W = np.polynomial.legendre.leggauss(8)
 _GL8_X.setflags(write=False)
 _GL8_W.setflags(write=False)
 
-# Pieces evaluated per vectorised step. The mixture kernels' temporaries are
-# the size of the chunk's 8 nodes per piece whatever the component count, so
-# a chunk's arrays stay near 1 MB for any mixture.
-_CHUNK = 4096
+# Quadrature pieces evaluated per vectorised step, by band accumulation here
+# and by the variance integral (a batch of d at a time, at least one d). The
+# mixture kernels' temporaries are the size of a chunk's 8 nodes per piece
+# whatever the component count, so a chunk's arrays stay at a few MB for any
+# mixture and any batch.
+CHUNK_PIECES = 1 << 12
 
 
 def band_masses(
@@ -186,9 +184,9 @@ def band_masses(
 
     masses = np.zeros(n_cells, dtype=np.float64)
     no_record = [np.zeros(0)]
-    for c in range(0, band.size, _CHUNK):
-        e = edges[c : c + _CHUNK + 1]
-        u = band[c : c + _CHUNK]
+    for c in range(0, band.size, CHUNK_PIECES):
+        e = edges[c : c + CHUNK_PIECES + 1]
+        u = band[c : c + CHUNK_PIECES]
         a = e[:-1]
         b = e[1:]
         delta = np.diff(_mixture_cdf(e, means, sds, cdf_lo, cdf_w, lower, upper))
@@ -245,13 +243,10 @@ def band_masses(
 # ---------------------------------------------------------------------------
 
 
-def all_pairs_mape(m_hats, volumes, weights, pairs=None):
-    """Mean held-out MAPE over ``pairs`` (default: every pair i < j)."""
+def all_pairs_mape(m_hats, volumes, weights, pairs):
+    """Mean held-out MAPE over ``pairs``, a sequence of site index pairs (i, j)."""
     n = m_hats.shape[0]
-    if pairs is None:
-        i, j = np.triu_indices(n, k=1)
-    else:
-        i, j = np.asarray(pairs, dtype=np.int64).reshape(-1, 2).T
+    i, j = np.asarray(pairs, dtype=np.int64).reshape(-1, 2).T
     wxy = weights * m_hats * volumes
     wxx = weights * m_hats * m_hats
     denom = wxx[i] + wxx[j]

@@ -164,48 +164,35 @@ def _passes(dist, n, d, t, rng):
     return speeds, offsets, kernels.pass_counts(speeds, offsets, d, t)
 
 
-def _trial_sums(speeds, counts, k):
-    """Per-trial sums of speeds * counts over k trials of consecutive passes,
-    the products made in place in ``counts``."""
+def _estimates(dist, m, d, t, streams, out):
+    """Fill ``out`` with the estimates of its trials from one ``_passes``
+    draw of m passes per trial, trial r taking passes r*m to (r+1)*m - 1:
+    t/d times the trial's sum of speeds * counts, the products made in place."""
+    speeds, _, counts = _passes(dist, out.size * m, d, t, streams)
     counts *= speeds
-    return counts.reshape(k, -1).sum(axis=1)
+    np.multiply(t / d, counts.reshape(out.size, m).sum(axis=1), out=out)
 
 
-class _ScenarioStreams:
-    """The scenario stream of ``seed`` for n passes, read from three places.
+class _Streams:
+    """The three ``random`` calls of a ``_passes`` draw, served by three
+    sources: call j returns ``sources[j % 3](size)``, so consecutive draws
+    continue each source in order."""
 
-    ``_passes`` makes three ``random`` calls per draw: component uniforms,
-    inverse-CDF uniforms, offsets. Call j of each draw reads the generator
-    advanced to j * n, so consecutive draws continue each region in order.
-    """
-
-    def __init__(self, seed: int, n: int):
-        seq = np.random.SeedSequence(seed)
-        self._regions = tuple(
-            np.random.Generator(np.random.PCG64(seq).advance(j * n)) for j in range(3)
-        )
-        self._calls = 0
+    def __init__(self, sources):
+        self._sources = itertools.cycle(sources)
 
     def random(self, size: int) -> np.ndarray:
-        region = self._regions[self._calls % 3]
-        self._calls += 1
-        return region.random(size)
+        return next(self._sources)(size)
 
 
-class _RowStreams:
-    """The uniforms of k trials of m passes, read before the draw.
-
-    Row r of the (k, 3m) ``rows`` holds trial r's 3m uniforms in stream
-    order, so call j of a ``_passes`` draw of k * m passes returns column
-    third j, trial by trial: what the trials' own j-th ``random(m)`` calls
-    return, bit for bit (one 64-bit output per double).
-    """
-
-    def __init__(self, rows: np.ndarray):
-        self._thirds = iter(np.hsplit(rows, 3))
-
-    def random(self, size: int) -> np.ndarray:
-        return next(self._thirds).reshape(size)
+def _scenario_streams(seed: int, n: int) -> _Streams:
+    """The scenario stream of ``seed`` for n passes: the PCG64 generator
+    advanced to outputs 0, n and 2n serves component uniforms, inverse-CDF
+    uniforms and offsets."""
+    seq = np.random.SeedSequence(seed)
+    return _Streams(
+        [np.random.Generator(np.random.PCG64(seq).advance(j * n)).random for j in range(3)]
+    )
 
 
 def run_scenario(config: ScenarioConfig) -> tuple[np.ndarray, SimSummary]:
@@ -219,14 +206,10 @@ def run_scenario(config: ScenarioConfig) -> tuple[np.ndarray, SimSummary]:
     m, trials = config.m, config.trials
     samples = np.zeros(trials, dtype=np.float64)
     if m:
-        streams = _ScenarioStreams(config.seed, trials * m)
+        streams = _scenario_streams(config.seed, trials * m)
         block = max(1, BLOCK_PASSES // m)
         for start in range(0, trials, block):
-            k = min(block, trials - start)
-            speeds, _, counts = _passes(config.dist, k * m, config.d, config.t, streams)
-            np.multiply(
-                config.t / config.d, _trial_sums(speeds, counts, k), out=samples[start:start + k]
-            )
+            _estimates(config.dist, m, config.d, config.t, streams, samples[start:start + block])
     return samples, summarize(samples)
 
 
@@ -280,7 +263,7 @@ def simulate_footprints(config: ScenarioConfig) -> tuple[Footprints, float]:
     the estimator would (compensated sum of in-cordon speeds times t/d).
     """
     m = config.m
-    streams = _ScenarioStreams(config.seed, config.trials * m)
+    streams = _scenario_streams(config.seed, config.trials * m)
     speeds, offsets, counts = _passes(config.dist, m, config.d, config.t, streams)
     first = speeds * offsets
     spacing = speeds * config.t
@@ -391,10 +374,10 @@ def run_regression_experiment(
             for r in range(k):
                 seq = np.random.SeedSequence(seed, spawn_key=(start + r, i))
                 np.random.default_rng(seq).random(out=rows[r])
-            speeds, _, counts = _passes(
-                site.dist, k * site.m, site.d, site.t, _RowStreams(rows)
-            )
-            np.multiply(site.t / site.d, _trial_sums(speeds, counts, k), out=m_hats[:, i])
+            # column third j of the rows, trial by trial: what the trials' own
+            # j-th random(m) calls return, bit for bit
+            streams = _Streams([third.reshape for third in np.hsplit(rows, 3)])
+            _estimates(site.dist, site.m, site.d, site.t, streams, m_hats[:, i])
         for r in range(k):
             mape_ols[start + r] = kernels.all_pairs_mape(m_hats[r], volumes, ols_weights, pairs)
             mape_wls[start + r] = kernels.all_pairs_mape(m_hats[r], volumes, wls_weights, pairs)

@@ -63,9 +63,6 @@ class SpeedDistribution:
     # cumulative weights of components 0..k-2: the edges a component draw
     # compares its uniform against
     _cum_inner: np.ndarray = field(init=False, repr=False)
-    # the anchor cuts inside the support, found on first use by
-    # integrate_weighted, since a distribution that is only sampled never needs them
-    _anchors: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.components = tuple(self.components)
@@ -97,22 +94,17 @@ class SpeedDistribution:
         self._cum_inner = np.cumsum(self._weights)[:-1]
 
     # -- evaluation ---------------------------------------------------------
+    # pdf and cdf keep the shape of s: a float for a 0-d s, else an array
 
     def pdf(self, s) -> np.ndarray | float:
-        scalar = np.isscalar(s)
-        arr = np.atleast_1d(np.asarray(s, dtype=np.float64))
-        out = kernels.mixture_pdf(
-            arr, self._means, self._sds, self._norms, self.lower, self.upper
-        )
-        return float(out[0]) if scalar else out
+        out = kernels.mixture_pdf(s, self._means, self._sds, self._norms, self.lower, self.upper)
+        return float(out) if out.ndim == 0 else out
 
     def cdf(self, s) -> np.ndarray | float:
-        scalar = np.isscalar(s)
-        arr = np.atleast_1d(np.asarray(s, dtype=np.float64))
         out = kernels.mixture_cdf(
-            arr, self._means, self._sds, self._cdf_lo, self._cdf_w, self.lower, self.upper
+            s, self._means, self._sds, self._cdf_lo, self._cdf_w, self.lower, self.upper
         )
-        return float(out[0]) if scalar else out
+        return float(out) if out.ndim == 0 else out
 
 
 # Most inner edges a component draw compares its uniforms against one edge
@@ -233,12 +225,9 @@ def integrate_weighted(
     owner = np.repeat(np.arange(n), counts)
     if np.any((pts[1:] < pts[:-1]) & (owner[1:] == owner[:-1])):
         raise ValueError("breakpoints must be sorted ascending")
-    if dist._anchors is None:
-        cuts = _anchor_cuts(dist)
-        dist._anchors = cuts[(cuts > dist.lower) & (cuts < dist.upper)]
-        dist._anchors.setflags(write=False)
     top = min(dist.upper, float(np.max(dist._means + _PDF_ZERO_SDS * dist._sds)))
-    fixed = np.concatenate(([dist.lower, top], dist._anchors[dist._anchors < top]))
+    cuts = _anchor_cuts(dist)
+    fixed = np.concatenate(([dist.lower, top], cuts[(cuts > dist.lower) & (cuts < top)]))
     inner = (pts > dist.lower) & (pts < top)
     edges = np.concatenate((pts[inner], np.tile(fixed, n)))
     edge_owner = np.concatenate((owner[inner], np.repeat(np.arange(n), fixed.size)))

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import math
 import tracemalloc
 
@@ -18,7 +19,7 @@ from probevolume.probe_simulator import (
     VAR_BLOCK,
     ScenarioConfig,
     _passes,
-    _ScenarioStreams,
+    _scenario_streams,
     SiteConfig,
     load_sites,
     run_regression_experiment,
@@ -185,7 +186,7 @@ class TestRunScenario:
 
 def _loop_footprints(config):
     """(positions, speeds, m_hat): one record at a time, the reference."""
-    streams = _ScenarioStreams(config.seed, config.trials * config.m)
+    streams = _scenario_streams(config.seed, config.trials * config.m)
     speeds, offsets, counts = _passes(config.dist, config.m, config.d, config.t, streams)
     positions, record_speeds, in_cordon_speeds = [], [], []
     for s, off, count in zip(speeds.tolist(), offsets.tolist(), counts.tolist()):
@@ -281,7 +282,8 @@ def _per_site_loop(sites, trials, all_pairs, seed):
     wls_weights = np.array([1.0 / vmr(site.d, site.t, site.dist) for site in sites])
     ols_weights = np.ones_like(wls_weights)
     n = len(sites)
-    pairs = None if all_pairs else [(i, i + 1) for i in range(n - 1)]
+    consecutive = [(i, i + 1) for i in range(n - 1)]
+    pairs = list(itertools.combinations(range(n), 2)) if all_pairs else consecutive
     mape_ols, mape_wls = np.empty(trials), np.empty(trials)
     for trial in range(trials):
         m_hats = np.empty(n)
@@ -332,8 +334,10 @@ class TestRegressionExperiment:
         y = np.full(4, 200.0)
         uniform = np.ones(4)
         skewed = np.array([0.1, 3.0, 7.0, 0.5])
-        assert kernels.all_pairs_mape(x, y, uniform) == kernels.all_pairs_mape(x, y, skewed)
-        assert kernels.all_pairs_mape(x, y, uniform) == 0.0
+        pairs = list(itertools.combinations(range(4), 2))
+        ols = kernels.all_pairs_mape(x, y, uniform, pairs)
+        assert ols == kernels.all_pairs_mape(x, y, skewed, pairs)
+        assert ols == 0.0
 
     def test_near_deterministic_sites_agree(self):
         # point-mass speeds at a d multiple: m_hat is m up to the 1e-9 spread

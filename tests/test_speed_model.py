@@ -71,6 +71,20 @@ class TestEvalPdf:
         s = np.linspace(-5.0, 45.0, 5001)
         assert np.all(park.pdf(s) >= 0.0)
 
+    @pytest.mark.parametrize("method", ["pdf", "cdf"])
+    @pytest.mark.parametrize("x", [20.0, 50.0, -1.0])
+    def test_keeps_the_input_shape(self, park, method, x):
+        # a float for a 0-d input, as vmr and min_records return; an array
+        # of the input's shape otherwise
+        f = getattr(park, method)
+        want = f(np.array([x]))[0]
+        for s in (x, np.float64(x), np.array(x)):
+            got = f(s)
+            assert type(got) is float and got == want
+        assert f([x]).shape == (1,) and f([x])[0] == want
+        got = f(np.array([[x, 30.0], [10.0, x]]))
+        assert got.shape == (2, 2) and got[0, 0] == got[1, 1] == want
+
 
 def sample(dist, count, seed):
     return sample_with_rng(dist, count, np.random.default_rng(seed))

@@ -14,8 +14,8 @@ import numpy as np
 import pytest
 
 import probevolume
-from probevolume import distribution_engine
-from probevolume.distribution_engine import BATCH_PIECES, vmr
+from probevolume import kernels
+from probevolume.distribution_engine import vmr
 from probevolume.speed_model import (
     PRESET_NAMES,
     SpeedComponent,
@@ -87,7 +87,7 @@ class TestBatch:
         # about 120 pieces each on park-i35: chunks of a few d each. On
         # table2-60mph d/t = 1000 doubles J once; on the random mixture the
         # lattice ends above lower
-        monkeypatch.setattr(distribution_engine, "BATCH_PIECES", 500)
+        monkeypatch.setattr(kernels, "CHUNK_PIECES", 500)
         lifted = random_mixture(np.random.default_rng(1))
         for dist in (park, m60, lifted):
             ds = np.concatenate((np.linspace(0.5, 400.0, 61), [1000.0, 3.0]))
@@ -122,7 +122,7 @@ class TestKinkSet:
         # mixture one component at a time: the peak is alike for any k and
         # batch size
         dist = _spread_mixture(k)
-        ds = np.linspace(1.0, 300.0, 100 * BATCH_PIECES // (21 * k + 40))
+        ds = np.linspace(1.0, 300.0, 100 * kernels.CHUNK_PIECES // (21 * k + 40))
         tracemalloc.start()
         try:
             assert np.all(np.isfinite(vmr(ds, 1.0, dist)))
@@ -220,7 +220,7 @@ class TestVmrOracle:
 
 _ISOLATED = """
 import json, sys
-from probevolume.distribution_engine import BATCH_PIECES, vmr
+from probevolume.distribution_engine import vmr
 from probevolume.speed_model import from_dict
 config, cases = json.loads(sys.argv[1])
 dist = from_dict(config)
