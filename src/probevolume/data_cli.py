@@ -36,9 +36,6 @@ EXIT_UNKNOWN_COMMAND = 2
 EXIT_BAD_PARAMETER = 3
 EXIT_IO_FAILURE = 4
 
-# CSV rows formatted by one `%` over a block of the columns' values
-CSV_BLOCK_ROWS = 1024
-
 
 # -- serialization -----------------------------------------------------------
 
@@ -94,14 +91,15 @@ def _emit(doc: dict, out: str | None) -> None:
 def _write_csv(path: str, header: str, row_format: str, *columns: np.ndarray) -> None:
     """The header line, then ``row_format`` over each row of the equal-length columns.
 
-    A block of rows is formatted at once, by ``row_format`` repeated once per
-    row over the block's values taken row by row from the columns' ``tolist()``,
-    so the text is that of formatting each row on its own.
+    A block of ``footprint_data.WRITE_BLOCK`` rows is formatted at once, by
+    ``row_format`` repeated once per row over the block's values taken row by
+    row from the columns' ``tolist()``, so the text is that of formatting each
+    row on its own.
     """
     with Path(path).open("w", encoding="utf-8", newline="") as fh:
         fh.write(header + "\n")
-        for i in range(0, len(columns[0]), CSV_BLOCK_ROWS):
-            block = [c[i : i + CSV_BLOCK_ROWS].tolist() for c in columns]
+        for i in range(0, len(columns[0]), footprint_data.WRITE_BLOCK):
+            block = [c[i : i + footprint_data.WRITE_BLOCK].tolist() for c in columns]
             values = tuple(itertools.chain.from_iterable(zip(*block)))
             fh.write(row_format * len(block[0]) % values)
 

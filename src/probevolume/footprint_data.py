@@ -15,8 +15,9 @@ import numpy as np
 log = logging.getLogger(__name__)
 
 CSV_FIELDS = ("position_m", "speed_mps", "label")
-# rows per writelines call of write_footprints_csv
-WRITE_BLOCK = 1 << 16
+# rows per block of both CSV writers (here and data_cli): the text is that of
+# writing row by row at any block size; only the block's Python objects grow
+WRITE_BLOCK = 1024
 
 
 def _check_footprint(position: float, speed: float) -> None:

@@ -26,18 +26,15 @@ _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 #
 # Both add the components' terms into the result in the order j = 0, 1, ...,
 # k-1, one term at a time, so a point's value does not depend on the other
-# points of the call. A vectorised step evaluates as many components as fit
-# in _STEP_VALUES values, and at least one: a call of a few points takes
-# every component in one step, a call of many points one component a step,
-# so the temporaries are O(points) whatever k is.
+# points of the call, nor on how many components one vectorised step takes.
 # ---------------------------------------------------------------------------
-
-_STEP_VALUES = 1 << 15
 
 
 def _per_step(n_points):
-    """How many components one vectorised step evaluates over n_points."""
-    return max(1, _STEP_VALUES // max(n_points, 1))
+    """How many components one vectorised step evaluates over n_points: as
+    many as fit in the values of one band or variance chunk's nodes, and at
+    least one, so the temporaries are O(points) whatever k is."""
+    return max(1, CHUNK_PIECES * _GL8_X.size // max(n_points, 1))
 
 
 def _add_rows(acc, terms):
@@ -94,13 +91,6 @@ def mixture_cdf(s, means, sds, cdf_lo, cdf_w, lower, upper):
         terms *= cdf_w[c, None]
         acc = _add_rows(acc, terms)
     return acc.reshape(x.shape)
-
-
-# Band accumulation evaluates the mixture through these import-time bindings,
-# so a caller that wraps or replaces the public kernels (profiling, test
-# doubles) sees only the calls made from outside this module.
-_mixture_pdf = mixture_pdf
-_mixture_cdf = mixture_cdf
 
 
 # ---------------------------------------------------------------------------
@@ -189,11 +179,11 @@ def band_masses(
         u = band[c : c + CHUNK_PIECES]
         a = e[:-1]
         b = e[1:]
-        delta = np.diff(_mixture_cdf(e, means, sds, cdf_lo, cdf_w, lower, upper))
+        delta = np.diff(mixture_cdf(e, means, sds, cdf_lo, cdf_w, lower, upper))
 
         # mass-weighted mean of p over each piece via GL8 on g and g*p
         nodes = 0.5 * (a[:, None] + b[:, None]) + 0.5 * (b - a)[:, None] * _GL8_X
-        gv = _mixture_pdf(nodes.ravel(), means, sds, norms, lower, upper).reshape(nodes.shape)
+        gv = mixture_pdf(nodes.ravel(), means, sds, norms, lower, upper).reshape(nodes.shape)
         g_int = gv @ _GL8_W
         # r - u, not r - floor(r): near a band end floor(r) can round to u + 1 and move atoms
         gp_int = (gv * (d / (nodes * t) - u[:, None])) @ _GL8_W
@@ -220,7 +210,7 @@ def band_masses(
     s_tail = d / (t * (u_max + 1))
     if s_tail > lower:
         lump = float(
-            _mixture_cdf(
+            mixture_cdf(
                 np.asarray([s_tail]), means, sds, cdf_lo, cdf_w, lower, upper
             )[0]
         )

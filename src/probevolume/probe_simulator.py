@@ -57,10 +57,8 @@ MAX_TRIALS = 10**8
 MAX_PASSES = 10**9
 MAX_TRIAL_PASSES = 10**6
 # passes per block of run_scenario and of the experiment, rounded down to
-# whole trials (at least one)
+# whole trials (at least one), and samples per block of a summary's variance sum
 BLOCK_PASSES = 1 << 16
-# samples per block of a summary's variance sum
-VAR_BLOCK = 1 << 16
 
 SCENARIO_PRESETS = {
     "s1": {"d": 300.0, "t": 4.0, "dist": "park-i35"},
@@ -99,6 +97,7 @@ class ScenarioConfig:
             raise ValueError(f"d and t must be positive and finite, got ({self.d}, {self.t})")
         object.__setattr__(self, "m", probe_count(self.m, least=0))
         object.__setattr__(self, "trials", _check_size(self.trials, self.m, "m"))
+        object.__setattr__(self, "seed", probe_count(self.seed, least=0, name="seed"))
 
 
 @dataclass(frozen=True)
@@ -214,14 +213,14 @@ def run_scenario(config: ScenarioConfig) -> tuple[np.ndarray, SimSummary]:
 
 
 def _sum_sq_dev(x: np.ndarray, mean: float) -> float:
-    """Sum of (x - mean)**2 in blocks of at most ``VAR_BLOCK`` elements.
+    """Sum of (x - mean)**2 in blocks of at most ``BLOCK_PASSES`` elements.
 
     numpy's pairwise sum splits an array of over 128 elements at half its
     length rounded down to a multiple of 8. Splitting the same way down to
     blocks that ``np.sum`` takes whole gives its sum bit for bit, so the
     variance equals ``np.var(x, ddof=1)`` without a temporary the size of x.
     """
-    if x.size <= VAR_BLOCK:
+    if x.size <= BLOCK_PASSES:
         dev = x - mean
         return float(np.sum(dev * dev))
     half = x.size // 2
@@ -313,7 +312,7 @@ def load_sites(spec: str) -> list[SiteConfig]:
             sites[site_id] = SiteConfig(
                 site_id=site_id,
                 adt=config_number(row, "adt"),
-                m=config_number(row, "m", integral=True),
+                m=config_number(row, "m"),
                 d=config_number(row, "d"),
                 dist=dists[key],
                 t=t,
@@ -324,10 +323,7 @@ def load_sites(spec: str) -> list[SiteConfig]:
 
 
 def run_regression_experiment(
-    sites: list[SiteConfig],
-    trials: int,
-    all_pairs: bool = True,
-    seed: int = 0,
+    sites: list[SiteConfig], trials: int, all_pairs: bool = True, *, seed: int
 ) -> ExperimentReport:
     """Leave-pair calibration sweep: per trial, fit OLS and inverse-VMR WLS
     through the origin on every pair of "known" sites and score the held-out
@@ -343,6 +339,7 @@ def run_regression_experiment(
         raise ValueError(f"need at least 3 sites, got {len(sites)}")
     passes = sum(site.m for site in sites)
     trials = _check_size(trials, passes, "the sum of site m")
+    seed = probe_count(seed, least=0, name="seed")
 
     volumes = np.array([site.adt for site in sites], dtype=np.float64)
     # one batched vmr per distribution and t, each ratio the bits of its own call

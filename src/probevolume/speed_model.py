@@ -107,24 +107,15 @@ class SpeedDistribution:
         return float(out) if out.ndim == 0 else out
 
 
-# Most inner edges a component draw compares its uniforms against one edge
-# at a time: the count of edges at or below a uniform fits a uint8 counter
-# up to 255 edges, and the pass costs about 0.015 ms per edge per 65,536
-# draws against about 5 ms for np.searchsorted at any k (2 vCPUs), so the
-# measured crossover (near 300 edges) lies beyond what the counter holds.
-# A mixture with more components is searched.
-MAX_STREAMED_EDGES = np.iinfo(np.uint8).max
-
-
 def _pick_components(edges: np.ndarray, r: np.ndarray) -> np.ndarray | None:
     """Component of each uniform in r: the number of inner cumulative weights
     ``edges`` at or below it, which is ``searchsorted(cum, r, side="right")``
-    over all k cumulative weights clamped to k - 1. None for one component."""
-    if edges.size > MAX_STREAMED_EDGES:
-        return np.searchsorted(edges, r, side="right")
+    over all k cumulative weights clamped to k - 1. None for one component.
+    The count never exceeds ``edges.size``, so a ``np.min_scalar_type(edges.size)``
+    counter holds it exactly for any k: uint8 up to 256 components."""
     if edges.size == 0:
         return None
-    comp = np.zeros(r.size, dtype=np.uint8)
+    comp = np.zeros(r.size, dtype=np.min_scalar_type(edges.size))
     hit = np.empty(r.size, dtype=np.bool_)
     for edge in edges:
         np.greater_equal(r, edge, out=hit)
@@ -270,21 +261,16 @@ def integrate_weighted(
 # -- configuration ----------------------------------------------------------
 
 
-def config_number(doc: Mapping, key: str, integral: bool = False) -> float | int:
-    """``doc[key]`` as a float, or as an int when ``integral``.
+def config_number(doc: Mapping, key: str) -> float:
+    """``doc[key]`` as a float.
 
     Only numbers are taken: a string, a boolean or null raises ``TypeError``
-    naming the key, as does a non-integral value where ``integral`` is set,
-    so nothing is coerced on the way in.
+    naming the key, so nothing is coerced on the way in.
     """
     value = doc[key]
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise TypeError(f"{key!r} must be a number, got {value!r}")
-    if not integral:
-        return float(value)
-    if isinstance(value, numbers.Integral) or float(value).is_integer():
-        return int(value)
-    raise TypeError(f"{key!r} must be an integer, got {value!r}")
+    return float(value)
 
 
 def from_dict(doc: dict) -> SpeedDistribution:

@@ -46,6 +46,11 @@ class TestFit:
         with pytest.raises(ValueError, match="overflowed"):
             fit_through_origin(_pairs(rows), "ols")
 
+    def test_underflow_fails(self):
+        # each w * m_hat^2 is about 1e-340, below the smallest subnormal
+        with pytest.raises(ValueError, match="underflowed"):
+            fit_through_origin(_pairs([(1e-170, 50.0), (2e-170, 100.0)]), "ols")
+
     def test_method_is_ols_or_wls(self):
         assert fit_through_origin(_pairs([(2.0, 100.0, 3.0)]), "ols").method == "ols"
         with pytest.raises(ValueError, match="'ols' or 'wls'"):

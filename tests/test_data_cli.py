@@ -9,7 +9,6 @@ import pytest
 from probevolume import distribution_engine, probe_simulator
 from probevolume.cordon_optimizer import optimize_cordon
 from probevolume.data_cli import (
-    CSV_BLOCK_ROWS,
     EXIT_BAD_PARAMETER,
     EXIT_IO_FAILURE,
     EXIT_OK,
@@ -18,6 +17,7 @@ from probevolume.data_cli import (
     dumps_json,
     main,
 )
+from probevolume.footprint_data import WRITE_BLOCK
 from probevolume.speed_model import from_dict, integrate_weighted, load_distribution
 
 from conftest import kink_sum_vmr
@@ -172,7 +172,6 @@ class TestConfigValuesNotCoerced:
     @pytest.mark.parametrize(
         "argv,config,key",
         [
-            (_EXPERIMENT, _site_rows(m=4.9), "m"),
             (_EXPERIMENT, _site_rows(m=True), "m"),
             (_EXPERIMENT, _site_rows(m="5"), "m"),
             (_EXPERIMENT, _site_rows(adt="40"), "adt"),
@@ -197,7 +196,7 @@ class TestConfigValuesNotCoerced:
                 for i in (True, True, None, "x", 7.5)]}), "site_id"),
         ],
         ids=[
-            "site-m-fraction", "site-m-bool", "site-m-string", "site-adt-string",
+            "site-m-bool", "site-m-string", "site-adt-string",
             "site-d-null", "sites-t-string", "scenario-d-bool", "scenario-t-string",
             "scenario-dist-mean-string", "dist-mean-string", "dist-sd-bool",
             "dist-weight-string", "dist-lower-bool", "dist-upper-string",
@@ -339,10 +338,14 @@ class TestOneCheckPerInput:
              "need 0 < d_min < d_max < inf, got (0.5, 0.2)"),
             (("simulate", "--scenario", "s1", "--m", "-1", "--trials", "1", "--seed", "1"),
              "bad scenario config: m must be an integer >= 0, got -1"),
-            ((*_EXPERIMENT, "{sites}"), "site 0: m must be an integer >= 1, got 0"),
+            ((*_EXPERIMENT, "{sites}"), "site 0: m must be an integer >= 1, got 0.0"),
+            (("simulate", "--scenario", "s1", "--m", "1", "--trials", "1", "--seed", "-1"),
+             "bad scenario config: seed must be an integer >= 0, got -1"),
+            (("experiment", "--sites", "table2", "--trials", "1", "--seed", "-1"),
+             "seed must be an integer >= 0, got -1"),
         ],
         ids=["estimate-d", "estimate-t", "precision-m", "precision-t", "pdf-m", "optimize-range",
-             "simulate-m", "experiment-site-m"],
+             "simulate-m", "experiment-site-m", "simulate-seed", "experiment-seed"],
     )
     def test_library_message(self, capsys, tmp_path, argv, message):
         (tmp_path / "f.csv").write_text("position_m,speed_mps\n10,5\n", encoding="utf-8")
@@ -355,6 +358,29 @@ class TestOneCheckPerInput:
         assert code == EXIT_BAD_PARAMETER
         assert out == ""
         assert json.loads(err) == {"error": message, "code": EXIT_BAD_PARAMETER}
+
+    # a config value goes to the library as a float, and its message is the library's
+    @pytest.mark.parametrize(
+        "argv,config,message",
+        [
+            (_EXPERIMENT, _site_rows(m=4.9), "site 0: m must be an integer >= 1, got 4.9"),
+            (_EXPERIMENT, _site_rows(m=4.9).replace("4.9", "1e400"),
+             "site 0: m must be an integer >= 1, got inf"),
+            (_EXPERIMENT, _site_rows(m=10**400),
+             "malformed site set config {path!r}: int too large to convert to float"),
+            (_PRECISION, _dist_with("component", "mean", math.inf),
+             "component mean must be finite"),
+        ],
+        ids=["site-m-fraction", "site-m-1e400", "site-m-past-float", "dist-mean-inf"],
+    )
+    def test_config_message(self, capsys, tmp_path, argv, config, message):
+        path = tmp_path / "config.json"
+        path.write_text(config, encoding="utf-8")
+        code, out, err = run_cli(capsys, *argv, str(path))
+        assert code == EXIT_BAD_PARAMETER
+        assert out == ""
+        assert json.loads(err) == {"error": message.format(path=str(path)),
+                                   "code": EXIT_BAD_PARAMETER}
 
     # a bad number and an unreadable file: the file is read before the
     # library checks the number, so the request exits 4 (it exited 3)
@@ -514,6 +540,24 @@ class TestOversizedField:
         assert code == EXIT_BAD_PARAMETER
         assert out == ""
         assert ":3:" in json.loads(err)["error"]
+
+    @pytest.mark.parametrize(
+        "argv,header",
+        [
+            (("estimate", "--start", "0", "--d", "100", "--t", "1", "--footprints"),
+             "position_m,speed_mps"),
+            (("calibrate", "--method", "ols", "--pairs"), "m_hat,adt"),
+        ],
+        ids=["footprints", "pairs"],
+    )
+    def test_header_exits_3(self, capsys, tmp_path, argv, header):
+        path = tmp_path / "f.csv"
+        path.write_text(f"{header},{_OVERSIZED}\n1,60\n", encoding="utf-8")
+        code, out, err = run_cli(capsys, *argv, str(path))
+        assert code == EXIT_BAD_PARAMETER
+        assert out == ""
+        doc = json.loads(err)
+        assert ":1: unreadable header" in doc["error"] and "field limit" in doc["error"]
 
     def test_pairs_row_exits_3_with_line_number(self, capsys, tmp_path):
         path = tmp_path / "pairs.csv"
@@ -687,7 +731,7 @@ class TestCsvWriters:
         assert all(re.fullmatch(r"\d+", line.rsplit(",", 1)[1]) for line in want.splitlines()[1:])
 
     @pytest.mark.parametrize(
-        "n", [0, 1, CSV_BLOCK_ROWS - 1, CSV_BLOCK_ROWS, CSV_BLOCK_ROWS + 1, 2 * CSV_BLOCK_ROWS + 7]
+        "n", [0, 1, WRITE_BLOCK - 1, WRITE_BLOCK, WRITE_BLOCK + 1, 2 * WRITE_BLOCK + 7]
     )
     def test_block_edges(self, tmp_path, n):
         rng = np.random.default_rng(n)
@@ -856,6 +900,14 @@ class TestOutputLayout:
 
 
 class TestJsonRoundTrip:
+    def test_nan_is_null(self, capsys):
+        # no probes: every estimate is 0, so the cv is 0/0
+        code, out, _ = run_cli(capsys, "simulate", "--scenario", "s1", "--m", "0",
+                               "--trials", "3", "--seed", "1")
+        assert code == EXIT_OK
+        assert '\n  "cv": null\n' in out
+        assert json.loads(out)["mean"] == 0.0
+
     def test_seventeen_digit_floats_round_trip(self):
         values = [0.1, 1.0 / 3.0, 2.0**-52, 1.9, 0.018666973585263646]
         doc = {"xs": values}

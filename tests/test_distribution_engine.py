@@ -479,6 +479,16 @@ class TestMFold:
         with pytest.raises(ValueError):
             m_fold_pdf(single_probe_pdf(300.0, 4.0, park), 0)
 
+    def test_warns_on_mass_drift(self):
+        # a mass of 1 + 9e-7 passes the input check; 200 folds carry it to
+        # about 1 + 1.8e-4, past FOLD_DRIFT_WARN
+        dens = np.zeros(200)
+        dens[50] = (1.0 + 9e-7) / 1e-2
+        single = VolumePdf(0.0, 1e-2, dens, 0.0)
+        with pytest.warns(RuntimeWarning, match="200-fold density: mass drifted"):
+            pdf = m_fold_pdf(single, 200)
+        assert pdf.total_mass() == pytest.approx((1.0 + 9e-7) ** 200, rel=1e-9)
+
     def test_variance_additivity(self, park):
         single = single_probe_pdf(40.0, 1.0, park)
         _, v1 = pdf_moments(single)

@@ -78,7 +78,7 @@ class TestMixtureKernels:
         # the whole call takes one component a step, its parts several
         dist = _mixture(k)
         rng = np.random.default_rng(k)
-        s = rng.uniform(-1.0, 41.0, 2 * kernels._STEP_VALUES)
+        s = rng.uniform(-1.0, 41.0, 2 * kernels.CHUNK_PIECES * kernels._GL8_X.size)
         whole_pdf, whole_cdf = _kernel_pdf(dist, s), _kernel_cdf(dist, s)
         for _ in range(5):
             cuts = np.sort(rng.integers(0, s.size, int(rng.integers(1, 40))))

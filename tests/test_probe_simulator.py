@@ -16,7 +16,6 @@ from probevolume.probe_simulator import (
     MAX_PASSES,
     MAX_TRIAL_PASSES,
     MAX_TRIALS,
-    VAR_BLOCK,
     ScenarioConfig,
     _passes,
     _scenario_streams,
@@ -112,8 +111,8 @@ class TestRunScenario:
 
     @pytest.mark.parametrize(
         "n",
-        [2, 3, 9, 129, VAR_BLOCK - 1, VAR_BLOCK, VAR_BLOCK + 1, 2 * VAR_BLOCK + 7,
-         3 * VAR_BLOCK - 8, 3 * VAR_BLOCK + 13, 17 * VAR_BLOCK + 5],
+        [2, 3, 9, 129, BLOCK_PASSES - 1, BLOCK_PASSES, BLOCK_PASSES + 1, 2 * BLOCK_PASSES + 7,
+         3 * BLOCK_PASSES - 8, 3 * BLOCK_PASSES + 13, 17 * BLOCK_PASSES + 5],
     )
     def test_variance_equals_np_var(self, n):
         # the blocked sum follows numpy's pairwise splits; a numpy change to
@@ -369,6 +368,9 @@ class TestRegressionExperiment:
             run_regression_experiment(_uniform_sites(3), trials=MAX_TRIALS + 1, seed=0)
         with pytest.raises(ValueError, match="m must be"):
             SiteConfig("x", adt=10.0, m=0, d=10.0, dist=_uniform_sites(3)[0].dist, t=1.0)
+        for adt in (0.0, -1.0, math.inf, math.nan):
+            with pytest.raises(ValueError, match="site x: adt must be positive and finite"):
+                SiteConfig("x", adt=adt, m=1, d=10.0, dist=_uniform_sites(3)[0].dist, t=1.0)
         # caps on trials * sum of m and on the sum of m of one trial
         with pytest.raises(ValueError, match="probe passes"):
             run_regression_experiment(_uniform_sites(3, m=10**4), trials=10**5, seed=0)
@@ -411,3 +413,31 @@ class TestTrialsCount:
         report = run_regression_experiment(sites, trials=trials, seed=3)
         assert report == run_regression_experiment(sites, trials=2, seed=3)
         assert type(report.trials) is int
+
+
+class TestSeed:
+    # the seed has the probe-count check with least 0: a non-integer once
+    # reached numpy's SeedSequence TypeError, -1 its unnamed ValueError
+    @pytest.mark.parametrize("seed", [2.5, -1, math.nan, math.inf])
+    def test_non_seed_rejected(self, park, seed):
+        message = f"seed must be an integer >= 0, got {seed}"
+        with pytest.raises(ValueError, match=message):
+            ScenarioConfig(d=300.0, t=4.0, m=2, dist=park, trials=2, seed=seed)
+        with pytest.raises(ValueError, match=message):
+            run_regression_experiment(_uniform_sites(3), trials=1, seed=seed)
+
+    @pytest.mark.parametrize("seed", [2.0, np.float64(2.0), np.int64(2)],
+                             ids=["float", "numpy-float", "numpy-int"])
+    def test_integral_seed_runs_as_int(self, park, seed):
+        cfg = ScenarioConfig(d=300.0, t=4.0, m=2, dist=park, trials=3, seed=seed)
+        assert type(cfg.seed) is int and cfg.seed == 2
+        samples, _ = run_scenario(cfg)
+        assert samples.tobytes() == run_scenario(dataclasses.replace(cfg, seed=2))[0].tobytes()
+        sites = load_sites("table2")[:4]
+        report = run_regression_experiment(sites, trials=2, seed=seed)
+        assert type(report.seed) is int
+        assert report == run_regression_experiment(sites, trials=2, seed=2)
+
+    def test_experiment_seed_has_no_default(self):
+        with pytest.raises(TypeError, match="seed"):
+            run_regression_experiment(_uniform_sites(3), 1)

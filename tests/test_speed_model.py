@@ -6,7 +6,6 @@ import pytest
 from scipy.special import ndtri
 
 from probevolume.speed_model import (
-    MAX_STREAMED_EDGES,
     PRESET_NAMES,
     SpeedComponent,
     SpeedDistribution,
@@ -198,12 +197,24 @@ class TestSampleMatchesReference:
     def test_presets(self, name, count):
         self._check(load_distribution(name), count, seed=count)
 
-    # both sides of the streamed-edge limit, which sits at k = 256
+    # both sides of the uint8 counter's limit, which sits at k = 256
     @pytest.mark.parametrize("k", [2, 3, 9, 50, 256, 257, 300, 500])
     def test_random_mixtures(self, k):
-        dist = _spread_mixture(k, seed=k)
-        assert (k - 1 > MAX_STREAMED_EDGES) == (k > 256)
-        self._check(dist, 50_000, seed=k + 1)
+        self._check(_spread_mixture(k, seed=k), 50_000, seed=k + 1)
+
+    def test_uint32_counter(self):
+        # 65,536 inner edges count past a uint16; a wrapped counter would
+        # send draws of the last component, which has half the weight, to 0
+        k = 65_537
+        rng = np.random.default_rng(5)
+        weights = np.append(np.full(k - 1, 0.5 / (k - 1)), 0.5)
+        dist = SpeedDistribution(
+            tuple(SpeedComponent(float(mu), 2.0, float(w))
+                  for mu, w in zip(rng.uniform(1.0, 39.0, k), weights)),
+            0.0,
+            40.0,
+        )
+        self._check(dist, 300, seed=6)
 
     @pytest.mark.parametrize(
         "dist", [_zero_weight_mixture(), _degenerate_mixture()], ids=["zero-weight", "degenerate"]
