@@ -12,9 +12,10 @@ from .speed_model import SpeedDistribution
 
 OBJECTIVES = ("vmr", "cv")
 # most d values one curve evaluates; each costs one variance quadrature of
-# its own pieces, all of a curve made in one batched vmr call (about 0.05 ms
-# a point at d/t = 40 on park-i35, at most about 0.1 s at the variance
-# piece cap), so the cap bounds one request to minutes, not years
+# its own pieces, all of a curve made in one batched vmr call: about 0.04 ms
+# a point at d/t = 40 on park-i35, 4 s for a full grid, and at most about
+# 0.08 s a point at the variance piece cap (four near-point-mass components
+# at d/t = 1.3e6), so the cap bounds one request to hours, not years
 MAX_GRID_POINTS = 10**5
 
 

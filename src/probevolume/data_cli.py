@@ -50,6 +50,8 @@ def _fmt_float(x: float) -> str:
 
 
 def dumps_json(obj, indent: int = 0) -> str:
+    if type(obj) is float:  # the commonest value, tested first
+        return _fmt_float(obj)
     pad = "  " * indent
     if isinstance(obj, dict):
         if not obj:

@@ -205,9 +205,9 @@ def _variance_integrals(d, t, R, first, J, Je, dist):
         top = np.where(lattice, R / J, 0.0)
         bottom = np.where(end, R / Je, 0.0)
 
-    def weight(s, of):
-        smooth = (bottom[of] < s) & (s < top[of])
-        return np.where(smooth, s * s / 6.0, _var_term(s, d[of], t))
+    def weight(s, of):  # s: a row of nodes per piece; of: each piece's integral
+        smooth = (bottom[of, None] < s) & (s < top[of, None])
+        return np.where(smooth, s * s / 6.0, _var_term(s, d[of, None], t))
 
     integral = integrate_weighted(dist, weight, R[owner] / j, count)
     omitted = np.zeros_like(integral)
@@ -231,13 +231,15 @@ def vmr(d, t: float, dist: SpeedDistribution):
     checked before any is integrated, and they are integrated a chunk of
     about ``kernels.CHUNK_PIECES`` pieces at a time.
     """
-    ds = np.asarray(d, dtype=np.float64)
-    if ds.ndim > 1:
-        raise ValueError(f"d must be a number or a 1-D array, got shape {ds.shape}")
-    d = ds.reshape(-1)
+    given = np.asarray(d)
+    if given.ndim > 1:
+        raise ValueError(f"d must be a number or a 1-D array, got shape {given.shape}")
+    d = given.astype(np.float64).reshape(-1)
     bad = ~((0.0 < d) & (d < math.inf))
-    if bad.any() or not (0.0 < t < math.inf):
-        shown = d[bad][0] if bad.any() else ds
+    # a boolean d or t is refused, as config_number refuses one
+    boolean = given.dtype == np.bool_ or isinstance(t, (bool, np.bool_))
+    if bad.any() or boolean or not (0.0 < t < math.inf):
+        shown = d[bad][0] if bad.any() else given
         raise ValueError(f"d and t must be positive and finite, got ({shown}, {t})")
     # for small d/t, the VMR is about (t/d) E[s - d/t]: infinite with t/d
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
@@ -285,7 +287,7 @@ def vmr(d, t: float, dist: SpeedDistribution):
     infinite = ~np.isfinite(out)
     if infinite.any():
         raise ValueError(f"the variance at d={d[infinite][0]}, t={t} is not finite")
-    return float(out[0]) if ds.ndim == 0 else out
+    return float(out[0]) if given.ndim == 0 else out
 
 
 def _check_pieces(d, t, first, J, Je, dist):
@@ -311,10 +313,11 @@ def _check_pieces(d, t, first, J, Je, dist):
 def probe_count(m, least: int = 1, name: str = "m") -> int:
     """m as an int, once it is an integer >= least: the one probe-count check.
 
-    An integral float or numpy scalar passes (2.0 gives 2); any other value,
-    NaN and infinity included, raises ValueError.
+    An integral float or numpy scalar passes (2.0 gives 2); a boolean, as
+    ``config_number`` refuses one, and any other value, NaN and infinity
+    included, raise ValueError.
     """
-    if not (least <= m < math.inf and m % 1 == 0):
+    if isinstance(m, (bool, np.bool_)) or not (least <= m < math.inf and m % 1 == 0):
         raise ValueError(f"{name} must be an integer >= {least}, got {m}")
     return int(m)
 

@@ -6,7 +6,6 @@ import json
 import math
 import numbers
 from dataclasses import dataclass, field
-from importlib import resources
 from pathlib import Path
 from typing import Callable, Mapping, Sequence
 
@@ -21,6 +20,8 @@ WEIGHT_SUM_TOL = 5e-3
 
 PRESET_NAMES = ("park-i35", "table2-60mph", "table2-30mph")
 _PRESET_FILES = {name: name.replace("-", "_") + ".json" for name in PRESET_NAMES}
+# the packaged preset files, found once at import
+_PRESET_DIR = Path(__file__).with_name("presets")
 
 
 @dataclass(frozen=True)
@@ -206,9 +207,10 @@ def integrate_weighted(
     With ``sizes``, one pass makes ``len(sizes)`` integrals: ``breakpoints``
     holds their ascending breakpoints one integral after another, sizes[i]
     of them for integral i, ``weight`` is called as ``weight(nodes, owner)``
-    with owner[k] the integral that nodes[k] belongs to, and the integrals
-    come back as an array. Each integral gets the pieces, nodes and sum, so
-    the bits, that it gets on its own.
+    with one row of nodes per piece, shape (pieces, 8), and owner[k] the
+    integral that piece k belongs to, and the integrals come back as an
+    array. Each integral gets the pieces, nodes and sum, so the bits, that
+    it gets on its own.
     """
     pts = np.asarray(breakpoints, dtype=np.float64).reshape(-1)
     counts = np.asarray([pts.size] if sizes is None else sizes, dtype=np.int64)
@@ -220,16 +222,16 @@ def integrate_weighted(
     cuts = _anchor_cuts(dist)
     fixed = np.concatenate(([dist.lower, top], cuts[(cuts > dist.lower) & (cuts < top)]))
     inner = (pts > dist.lower) & (pts < top)
-    edges = np.concatenate((pts[inner], np.tile(fixed, n)))
-    edge_owner = np.concatenate((owner[inner], np.repeat(np.arange(n), fixed.size)))
-    order = np.lexsort((edges, edge_owner))
-    edges, edge_owner = edges[order], edge_owner[order]
-    # one edge per distinct (integral, speed); a piece joins two edges of one integral
-    keep = np.ones(edges.size, dtype=np.bool_)
-    keep[1:] = (edges[1:] != edges[:-1]) | (edge_owner[1:] != edge_owner[:-1])
-    edges, edge_owner = edges[keep], edge_owner[keep]
-    piece = edge_owner[1:] == edge_owner[:-1]
-    lo, hi, piece_owner = edges[:-1][piece], edges[1:][piece], edge_owner[1:][piece]
+    # one row per integral: its inner breakpoints, padded with top, then the
+    # fixed edges; sorted, each unequal neighbour pair is one piece
+    per_row = np.bincount(owner[inner], minlength=n)
+    width = int(per_row.max(initial=0))
+    rows = np.full((n, width + fixed.size), top)
+    rows[:, :width][np.arange(width) < per_row[:, None]] = pts[inner]
+    rows[:, width:] = fixed
+    rows.sort(axis=1)
+    piece = rows[:, 1:] != rows[:, :-1]
+    lo, hi, piece_owner = rows[:, :-1][piece], rows[:, 1:][piece], np.nonzero(piece)[0]
 
     half = 0.5 * (hi - lo)
     mid = 0.5 * (lo + hi)
@@ -243,8 +245,8 @@ def integrate_weighted(
     if sizes is None:
         wv = weight(nodes)
     else:
-        wv = weight(nodes, np.repeat(piece_owner, kernels._GL8_X.size))
-    wv = np.asarray(wv, dtype=np.float64)
+        wv = weight(nodes.reshape(piece_owner.size, -1), piece_owner)
+    wv = np.asarray(wv, dtype=np.float64).reshape(-1)
     if not np.all(np.isfinite(wv)):
         bad = nodes[~np.isfinite(np.broadcast_to(wv, nodes.shape))]
         raise ValueError(
@@ -254,7 +256,9 @@ def integrate_weighted(
     # and in a fixed order (no BLAS dot): reruns are bit-identical whatever the
     # thread count, and an integral's sum does not depend on the others
     first_node = kernels._GL8_X.size * np.searchsorted(piece_owner, np.arange(n))
-    sums = np.add.reduceat(wts * gv * wv, first_node)
+    wts *= gv  # wts * gv * wv in place, in that order: the same bits
+    wts *= wv
+    sums = np.add.reduceat(wts, first_node)
     return float(sums[0]) if sizes is None else sums
 
 
@@ -300,7 +304,7 @@ def read_config(spec: str, presets: Mapping[str, str | dict], what: str) -> dict
     if isinstance(preset, dict):
         return dict(preset)
     if preset is not None:
-        source = resources.files("probevolume.presets").joinpath(preset)
+        source = _PRESET_DIR / preset
     else:
         source = Path(spec)
         if not source.exists():

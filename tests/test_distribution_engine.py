@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -20,7 +21,12 @@ from probevolume.distribution_engine import (
     vmr,
 )
 from probevolume.estimator import bernoulli_var_term
-from probevolume.probe_simulator import ScenarioConfig, run_scenario
+from probevolume.probe_simulator import (
+    ScenarioConfig,
+    SiteConfig,
+    run_regression_experiment,
+    run_scenario,
+)
 from probevolume.speed_model import (
     SpeedComponent,
     SpeedDistribution,
@@ -185,6 +191,76 @@ class TestPrecisionReport:
         assert variance(0, 300.0, 4.0, park) == 0.0
         with pytest.raises(ValueError):
             variance(0, 0.0, 4.0, park)
+
+
+class TestBooleansRefused:
+    # a boolean is no number here, as config_number refuses one in a config
+    # file: every probe_count caller and vmr raise ValueError for one, while
+    # an integral numpy number gives the Python number's bits
+    BOOLS = [True, np.True_]
+
+    @staticmethod
+    def _sites(m=2):
+        dist = SpeedDistribution((SpeedComponent(20.0, 1e-9, 1.0),), 0.0, 40.0)
+        return [SiteConfig(site_id=str(i), adt=200.0, m=m, d=40.0, dist=dist, t=1.0)
+                for i in range(3)]
+
+    @pytest.mark.parametrize("b", BOOLS, ids=["bool", "numpy-bool"])
+    def test_probe_count_callers(self, park, b):
+        single = single_probe_pdf(300.0, 4.0, park, grid_step=1e-2)
+        calls = {
+            "m must be an integer >= 1, got True": [
+                lambda: precision_report(b, 300.0, 4.0, park),
+                lambda: m_fold_pdf(single, b),
+                lambda: objective_curve(5.0, 7.0, 1.0, 1.0, park, "vmr", b),
+                lambda: objective_curve(5.0, 7.0, 1.0, 1.0, park, "cv", b),
+            ],
+            "m must be an integer >= 0, got True": [
+                lambda: ScenarioConfig(d=300.0, t=4.0, m=b, dist=park, trials=2, seed=1),
+            ],
+            "trials must be an integer >= 1, got True": [
+                lambda: ScenarioConfig(d=300.0, t=4.0, m=2, dist=park, trials=b, seed=1),
+                lambda: run_regression_experiment(self._sites(), trials=b, seed=0),
+            ],
+            "seed must be an integer >= 0, got True": [
+                lambda: ScenarioConfig(d=300.0, t=4.0, m=2, dist=park, trials=2, seed=b),
+                lambda: run_regression_experiment(self._sites(), trials=1, seed=b),
+            ],
+            "site 0: m must be an integer >= 1, got True": [lambda: self._sites(m=b)],
+        }
+        for message, group in calls.items():
+            for call in group:
+                with pytest.raises(ValueError, match=message):
+                    call()
+
+    def test_false_is_no_zero(self, park):
+        for key in ("m", "seed"):
+            kwargs = {**dict(d=300.0, t=4.0, m=2, dist=park, trials=2, seed=1), key: False}
+            with pytest.raises(ValueError, match=f"{key} must be an integer >= 0, got False"):
+                ScenarioConfig(**kwargs)
+
+    @pytest.mark.parametrize("b", BOOLS, ids=["bool", "numpy-bool"])
+    def test_vmr(self, park, b):
+        for d, t, shown in ((b, 4.0, "(True, 4.0)"),
+                            (np.array([b, b]), 4.0, "([ True  True], 4.0)"),
+                            (300.0, b, "(300.0, True)")):
+            message = f"d and t must be positive and finite, got {shown}"
+            with pytest.raises(ValueError, match=re.escape(message)):
+                vmr(d, t, park)
+
+    @pytest.mark.parametrize("two", [np.int64(2), np.float64(2.0)], ids=["int64", "float64"])
+    def test_numpy_numbers_give_the_python_bits(self, park, two):
+        rep = precision_report(two, 300.0, 4.0, park)
+        assert type(rep.m) is int and rep == precision_report(2, 300.0, 4.0, park)
+        single = single_probe_pdf(300.0, 4.0, park, grid_step=1e-2)
+        assert m_fold_pdf(single, two).densities.tobytes() == (
+            m_fold_pdf(single, 2).densities.tobytes())
+        assert objective_curve(5.0, 9.0, 1.0, 1.0, park, "cv", two) == (
+            objective_curve(5.0, 9.0, 1.0, 1.0, park, "cv", 2))
+        assert self._sites(m=two)[0].m == 2 and type(self._sites(m=two)[0].m) is int
+        assert vmr(two * 150, two * 2, park).hex() == vmr(300.0, 4.0, park).hex()
+        grid = vmr(np.array([150, 300], dtype=type(two)), two * 2, park)
+        assert [x.hex() for x in grid] == [vmr(d, 4.0, park).hex() for d in (150.0, 300.0)]
 
 
 class TestSingleProbePdf:

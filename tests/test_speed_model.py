@@ -9,6 +9,8 @@ from probevolume.speed_model import (
     PRESET_NAMES,
     SpeedComponent,
     SpeedDistribution,
+    _PDF_ZERO_SDS,
+    _anchor_cuts,
     from_dict,
     integrate_weighted,
     load_distribution,
@@ -303,6 +305,61 @@ class TestIntegrateWeighted:
         with np.errstate(divide="ignore", invalid="ignore"):
             with pytest.raises(ValueError, match="non-finite"):
                 integrate_weighted(park, lambda s: 1.0 / (s - s))
+
+
+class TestIntegrateWeightedBatch:
+    """``sizes`` makes each integral the bits of its own call, in the cases
+    where edges tie or rows are padded: a breakpoint on lower, on the
+    density's top or on an anchor cut, repeated, outside the support, and
+    an integral with no inner breakpoint."""
+
+    LOWER = SpeedDistribution(
+        (SpeedComponent(18.0, 4.0, 0.6), SpeedComponent(9.0, 2.5, 0.4)), 5.0, 35.0
+    )
+    # one component whose density term is 0 from 40 sd up: top 24 < upper 40
+    TOPPED = SpeedDistribution((SpeedComponent(20.0, 0.1, 1.0),), 0.0, 40.0)
+
+    @staticmethod
+    def _weight(s):
+        return s * s * np.cos(0.7 * s) + 3.0
+
+    @pytest.mark.parametrize("which", ["park", "lower", "topped"])
+    def test_ties_and_padding_equal_single_calls(self, park, which):
+        dist = {"park": park, "lower": self.LOWER, "topped": self.TOPPED}[which]
+        top = min(dist.upper, float(np.max(dist._means + _PDF_ZERO_SDS * dist._sds)))
+        cuts = _anchor_cuts(dist)
+        cuts = np.sort(cuts[(cuts > dist.lower) & (cuts < top)])
+        lo, hi, mid = dist.lower, top, 0.5 * (dist.lower + top)
+        groups = [
+            [],  # the first row all padding
+            [lo, cuts[0], cuts[-1], hi],  # on lower, anchor cuts and the top
+            sorted([mid, mid, mid, cuts[1], cuts[1]]),  # repeats inside one integral
+            [-7.5, lo - 1.0, hi + 0.5, dist.upper + 9.0],  # none inside
+            [lo - 1.0, 0.5 * (lo + mid), hi, hi + 1.0],  # some outside, one inside
+            list(np.linspace(lo, hi, 41)),  # the widest row: the others padded
+            [cuts[len(cuts) // 2]],
+            [],  # the last row all padding
+        ]
+        got = integrate_weighted(
+            dist, lambda s, of: self._weight(s), np.concatenate(groups), [len(g) for g in groups]
+        )
+        want = [integrate_weighted(dist, self._weight, g) for g in groups]
+        assert [x.hex() for x in got] == [x.hex() for x in want]
+
+    def test_weight_gets_a_row_of_nodes_per_piece(self, park):
+        groups = [[10.0, 20.0], [], [31.0, 35.0, 39.0]]
+        shapes = []
+
+        def weight(s, of):
+            shapes.append((s.shape, of.shape))
+            return np.cos(s) * (1.0 + of[:, None])
+
+        got = integrate_weighted(park, weight, np.concatenate(groups), [2, 0, 3])
+        (nodes, owners), = shapes
+        assert nodes == (owners[0], 8)
+        for i, g in enumerate(groups):
+            want = integrate_weighted(park, lambda s: np.cos(s) * (1.0 + i), g)
+            assert got[i].hex() == want.hex()
 
 
 class TestValidation:

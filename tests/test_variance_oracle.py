@@ -82,6 +82,70 @@ class TestKinkSum:
             assert vmr(d, t, wide) == pytest.approx(vmr(d, t, tight), rel=1e-15)
 
 
+# A reference that shares no code with integrate_weighted or kernels: its own
+# truncated-normal density (math.erfc), a 16-node Gauss-Legendre rule on every
+# piece between consecutive kinks d/(t j), j up to _GL16_J, and cuts every half
+# sd out to 8 sd of each component. Below d/(t _GL16_J) the kernel is its cycle
+# mean s^2/6, which is off there by about s^5 g / (90 R^2), under 1e-15 of the
+# integral on these cases; a 32-node rule with j up to 16384 moves the
+# reference by under 1e-15.
+_GL16_X, _GL16_W = np.polynomial.legendre.leggauss(16)
+_GL16_J = 4096
+
+
+def _gl16_vmr(d, t, dist):
+    R = d / t
+    lower, upper = dist.lower, dist.upper
+    mus, sds, ws = (np.array(col) for col in zip(*(
+        (c.mean, c.sd, c.weight) for c in dist.components)))
+    mass = [0.5 * (math.erfc((lower - mu) / (sd * math.sqrt(2.0)))
+                   - math.erfc((upper - mu) / (sd * math.sqrt(2.0))))
+            for mu, sd in zip(mus, sds)]
+    coef = ws / ws.sum() / (sds * np.array(mass) * math.sqrt(2.0 * math.pi))
+    smooth_top = R / _GL16_J
+    kinks = R / np.arange(math.floor(R / upper) + 1, _GL16_J + 1)
+    cuts = (mus[:, None] + 0.5 * sds[:, None] * np.arange(-16, 17)).ravel()
+    edges = np.unique(np.concatenate(([lower, upper, smooth_top], kinks, cuts)))
+    edges = edges[(edges >= lower) & (edges <= upper)]
+    a, b = edges[:-1], edges[1:]
+    s = 0.5 * (a + b)[:, None] + 0.5 * (b - a)[:, None] * _GL16_X
+    g = sum(c * np.exp(-0.5 * ((s - mu) / sd) ** 2) for mu, sd, c in zip(mus, sds, coef))
+    r = R / s
+    p = r - np.floor(r)
+    kernel = np.where(s < smooth_top, s * s / 6.0, s * s * p * (1.0 - p))
+    return np.sum((0.5 * (b - a))[:, None] * _GL16_W * kernel * g) / (R * R)
+
+
+class TestIndependentReference:
+    # measured worst: 2.45e-14 on the presets (table2-60mph, d/t = 123.4) and
+    # 3.41e-14 on the near-degenerate mixture (d/t = 400): the 8-node rule's
+    # 2-sd anchor spacing between 4 and 8 sd; ROADMAP item 7's cuts at +-5 and
+    # +-7 sd are to tighten both to 2e-15
+    RATIOS = (0.7, 10.0, 37.5, 123.4, 400.0)
+
+    @pytest.mark.parametrize("t", [1.0, 2.0, 4.0])
+    @pytest.mark.parametrize("name", PRESET_NAMES)
+    def test_presets(self, name, t):
+        dist = load_distribution(name)
+        for ratio in self.RATIOS:
+            d = ratio * t
+            assert vmr(d, t, dist) == pytest.approx(_gl16_vmr(d, t, dist), rel=2.5e-14)
+
+    def test_random_mixtures_above_zero(self):
+        for seed in range(6):
+            dist = random_mixture(np.random.default_rng(seed))
+            assert dist.lower > 0.0
+            for ratio in self.RATIOS:
+                want = _gl16_vmr(ratio, 1.0, dist)
+                assert vmr(ratio, 1.0, dist) == pytest.approx(want, rel=2.5e-14)
+
+    def test_near_degenerate(self):
+        dist = _on_0_40(_NEAR_DEGENERATE)
+        for ratio in self.RATIOS:
+            want = _gl16_vmr(ratio, 1.0, dist)
+            assert vmr(ratio, 1.0, dist) == pytest.approx(want, rel=3.5e-14)
+
+
 class TestBatch:
     def test_array_equals_scalar_across_chunks(self, monkeypatch, park, m60):
         # about 120 pieces each on park-i35: chunks of a few d each. On
