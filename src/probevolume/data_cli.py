@@ -50,7 +50,7 @@ def _fmt_float(x: float) -> str:
 
 
 def dumps_json(obj, indent: int = 0) -> str:
-    if type(obj) is float:  # the commonest value, tested first
+    if isinstance(obj, float):  # the commonest value, tested first
         return _fmt_float(obj)
     pad = "  " * indent
     if isinstance(obj, dict):
@@ -68,8 +68,6 @@ def dumps_json(obj, indent: int = 0) -> str:
         return "[\n" + items + "\n" + pad + "]"
     if isinstance(obj, bool):
         return "true" if obj else "false"
-    if isinstance(obj, float):
-        return _fmt_float(obj)
     if isinstance(obj, int):
         return str(obj)
     if obj is None:

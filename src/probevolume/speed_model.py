@@ -201,8 +201,9 @@ def integrate_weighted(
     a quadratic between its kinks. The top piece ends where every
     component's density term underflows to 0 (40 sd above the highest
     mean), if that is below the support's top, so that no weight is taken
-    where g is exactly 0. ``weight`` must accept an ndarray of speeds; a
-    non-finite value at a node raises ``ValueError``.
+    where g is exactly 0. ``weight`` must accept an ndarray of speeds and
+    return values that broadcast to its shape; a non-finite value at a node
+    raises ``ValueError``.
 
     With ``sizes``, one pass makes ``len(sizes)`` integrals: ``breakpoints``
     holds their ascending breakpoints one integral after another, sizes[i]
@@ -210,7 +211,10 @@ def integrate_weighted(
     with one row of nodes per piece, shape (pieces, 8), and owner[k] the
     integral that piece k belongs to, and the integrals come back as an
     array. Each integral gets the pieces, nodes and sum, so the bits, that
-    it gets on its own.
+    it gets on its own. The edges are sorted as one padded row per
+    integral, so the pass holds and sorts len(sizes) * (max(sizes) + the
+    anchor cuts) floats: batch integrals of like sizes, as ``vmr``'s
+    chunks of about ``kernels.CHUNK_PIECES`` pieces do.
     """
     pts = np.asarray(breakpoints, dtype=np.float64).reshape(-1)
     counts = np.asarray([pts.size] if sizes is None else sizes, dtype=np.int64)
@@ -243,12 +247,13 @@ def integrate_weighted(
         nodes, dist._means, dist._sds, dist._norms, dist.lower, dist.upper
     )
     if sizes is None:
-        wv = weight(nodes)
+        shape, wv = nodes.shape, weight(nodes)
     else:
-        wv = weight(nodes.reshape(piece_owner.size, -1), piece_owner)
-    wv = np.asarray(wv, dtype=np.float64).reshape(-1)
+        shape = (piece_owner.size, kernels._GL8_X.size)
+        wv = weight(nodes.reshape(shape), piece_owner)
+    wv = np.broadcast_to(np.asarray(wv, dtype=np.float64), shape).reshape(-1)
     if not np.all(np.isfinite(wv)):
-        bad = nodes[~np.isfinite(np.broadcast_to(wv, nodes.shape))]
+        bad = nodes[~np.isfinite(wv)]
         raise ValueError(
             f"weight function returned non-finite values, first at s={float(bad.flat[0])!r}"
         )

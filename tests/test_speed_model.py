@@ -361,6 +361,19 @@ class TestIntegrateWeightedBatch:
             want = integrate_weighted(park, lambda s: np.cos(s) * (1.0 + i), g)
             assert got[i].hex() == want.hex()
 
+    @pytest.mark.parametrize("per_piece", [True, False])
+    def test_weight_broadcasts_to_the_nodes(self, park, per_piece):
+        # a column of one value per piece, or a scalar, is taken at every node
+        groups = [[10.0, 20.0], [], [31.0, 35.0, 39.0]]
+
+        def weight(s, of):
+            return (1.0 + of)[:, None] if per_piece else 2.5
+
+        got = integrate_weighted(park, weight, np.concatenate(groups), [2, 0, 3])
+        for i, g in enumerate(groups):
+            want = integrate_weighted(park, lambda s: 1.0 + i if per_piece else 2.5, g)
+            assert got[i].hex() == want.hex()
+
 
 class TestValidation:
     def test_weights_sum_to_0999_renormalized(self):

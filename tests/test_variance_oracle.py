@@ -117,10 +117,13 @@ def _gl16_vmr(d, t, dist):
 
 
 class TestIndependentReference:
-    # measured worst: 2.45e-14 on the presets (table2-60mph, d/t = 123.4) and
-    # 3.41e-14 on the near-degenerate mixture (d/t = 400): the 8-node rule's
-    # 2-sd anchor spacing between 4 and 8 sd; ROADMAP item 7's cuts at +-5 and
-    # +-7 sd are to tighten both to 2e-15
+    # measured worst relative error: 2.45e-14 on the presets (table2-60mph,
+    # t = 4, d/t = 123.4), 1.88e-14 on the random mixtures (seed 5, d/t = 0.7)
+    # and 3.41e-14 on the near-degenerate mixture (d/t = 400), from the 8-node
+    # rule's 2-sd anchor spacing between 4 and 8 sd. Each tolerance is its worst
+    # case plus 1e-14, about 45 ulps: another libm exp or summation order moves
+    # either side by a few ulps (under 1e-15), which cannot cross it. ROADMAP
+    # item 7's cuts at +-5 and +-7 sd are to tighten all three to 2e-15.
     RATIOS = (0.7, 10.0, 37.5, 123.4, 400.0)
 
     @pytest.mark.parametrize("t", [1.0, 2.0, 4.0])
@@ -129,7 +132,7 @@ class TestIndependentReference:
         dist = load_distribution(name)
         for ratio in self.RATIOS:
             d = ratio * t
-            assert vmr(d, t, dist) == pytest.approx(_gl16_vmr(d, t, dist), rel=2.5e-14)
+            assert vmr(d, t, dist) == pytest.approx(_gl16_vmr(d, t, dist), rel=3.5e-14)
 
     def test_random_mixtures_above_zero(self):
         for seed in range(6):
@@ -137,13 +140,13 @@ class TestIndependentReference:
             assert dist.lower > 0.0
             for ratio in self.RATIOS:
                 want = _gl16_vmr(ratio, 1.0, dist)
-                assert vmr(ratio, 1.0, dist) == pytest.approx(want, rel=2.5e-14)
+                assert vmr(ratio, 1.0, dist) == pytest.approx(want, rel=3.5e-14)
 
     def test_near_degenerate(self):
         dist = _on_0_40(_NEAR_DEGENERATE)
         for ratio in self.RATIOS:
             want = _gl16_vmr(ratio, 1.0, dist)
-            assert vmr(ratio, 1.0, dist) == pytest.approx(want, rel=3.5e-14)
+            assert vmr(ratio, 1.0, dist) == pytest.approx(want, rel=4.5e-14)
 
 
 class TestBatch:
