@@ -8,6 +8,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
+from .estimator import finite, positive
 from .footprint_data import read_csv_rows
 
 log = logging.getLogger(__name__)
@@ -26,12 +27,9 @@ class CalibrationPair:
     weight: float = 1.0
 
     def __post_init__(self):
-        if not math.isfinite(self.m_hat):
-            raise ValueError(f"m_hat must be finite, got {self.m_hat}")
-        if not (0.0 < self.known_volume < math.inf):
-            raise ValueError(f"known_volume must be positive and finite, got {self.known_volume}")
-        if not (0.0 < self.weight < math.inf):
-            raise ValueError(f"weight must be positive and finite, got {self.weight}")
+        object.__setattr__(self, "m_hat", finite(self.m_hat, "m_hat"))
+        object.__setattr__(self, "known_volume", positive(self.known_volume, "known_volume"))
+        object.__setattr__(self, "weight", positive(self.weight, "weight"))
 
 
 @dataclass(frozen=True)

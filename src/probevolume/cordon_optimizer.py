@@ -2,12 +2,12 @@
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .distribution_engine import moments_report, probe_count, vmr
+from .distribution_engine import moments_report, vmr
+from .estimator import positive, probe_count
 from .speed_model import SpeedDistribution
 
 OBJECTIVES = ("vmr", "cv")
@@ -46,16 +46,14 @@ def objective_curve(
     bits of ``vmr`` at that d alone, and the ``cv`` objective is
     ``precision_report``'s cv for m probes. A grid of more than
     ``MAX_GRID_POINTS`` points raises ``ValueError`` before it is built, as
-    does an m, for either objective, that is not an integer >= 1 (a
-    non-integer such as 2.5 included).
+    does an m, for either objective, that ``probe_count`` refuses.
     """
     if kind not in OBJECTIVES:
         raise ValueError(f"objective kind must be one of {OBJECTIVES}, got {kind!r}")
-    if not (0.0 < d_min < d_max < math.inf):
+    step, m = positive(step, "step"), probe_count(m)  # step first: optimize's d_min is step
+    d_min, d_max = positive(d_min, "d_min"), positive(d_max, "d_max")
+    if not d_min < d_max:
         raise ValueError(f"need 0 < d_min < d_max < inf, got ({d_min}, {d_max})")
-    if not (0.0 < step < math.inf):
-        raise ValueError(f"step must be positive and finite, got {step}")
-    m = probe_count(m)
 
     # inclusive endpoint; build by index so accumulation error cannot drop it
     intervals = (d_max - d_min) / step + 1e-9
@@ -93,6 +91,6 @@ def optimize_cordon(
         best_objective=best_val,
         curve=tuple(curve),
         objective_kind=kind,
-        m=m,
-        t=t,
+        m=int(m),
+        t=float(t),
     )

@@ -186,9 +186,8 @@ def _run_calibrate(args) -> dict:
 
 
 def _run_apply(args) -> dict:
-    if not (math.isfinite(args.beta) and math.isfinite(args.m_hat)):
-        raise ValueError(f"--beta and --m-hat must be finite, got ({args.beta}, {args.m_hat})")
-    return {"volume": args.beta * args.m_hat}
+    beta, m_hat = estimator.finite(args.beta, "--beta"), estimator.finite(args.m_hat, "--m-hat")
+    return {"volume": beta * m_hat}
 
 
 # -- argument tree -----------------------------------------------------------

@@ -10,7 +10,7 @@ import numpy as np
 from scipy.fft import irfft, next_fast_len, rfft
 
 from . import kernels
-from .estimator import _var_term
+from .estimator import _var_term, as_float, positive, positives, probe_count
 from .speed_model import (
     SpeedDistribution,
     _PDF_ZERO_SDS,
@@ -231,16 +231,10 @@ def vmr(d, t: float, dist: SpeedDistribution):
     checked before any is integrated, and they are integrated a chunk of
     about ``kernels.CHUNK_PIECES`` pieces at a time.
     """
-    given = np.asarray(d)
-    if given.ndim > 1:
-        raise ValueError(f"d must be a number or a 1-D array, got shape {given.shape}")
-    d = given.astype(np.float64).reshape(-1)
-    bad = ~((0.0 < d) & (d < math.inf))
-    # a boolean d or t is refused, as config_number refuses one
-    boolean = given.dtype == np.bool_ or isinstance(t, (bool, np.bool_))
-    if bad.any() or boolean or not (0.0 < t < math.inf):
-        shown = d[bad][0] if bad.any() else given
-        raise ValueError(f"d and t must be positive and finite, got ({shown}, {t})")
+    shape = np.shape(d)
+    if len(shape) > 1:
+        raise ValueError(f"d must be a number or a 1-D array, got shape {shape}")
+    d, t = positives(d, "d").reshape(-1), positive(t, "t")
     # for small d/t, the VMR is about (t/d) E[s - d/t]: infinite with t/d
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         over = t / d == math.inf
@@ -287,7 +281,7 @@ def vmr(d, t: float, dist: SpeedDistribution):
     infinite = ~np.isfinite(out)
     if infinite.any():
         raise ValueError(f"the variance at d={d[infinite][0]}, t={t} is not finite")
-    return float(out[0]) if given.ndim == 0 else out
+    return float(out[0]) if not shape else out
 
 
 def _check_pieces(d, t, first, J, Je, dist):
@@ -310,23 +304,11 @@ def _check_pieces(d, t, first, J, Je, dist):
     return pieces
 
 
-def probe_count(m, least: int = 1, name: str = "m") -> int:
-    """m as an int, once it is an integer >= least: the one probe-count check.
-
-    An integral float or numpy scalar passes (2.0 gives 2); a boolean, as
-    ``config_number`` refuses one, and any other value, NaN and infinity
-    included, raise ValueError.
-    """
-    if isinstance(m, (bool, np.bool_)) or not (least <= m < math.inf and m % 1 == 0):
-        raise ValueError(f"{name} must be an integer >= {least}, got {m}")
-    return int(m)
-
-
 def precision_report(m: int, d: float, t: float, dist: SpeedDistribution) -> PrecisionReport:
     """Mean m, variance m * vmr and CV sqrt(vmr / m) for m probes.
     ValueError where they are not finite floats."""
-    m = probe_count(m)
-    return moments_report(m, d, t, vmr(d, t, dist))
+    m, ratio = probe_count(m), vmr(d, t, dist)  # vmr checks d and t
+    return moments_report(m, float(d), float(t), ratio)
 
 
 def moments_report(m: int, d: float, t: float, ratio: float) -> PrecisionReport:
@@ -343,6 +325,7 @@ def moments_report(m: int, d: float, t: float, ratio: float) -> PrecisionReport:
 
 def variance(m: int, d: float, t: float, dist: SpeedDistribution) -> float:
     """Var[m_hat] = m * vmr: precision_report's, or 0.0 for m = 0 where vmr is finite."""
+    m = probe_count(m, least=0)
     return 0 * vmr(d, t, dist) if m == 0 else precision_report(m, d, t, dist).variance
 
 
@@ -365,8 +348,7 @@ def single_probe_pdf(
     about 9 sd. Below the support such a component's truncation mass
     cancels instead, and the whole density is off by 2.0e-5 at 7 sd.
     """
-    if not all(0.0 < x < math.inf for x in (d, t, grid_step)):
-        raise ValueError(f"d, t, grid_step must be positive and finite: ({d}, {t}, {grid_step})")
+    d, t, grid_step = positive(d, "d"), positive(t, "t"), positive(grid_step, "grid_step")
     m_top = max(2.0, dist.upper * t / d * (1.0 + grid_step))
     pieces = (m_top + 2.0 * math.log(2.0 / grid_step)) / grid_step
     if not pieces < MAX_SINGLE_PIECES:
@@ -389,15 +371,15 @@ def single_probe_pdf(
         dist._cdf_w,
         dist.lower,
         dist.upper,
-        float(d),
-        float(t),
-        float(grid_step),
+        d,
+        t,
+        grid_step,
         n_cells,
         u_max,
     )
     # CDF differences are nonnegative up to rounding; clamp the few ulps
     np.clip(masses, 0.0, None, out=masses)
-    return _trimmed(masses, 0, float(grid_step), max(float(atom), 0.0))
+    return _trimmed(masses, 0, grid_step, max(float(atom), 0.0))
 
 
 def _trimmed(masses: np.ndarray, first_cell: int, step: float, atom: float) -> VolumePdf:
@@ -502,7 +484,7 @@ def pdf_moments(pdf: VolumePdf) -> tuple[float, float]:
 
 def interval_estimate(pdf: VolumePdf, level: float) -> tuple[float, float]:
     """Equal-tailed interval from the numerically inverted CDF."""
-    if not (0.0 < level < 1.0):
+    if not 0.0 < (value := as_float(level)) < 1.0:
         raise ValueError(f"level must be in (0, 1), got {level}")
     _check_normalized(pdf, "interval_estimate")
 
@@ -520,5 +502,5 @@ def interval_estimate(pdf: VolumePdf, level: float) -> tuple[float, float]:
         frac = (q - below) / mass[i] if mass[i] > 0.0 else 0.5
         return max(0.0, left_edges[i] + frac * pdf.grid_step)
 
-    alpha = 0.5 * (1.0 - level)
+    alpha = 0.5 * (1.0 - value)
     return quantile(alpha), quantile(1.0 - alpha)

@@ -1,13 +1,60 @@
-"""Unbiased probe-volume estimator and its per-speed record-count quantities."""
+"""Unbiased probe-volume estimator, its per-speed record-count quantities, and
+the library's one number check, which every length, interval, speed and count passes."""
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .footprint_data import CordonSample
+
+def is_number(x) -> bool:
+    """A Python, numpy or other real; never a boolean (True is no 1), a string or None."""
+    return isinstance(x, numbers.Real) and not isinstance(x, (bool, np.bool_))
+
+
+def as_float(x) -> float:
+    """x as a float (a float32 computes as float64), NaN where it is no number."""
+    return float(x) if is_number(x) else math.nan
+
+
+def finite(x, name: str) -> float:
+    """x as a float once it is a finite number, else ValueError naming it."""
+    if not math.isfinite(value := as_float(x)):
+        raise ValueError(f"{name} must be finite, got {x}")
+    return value
+
+
+def positive(x, name: str) -> float:
+    """x as a float once it is a positive finite number, else ValueError."""
+    if not 0.0 < (value := as_float(x)) < math.inf:
+        raise ValueError(f"{name} must be positive and finite, got {x}")
+    return value
+
+
+def positives(x, name: str) -> np.ndarray:
+    """x, a number or an array or sequence of them, as a float64 array of its shape once
+    each is positive and finite: a float or integer ndarray tested whole, else each element."""
+    if not (isinstance(x, np.ndarray) and x.dtype.kind in "fiu"):
+        x = np.array(x, dtype=object)
+        return np.array([positive(v, name) for v in x.flat], dtype=np.float64).reshape(x.shape)
+    x = np.asarray(x, dtype=np.float64)
+    if not (ok := (0.0 < x) & (x < math.inf)).all():
+        raise ValueError(f"{name} must be positive and finite, got {x[~ok][0]}")
+    return x
+
+
+def probe_count(m, least: int = 1, name: str = "m") -> int:
+    """m as an int, once it is an integer >= least: the one probe-count check.
+
+    An integral float or numpy scalar passes (2.0 gives 2); a boolean, a
+    string, None and any other value, NaN and infinity included, raise ValueError.
+    """
+    if not (is_number(m) and least <= m < math.inf and m % 1 == 0):
+        raise ValueError(f"{name} must be an integer >= {least}, got {m}")
+    return int(m)
 
 
 @dataclass(frozen=True)
@@ -20,8 +67,8 @@ class VolumeEstimate:
     t: float
 
 
-def estimate_probe_volume(sample: CordonSample) -> VolumeEstimate:
-    """m_hat = (t/d) * sum of in-cordon speeds.
+def estimate_probe_volume(sample) -> VolumeEstimate:
+    """m_hat = (t/d) * sum of the in-cordon speeds of a ``CordonSample``.
 
     Uses exact compensated summation (``math.fsum``), so the result is
     bit-identical for any record ordering.
@@ -54,11 +101,10 @@ def _var_term(s, d, t):
 
 def _checked(core, s, d, t, kind=float):
     """core(s, d, t) once s, d, t and d/(s*t) are checked positive and finite."""
-    s = np.asarray(s, dtype=np.float64)
+    s, d, t = positives(s, "s"), positive(d, "d"), positive(t, "t")
     with np.errstate(divide="ignore", over="ignore"):
-        ok = (0.0 < s) & (s < math.inf) & (d / (s * t) < math.inf)
-    if not (0.0 < d < math.inf and 0.0 < t < math.inf and np.all(ok)):
-        raise ValueError(f"s, d, t and d/(s*t) must be positive and finite, got ({s}, {d}, {t})")
+        if not np.all(d / (s * t) < math.inf):
+            raise ValueError(f"d/(s*t) must be finite, got ({s}, {d}, {t})")
     out = core(s, d, t)
     return kind(out) if out.ndim == 0 else out
 

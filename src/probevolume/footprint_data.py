@@ -12,6 +12,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .estimator import finite, positive
+
 log = logging.getLogger(__name__)
 
 CSV_FIELDS = ("position_m", "speed_mps", "label")
@@ -21,7 +23,9 @@ WRITE_BLOCK = 1024
 
 
 def _check_footprint(position: float, speed: float) -> None:
-    """Raise ``ValueError`` unless position is finite and speed in (0, inf)."""
+    """Raise ``ValueError`` unless position is finite and speed in (0, inf).
+    Inline, not ``finite``/``positive``: it runs once per CSV row, on floats
+    ``float()`` parsed, and a call per row would cost ingest several percent."""
     if not math.isfinite(position):
         raise ValueError(f"position must be finite, got {position}")
     if not (0.0 < speed < math.inf):
@@ -56,10 +60,8 @@ class CordonSpec:
     label_filter: str | None = None
 
     def __post_init__(self):
-        if not math.isfinite(self.start):
-            raise ValueError(f"cordon start must be finite, got {self.start}")
-        if not (0.0 < self.length < math.inf):
-            raise ValueError(f"cordon length must be positive and finite, got {self.length}")
+        object.__setattr__(self, "start", finite(self.start, "cordon start"))
+        object.__setattr__(self, "length", positive(self.length, "cordon length"))
 
 
 @dataclass(frozen=True)
@@ -71,10 +73,8 @@ class CordonSample:
     t: float
 
     def __post_init__(self):
-        if not (0.0 < self.d < math.inf):
-            raise ValueError(f"d must be positive and finite, got {self.d}")
-        if not (0.0 < self.t < math.inf):
-            raise ValueError(f"t must be positive and finite, got {self.t}")
+        object.__setattr__(self, "d", positive(self.d, "d"))
+        object.__setattr__(self, "t", positive(self.t, "t"))
         if any(s <= 0.0 for s in self.speeds):
             raise ValueError("all sampled speeds must be positive")
 

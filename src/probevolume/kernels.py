@@ -149,6 +149,12 @@ _GL8_W.setflags(write=False)
 CHUNK_PIECES = 1 << 12
 
 
+def _gl8_nodes(lo, hi):
+    """GL8 nodes of the pieces [lo, hi] (a row per piece), half-widths, midpoints."""
+    half, mid = 0.5 * (hi - lo), 0.5 * (lo + hi)
+    return mid[:, None] + half[:, None] * _GL8_X, half, mid
+
+
 def band_masses(
     means, sds, norms, cdf_lo, cdf_w, lower, upper, d, t, step, n_cells, u_max
 ):
@@ -177,17 +183,14 @@ def band_masses(
     for c in range(0, band.size, CHUNK_PIECES):
         e = edges[c : c + CHUNK_PIECES + 1]
         u = band[c : c + CHUNK_PIECES]
-        a = e[:-1]
-        b = e[1:]
         delta = np.diff(mixture_cdf(e, means, sds, cdf_lo, cdf_w, lower, upper))
 
         # mass-weighted mean of p over each piece via GL8 on g and g*p
-        nodes = 0.5 * (a[:, None] + b[:, None]) + 0.5 * (b - a)[:, None] * _GL8_X
+        nodes, _, mid = _gl8_nodes(e[:-1], e[1:])
         gv = mixture_pdf(nodes.ravel(), means, sds, norms, lower, upper).reshape(nodes.shape)
         g_int = gv @ _GL8_W
         # r - u, not r - floor(r): near a band end floor(r) can round to u + 1 and move atoms
         gp_int = (gv * (d / (nodes * t) - u[:, None])) @ _GL8_W
-        mid = 0.5 * (a + b)
         p_bar = np.where(
             g_int > 0.0,
             np.clip(gp_int / np.where(g_int > 0.0, g_int, 1.0), 0.0, 1.0),

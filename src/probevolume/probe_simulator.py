@@ -36,7 +36,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .distribution_engine import probe_count, vmr
+from .distribution_engine import vmr
+from .estimator import positive, probe_count
 from .footprint_data import Footprints
 from .speed_model import (
     SpeedDistribution,
@@ -93,8 +94,8 @@ class ScenarioConfig:
     seed: int
 
     def __post_init__(self):
-        if not (0.0 < self.d < math.inf and 0.0 < self.t < math.inf):
-            raise ValueError(f"d and t must be positive and finite, got ({self.d}, {self.t})")
+        object.__setattr__(self, "d", positive(self.d, "d"))
+        object.__setattr__(self, "t", positive(self.t, "t"))
         object.__setattr__(self, "m", probe_count(self.m, least=0))
         object.__setattr__(self, "trials", _check_size(self.trials, self.m, "m"))
         object.__setattr__(self, "seed", probe_count(self.seed, least=0, name="seed"))
@@ -110,11 +111,10 @@ class SiteConfig:
     t: float
 
     def __post_init__(self):
-        if not (0.0 < self.adt < math.inf):
-            raise ValueError(f"site {self.site_id}: adt must be positive and finite: {self.adt}")
+        object.__setattr__(self, "adt", positive(self.adt, f"site {self.site_id}: adt"))
         object.__setattr__(self, "m", probe_count(self.m, name=f"site {self.site_id}: m"))
-        if not (0.0 < self.d < math.inf and 0.0 < self.t < math.inf):
-            raise ValueError(f"site {self.site_id}: d and t must be positive and finite")
+        object.__setattr__(self, "d", positive(self.d, f"site {self.site_id}: d"))
+        object.__setattr__(self, "t", positive(self.t, f"site {self.site_id}: t"))
 
 
 @dataclass(frozen=True)

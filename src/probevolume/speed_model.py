@@ -3,8 +3,6 @@
 from __future__ import annotations
 
 import json
-import math
-import numbers
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Mapping, Sequence
@@ -13,6 +11,7 @@ import numpy as np
 from scipy.special import ndtr, ndtri
 
 from . import kernels
+from .estimator import as_float, finite, is_number, positive
 
 # Printed mixture weights in the wild are rounded (a canonical preset sums to
 # 0.999), so configs are accepted and renormalized within this slack.
@@ -33,12 +32,11 @@ class SpeedComponent:
     weight: float
 
     def __post_init__(self):
-        if not (self.sd > 0.0):
-            raise ValueError(f"component sd must be positive, got {self.sd}")
-        if not (0.0 <= self.weight <= 1.0):
+        object.__setattr__(self, "sd", positive(self.sd, "component sd"))
+        if not 0.0 <= (weight := as_float(self.weight)) <= 1.0:
             raise ValueError(f"component weight must be in [0, 1], got {self.weight}")
-        if not math.isfinite(self.mean):
-            raise ValueError("component mean must be finite")
+        object.__setattr__(self, "weight", weight)
+        object.__setattr__(self, "mean", finite(self.mean, "component mean"))
 
 
 @dataclass
@@ -69,10 +67,11 @@ class SpeedDistribution:
         self.components = tuple(self.components)
         if not self.components:
             raise ValueError("mixture needs at least one component")
-        if not (0.0 <= self.lower < self.upper):
+        if not 0.0 <= (lower := as_float(self.lower)) < (upper := as_float(self.upper)):
             raise ValueError(
                 f"support must satisfy 0 <= lower < upper, got ({self.lower}, {self.upper})"
             )
+        self.lower, self.upper = lower, upper
         raw = np.array([c.weight for c in self.components], dtype=np.float64)
         total = raw.sum()
         if abs(total - 1.0) > WEIGHT_SUM_TOL:
@@ -237,10 +236,9 @@ def integrate_weighted(
     piece = rows[:, 1:] != rows[:, :-1]
     lo, hi, piece_owner = rows[:, :-1][piece], rows[:, 1:][piece], np.nonzero(piece)[0]
 
-    half = 0.5 * (hi - lo)
-    mid = 0.5 * (lo + hi)
     # kernels' shared GL8 rule: the 8 nodes of each piece contiguous, flattened
-    nodes = (mid[:, None] + half[:, None] * kernels._GL8_X).ravel()
+    node_rows, half, _ = kernels._gl8_nodes(lo, hi)
+    nodes = node_rows.ravel()
     wts = (half[:, None] * kernels._GL8_W).ravel()
 
     gv = kernels.mixture_pdf(
@@ -249,8 +247,7 @@ def integrate_weighted(
     if sizes is None:
         shape, wv = nodes.shape, weight(nodes)
     else:
-        shape = (piece_owner.size, kernels._GL8_X.size)
-        wv = weight(nodes.reshape(shape), piece_owner)
+        shape, wv = node_rows.shape, weight(node_rows, piece_owner)
     wv = np.broadcast_to(np.asarray(wv, dtype=np.float64), shape).reshape(-1)
     if not np.all(np.isfinite(wv)):
         bad = nodes[~np.isfinite(wv)]
@@ -273,11 +270,11 @@ def integrate_weighted(
 def config_number(doc: Mapping, key: str) -> float:
     """``doc[key]`` as a float.
 
-    Only numbers are taken: a string, a boolean or null raises ``TypeError``
-    naming the key, so nothing is coerced on the way in.
+    Only numbers are taken (``estimator.is_number``): a string, a boolean or
+    null raises ``TypeError`` naming the key, so nothing is coerced on the way in.
     """
     value = doc[key]
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+    if not is_number(value):
         raise TypeError(f"{key!r} must be a number, got {value!r}")
     return float(value)
 

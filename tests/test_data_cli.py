@@ -331,7 +331,7 @@ class TestOneCheckPerInput:
             (("precision", "--m", "0", "--d", "300", "--t", "4", *_P),
              "m must be an integer >= 1, got 0"),
             (("precision", "--m", "1", "--d", "300", "--t", "nan", *_P),
-             "d and t must be positive and finite, got (300.0, nan)"),
+             "t must be positive and finite, got nan"),
             (("pdf", "--m", "-3", "--d", "300", "--t", "4", "--out", "{out}", *_P),
              "m must be an integer >= 1, got -3"),
             (("optimize", "--dmax", "0.2", "--t", "4", "--objective", "cv", *_P),
@@ -369,7 +369,7 @@ class TestOneCheckPerInput:
             (_EXPERIMENT, _site_rows(m=10**400),
              "malformed site set config {path!r}: int too large to convert to float"),
             (_PRECISION, _dist_with("component", "mean", math.inf),
-             "component mean must be finite"),
+             "component mean must be finite, got inf"),
         ],
         ids=["site-m-fraction", "site-m-1e400", "site-m-past-float", "dist-mean-inf"],
     )

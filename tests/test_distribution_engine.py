@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import re
 
@@ -6,8 +7,10 @@ import pytest
 from scipy.fft import irfft, next_fast_len, rfft
 from scipy.integrate import quad
 
+import probevolume
 import probevolume.kernels as kernels
-from probevolume.cordon_optimizer import objective_curve
+from probevolume.calibration import CalibrationPair
+from probevolume.cordon_optimizer import objective_curve, optimize_cordon
 from probevolume.distribution_engine import (
     FOLD_TAIL_BOUND,
     VolumePdf,
@@ -20,7 +23,13 @@ from probevolume.distribution_engine import (
     variance,
     vmr,
 )
-from probevolume.estimator import bernoulli_var_term
+from probevolume.estimator import (
+    bernoulli_var_term,
+    estimate_probe_volume,
+    extra_record_prob,
+    min_records,
+)
+from probevolume.footprint_data import CordonSample, CordonSpec, Footprints, crop_to_cordon
 from probevolume.probe_simulator import (
     ScenarioConfig,
     SiteConfig,
@@ -33,6 +42,31 @@ from probevolume.speed_model import (
     integrate_weighted,
     load_distribution,
 )
+
+
+_FOOTPRINTS = Footprints(np.array([1.0, 2.0]), np.array([20.0, 25.0]),
+                         np.array([None, None], dtype=object))
+
+
+def _single(dist):
+    return single_probe_pdf(300.0, 4.0, dist, grid_step=1e-2)
+
+
+def _sites(dist):
+    return [SiteConfig(site_id=str(i), adt=200.0 + i, m=2, d=40.0 + i, dist=dist, t=1.0)
+            for i in range(3)]
+
+
+def _bits(x):
+    """x as nested tuples of type names and exact values, to compare two
+    results bit for bit and type for type (np.float64 is no float here)."""
+    if dataclasses.is_dataclass(x):
+        return (type(x).__name__, *(_bits(getattr(x, f.name)) for f in dataclasses.fields(x)))
+    if isinstance(x, (list, tuple)):
+        return tuple(_bits(v) for v in x)
+    if isinstance(x, np.ndarray):
+        return (x.dtype.str, x.shape, x.tobytes())
+    return (type(x).__name__, x.hex() if isinstance(x, float) else x)
 
 
 def _point_mass_pdf(at=1.0, step=1e-3, n=2001):
@@ -195,8 +229,9 @@ class TestPrecisionReport:
 
 class TestBooleansRefused:
     # a boolean is no number here, as config_number refuses one in a config
-    # file: every probe_count caller and vmr raise ValueError for one, while
-    # an integral numpy number gives the Python number's bits
+    # file, and neither is a string or None: every public function and
+    # constructor raises ValueError for one, naming the parameter, while a
+    # numpy number gives the Python number's bits
     BOOLS = [True, np.True_]
 
     @staticmethod
@@ -241,10 +276,9 @@ class TestBooleansRefused:
 
     @pytest.mark.parametrize("b", BOOLS, ids=["bool", "numpy-bool"])
     def test_vmr(self, park, b):
-        for d, t, shown in ((b, 4.0, "(True, 4.0)"),
-                            (np.array([b, b]), 4.0, "([ True  True], 4.0)"),
-                            (300.0, b, "(300.0, True)")):
-            message = f"d and t must be positive and finite, got {shown}"
+        for d, t, message in ((b, 4.0, "d must be positive and finite, got True"),
+                              (np.array([b, b]), 4.0, "d must be positive and finite, got True"),
+                              (300.0, b, "t must be positive and finite, got True")):
             with pytest.raises(ValueError, match=re.escape(message)):
                 vmr(d, t, park)
 
@@ -261,6 +295,146 @@ class TestBooleansRefused:
         assert vmr(two * 150, two * 2, park).hex() == vmr(300.0, 4.0, park).hex()
         grid = vmr(np.array([150, 300], dtype=type(two)), two * 2, park)
         assert [x.hex() for x in grid] == [vmr(d, 4.0, park).hex() for d in (150.0, 300.0)]
+
+    # every real parameter of a name in __all__: (name, parameter as its
+    # message names it, a valid value, a valid integral value or None, and the
+    # call with that parameter set to v)
+    PARAMS = [
+        ("CalibrationPair", "m_hat", 3.3, 3, lambda v, g: CalibrationPair(v, 3.0, 1.0)),
+        ("CalibrationPair", "known_volume", 3.3, 3, lambda v, g: CalibrationPair(2.0, v, 1.0)),
+        ("CalibrationPair", "weight", 0.3, 1, lambda v, g: CalibrationPair(2.0, 3.0, v)),
+        ("CordonSample", "d", 300.1, 300, lambda v, g: CordonSample((20.0,), v, 4.0)),
+        ("CordonSample", "t", 4.1, 4, lambda v, g: CordonSample((20.0,), 300.0, v)),
+        ("CordonSpec", "cordon start", 0.1, 1, lambda v, g: CordonSpec(v, 10.0)),
+        ("CordonSpec", "cordon length", 3.3, 3, lambda v, g: CordonSpec(0.0, v)),
+        ("ScenarioConfig", "d", 300.1, 300, lambda v, g: ScenarioConfig(v, 4.0, 2, g, 2, 1)),
+        ("ScenarioConfig", "t", 4.1, 4, lambda v, g: ScenarioConfig(300.0, v, 2, g, 2, 1)),
+        ("ScenarioConfig", "m", 2.0, 2, lambda v, g: ScenarioConfig(300.0, 4.0, v, g, 2, 1)),
+        ("ScenarioConfig", "trials", 2.0, 2, lambda v, g: ScenarioConfig(300.0, 4.0, 2, g, v, 1)),
+        ("ScenarioConfig", "seed", 2.0, 2, lambda v, g: ScenarioConfig(300.0, 4.0, 2, g, 2, v)),
+        ("SiteConfig", "adt", 200.1, 200, lambda v, g: SiteConfig("s", v, 2, 40.0, g, 1.0)),
+        ("SiteConfig", "m", 2.0, 2, lambda v, g: SiteConfig("s", 200.0, v, 40.0, g, 1.0)),
+        ("SiteConfig", "d", 40.1, 40, lambda v, g: SiteConfig("s", 200.0, 2, v, g, 1.0)),
+        ("SiteConfig", "t", 1.1, 1, lambda v, g: SiteConfig("s", 200.0, 2, 40.0, g, v)),
+        ("SpeedComponent", "mean", 20.1, 20, lambda v, g: SpeedComponent(v, 4.0, 1.0)),
+        ("SpeedComponent", "sd", 4.1, 4, lambda v, g: SpeedComponent(20.0, v, 1.0)),
+        ("SpeedComponent", "weight", 0.3, 1, lambda v, g: SpeedComponent(20.0, 4.0, v)),
+        ("SpeedDistribution", "lower", 0.1, 1,
+         lambda v, g: SpeedDistribution(g.components, v, 40.0)),
+        ("SpeedDistribution", "upper", 40.1, 40,
+         lambda v, g: SpeedDistribution(g.components, 0.0, v)),
+        *((name, param, value, whole, lambda v, g, f=f, i=i: f(*(
+            (20.0, 300.0, 4.0)[:i] + (v,) + (20.0, 300.0, 4.0)[i + 1:])))
+          for name, f in (("bernoulli_var_term", bernoulli_var_term),
+                          ("extra_record_prob", extra_record_prob),
+                          ("min_records", min_records))
+          for i, (param, value, whole) in enumerate(
+              (("s", 20.1, 20), ("d", 300.1, 300), ("t", 4.1, 4)))),
+        ("crop_to_cordon", "t", 4.1, 4,
+         lambda v, g: crop_to_cordon(_FOOTPRINTS, CordonSpec(0.0, 3.0), v)),
+        ("cv", "m", 2.0, 2, lambda v, g: cv(v, 300.0, 4.0, g)),
+        ("cv", "d", 300.1, 300, lambda v, g: cv(2, v, 4.0, g)),
+        ("cv", "t", 4.1, 4, lambda v, g: cv(2, 300.0, v, g)),
+        ("interval_estimate", "level", 0.9, None,
+         lambda v, g: interval_estimate(_single(g), v)),
+        ("m_fold_pdf", "m", 2.0, 2, lambda v, g: m_fold_pdf(_single(g), v)),
+        ("objective_curve", "d_min", 5.1, 5,
+         lambda v, g: objective_curve(v, 7.0, 1.0, 1.0, g, "cv", 2)),
+        ("objective_curve", "d_max", 7.1, 7,
+         lambda v, g: objective_curve(5.0, v, 1.0, 1.0, g, "cv", 2)),
+        ("objective_curve", "step", 1.1, 1,
+         lambda v, g: objective_curve(5.0, 7.0, v, 1.0, g, "cv", 2)),
+        ("objective_curve", "t", 1.1, 1,
+         lambda v, g: objective_curve(5.0, 7.0, 1.0, v, g, "cv", 2)),
+        ("objective_curve", "m", 2.0, 2,
+         lambda v, g: objective_curve(5.0, 7.0, 1.0, 1.0, g, "cv", v)),
+        ("optimize_cordon", "d_max", 7.1, 7, lambda v, g: optimize_cordon(v, 1.0, g, "cv", 2, 1.0)),
+        ("optimize_cordon", "t", 1.1, 1, lambda v, g: optimize_cordon(7.0, v, g, "cv", 2, 1.0)),
+        ("optimize_cordon", "m", 2.0, 2, lambda v, g: optimize_cordon(7.0, 1.0, g, "cv", v, 1.0)),
+        ("optimize_cordon", "step", 1.1, 1, lambda v, g: optimize_cordon(7.0, 1.0, g, "cv", 2, v)),
+        ("precision_report", "m", 2.0, 2, lambda v, g: precision_report(v, 300.0, 4.0, g)),
+        ("precision_report", "d", 300.1, 300, lambda v, g: precision_report(2, v, 4.0, g)),
+        ("precision_report", "t", 4.1, 4, lambda v, g: precision_report(2, 300.0, v, g)),
+        ("run_regression_experiment", "trials", 2.0, 2,
+         lambda v, g: run_regression_experiment(_sites(g), v, seed=1)),
+        ("run_regression_experiment", "seed", 2.0, 2,
+         lambda v, g: run_regression_experiment(_sites(g), 2, seed=v)),
+        ("single_probe_pdf", "d", 300.1, 300, lambda v, g: single_probe_pdf(v, 4.0, g, 1e-2)),
+        ("single_probe_pdf", "t", 4.1, 4, lambda v, g: single_probe_pdf(300.0, v, g, 1e-2)),
+        ("single_probe_pdf", "grid_step", 1.1e-2, None,
+         lambda v, g: single_probe_pdf(300.0, 4.0, g, v)),
+        ("variance", "m", 2.0, 2, lambda v, g: variance(v, 300.0, 4.0, g)),
+        ("variance", "d", 300.1, 300, lambda v, g: variance(2, v, 4.0, g)),
+        ("variance", "t", 4.1, 4, lambda v, g: variance(2, 300.0, v, g)),
+        ("vmr", "d", 300.1, 300, lambda v, g: vmr(v, 4.0, g)),
+        ("vmr", "t", 4.1, 4, lambda v, g: vmr(300.0, v, g)),
+    ]
+    # the names in __all__ without a real parameter, by what they take
+    NO_REAL_PARAMETER = {
+        # results the library builds
+        "CalibrationModel", "ExperimentReport", "OptimumReport", "PrecisionReport",
+        "SimSummary", "VolumeEstimate", "VolumePdf",
+        # columns, records, files, names and functions
+        "Footprints", "estimate_probe_volume", "fit_through_origin", "integrate_weighted",
+        "load_distribution", "pdf_moments", "read_footprints_csv", "run_scenario",
+        "write_footprints_csv",
+    }
+    IDS = [f"{name}-{param}" for name, param, *_ in PARAMS]
+
+    def test_the_walk_covers_all(self):
+        walked = {name for name, *_ in self.PARAMS}
+        assert walked.isdisjoint(self.NO_REAL_PARAMETER)
+        assert walked | self.NO_REAL_PARAMETER == set(probevolume.__all__)
+
+    @pytest.mark.parametrize("name,param,value,whole,call", PARAMS, ids=IDS)
+    def test_no_number_refused(self, park, name, param, value, whole, call):
+        call(value, park)  # valid as given
+        for bad in (True, np.True_, "1", None):
+            with pytest.raises(ValueError, match=rf"\b{param}\b"):
+                call(bad, park)
+
+    @pytest.mark.parametrize("name,param,value,whole,call", PARAMS, ids=IDS)
+    def test_numpy_number_gives_the_python_bits(self, park, name, param, value, whole, call):
+        # the same bits, and Python floats and ints wherever the value is
+        # stored or returned
+        given = [np.float32(value), np.float64(value)]
+        given += [] if whole is None else [np.int64(whole)]
+        for v in given:
+            assert _bits(call(v, park)) == _bits(call(float(v), park)), type(v).__name__
+
+    def test_float32_computes_as_float64(self, park):
+        footprints = Footprints(np.array([1.0, 2.0]), np.array([20.1, 25.3]),
+                                np.array([None, None], dtype=object))
+
+        def m_hat(d, t):
+            return estimate_probe_volume(crop_to_cordon(footprints, CordonSpec(0, d), t).sample)
+
+        got = m_hat(np.float32(3.3), np.float32(1.1))
+        assert type(got.m_hat) is float and type(got.d) is float and type(got.t) is float
+        assert got.m_hat.hex() == m_hat(float(np.float32(3.3)), float(np.float32(1.1))).m_hat.hex()
+        assert type(m_hat(np.float32(3.3), 1.1).m_hat) is float
+        config = ScenarioConfig(np.float32(300.1), 4.0, 3, park, 200, 1)
+        mean = run_scenario(config)[1].mean
+        same = ScenarioConfig(float(np.float32(300.1)), 4.0, 3, park, 200, 1)
+        assert type(config.d) is float and mean.hex() == run_scenario(same)[1].mean.hex()
+        # 0.95's float32 steps are not exact: 1 - alpha needs 25 bits there
+        single = _single(park)
+        assert _bits(interval_estimate(single, np.float32(0.95))) == _bits(
+            interval_estimate(single, float(np.float32(0.95))))
+
+    def test_vmr_list_and_string_refused(self, park):
+        for d in ([300.0, True], [300.0, np.True_], [300.0, "300"], "300", [300.0, None]):
+            with pytest.raises(ValueError, match="^d must be positive and finite, got "):
+                vmr(d, 4.0, park)
+        assert vmr([300.0, 150], 4.0, park).tolist() == [vmr(300.0, 4.0, park),
+                                                         vmr(150.0, 4.0, park)]
+
+    def test_variance_checks_m_first(self, park):
+        for m in (False, np.False_, "x", None, -1, 0.5):
+            with pytest.raises(ValueError, match="^m must be an integer >= 0, got "):
+                variance(m, 300.0, 4.0, park)
+        assert variance(0, 300.0, 4.0, park) == 0.0
+        assert type(variance(0, 300.0, 4.0, park)) is float
 
 
 class TestSingleProbePdf:
