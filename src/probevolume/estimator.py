@@ -34,16 +34,27 @@ def positive(x, name: str) -> float:
     return value
 
 
-def positives(x, name: str) -> np.ndarray:
+def _each(check, low: float, x, name: str) -> np.ndarray:
     """x, a number or an array or sequence of them, as a float64 array of its shape once
-    each is positive and finite: a float or integer ndarray tested whole, else each element."""
+    check(v, name) takes each v, a check that takes exactly the floats in (low, inf): a
+    float or integer ndarray tested whole, else each element."""
     if not (isinstance(x, np.ndarray) and x.dtype.kind in "fiu"):
         x = np.array(x, dtype=object)
-        return np.array([positive(v, name) for v in x.flat], dtype=np.float64).reshape(x.shape)
+        return np.array([check(v, name) for v in x.flat], dtype=np.float64).reshape(x.shape)
     x = np.asarray(x, dtype=np.float64)
-    if not (ok := (0.0 < x) & (x < math.inf)).all():
-        raise ValueError(f"{name} must be positive and finite, got {x[~ok][0]}")
+    if not (ok := (low < x) & (x < math.inf)).all():
+        check(x[~ok][0], name)  # raises, naming the first refused value
     return x
+
+
+def finites(x, name: str) -> np.ndarray:
+    """``finite`` of each number of x, as a float64 array of its shape (see ``_each``)."""
+    return _each(finite, -math.inf, x, name)
+
+
+def positives(x, name: str) -> np.ndarray:
+    """``positive`` of each number of x, as a float64 array of its shape (see ``_each``)."""
+    return _each(positive, 0.0, x, name)
 
 
 def probe_count(m, least: int = 1, name: str = "m") -> int:
@@ -73,7 +84,7 @@ def estimate_probe_volume(sample) -> VolumeEstimate:
     Uses exact compensated summation (``math.fsum``), so the result is
     bit-identical for any record ordering.
     """
-    total = math.fsum(sample.speeds)
+    total = math.fsum(memoryview(sample.speeds))  # Python floats, faster than numpy scalars
     return VolumeEstimate(
         m_hat=(sample.t / sample.d) * total,
         n=len(sample.speeds),

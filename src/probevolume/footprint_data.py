@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .estimator import finite, positive
+from .estimator import finite, positive, positives
 
 log = logging.getLogger(__name__)
 
@@ -64,19 +64,19 @@ class CordonSpec:
         object.__setattr__(self, "length", positive(self.length, "cordon length"))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CordonSample:
-    """Speed readings captured inside one cordon for one observation window."""
+    """Speed readings captured inside one cordon for one observation window: a
+    float64 column of positive finite speeds. As for ``Footprints``, ``==`` is identity."""
 
-    speeds: tuple[float, ...]
+    speeds: np.ndarray
     d: float
     t: float
 
     def __post_init__(self):
         object.__setattr__(self, "d", positive(self.d, "d"))
         object.__setattr__(self, "t", positive(self.t, "t"))
-        if any(s <= 0.0 for s in self.speeds):
-            raise ValueError("all sampled speeds must be positive")
+        object.__setattr__(self, "speeds", positives(self.speeds, "speed").reshape(-1))
 
 
 @dataclass(frozen=True)
@@ -89,9 +89,9 @@ def crop_to_cordon(footprints: Footprints, cordon: CordonSpec, t: float) -> Crop
     """Keep footprints with start < position <= start + length and matching label.
 
     One numpy mask over the columns. In-cordon footprints with non-positive
-    speed are dropped and counted in ``dropped_nonpositive``; the reader
-    rejects such a speed, so only a hand-built ``Footprints`` can reach the
-    drop.
+    speed are dropped and counted in ``dropped_nonpositive``, and a NaN or
+    infinite one raises ``ValueError`` as ``CordonSample`` does; the reader
+    rejects both, so only a hand-built ``Footprints`` can reach them.
     """
     positions = footprints.positions
     keep = (positions > cordon.start) & (positions <= cordon.start + cordon.length)
@@ -104,7 +104,7 @@ def crop_to_cordon(footprints: Footprints, cordon: CordonSpec, t: float) -> Crop
         log.warning("dropped %d in-cordon records with non-positive speed", dropped)
         speeds = speeds[~nonpositive]
     return CropResult(
-        sample=CordonSample(speeds=tuple(speeds.tolist()), d=cordon.length, t=t),
+        sample=CordonSample(speeds=speeds, d=cordon.length, t=t),
         dropped_nonpositive=dropped,
     )
 

@@ -37,8 +37,8 @@ import numpy as np
 
 from . import kernels
 from .distribution_engine import vmr
-from .estimator import positive, probe_count
-from .footprint_data import Footprints
+from .estimator import estimate_probe_volume, positive, probe_count
+from .footprint_data import CordonSpec, Footprints, crop_to_cordon
 from .speed_model import (
     SpeedDistribution,
     config_number,
@@ -251,23 +251,16 @@ def summarize(samples: np.ndarray) -> SimSummary:
     )
 
 
-def simulate_footprints(config: ScenarioConfig) -> tuple[Footprints, float]:
-    """Footprints of trial 0 of ``run_scenario(config)`` (its m passes, redrawn
-    from the same stream positions), with one out-of-cordon record on each
-    side of every pass so downstream cropping is exercised.
-
-    Pass k has records j = -1..count_k at ``first + j * spacing``, pass by
-    pass; the columns are filled ``BLOCK_PASSES`` passes at a time. Returns
-    the footprints (no labels) and the trial's estimate computed exactly as
-    the estimator would (compensated sum of in-cordon speeds times t/d).
-    """
+def _footprint_columns(config: ScenarioConfig) -> Footprints:
+    """The footprints of ``simulate_footprints``: pass k has records j =
+    -1..count_k at ``first + j * spacing``, pass by pass; the columns are
+    filled ``BLOCK_PASSES`` passes at a time."""
     m = config.m
     streams = _scenario_streams(config.seed, config.trials * m)
     speeds, offsets, counts = _passes(config.dist, m, config.d, config.t, streams)
     first = speeds * offsets
     spacing = speeds * config.t
-    counts = counts.astype(np.int64)
-    records = counts + 2
+    records = counts.astype(np.int64) + 2
     starts = np.cumsum(records) - records
     total = int(records.sum())
     positions = np.empty(total, dtype=np.float64)
@@ -281,14 +274,21 @@ def simulate_footprints(config: ScenarioConfig) -> tuple[Footprints, float]:
         j = (np.arange(lo, hi) - np.repeat(starts[passes] + 1, n)).astype(np.float64)
         positions[lo:hi] = np.repeat(first[passes], n) + j * np.repeat(spacing[passes], n)
         record_speeds[lo:hi] = np.repeat(speeds[passes], n)
-    # one fsum over every in-cordon speed: partial fsums would round
-    in_cordon = itertools.chain.from_iterable(
-        np.repeat(speeds[a:a + BLOCK_PASSES], counts[a:a + BLOCK_PASSES]).tolist()
-        for a in range(0, m, BLOCK_PASSES)
-    )
-    m_hat = (config.t / config.d) * math.fsum(in_cordon)
-    labels = np.full(total, None, dtype=object)
-    return Footprints(positions, record_speeds, labels), m_hat
+    return Footprints(positions, record_speeds, np.full(total, None, dtype=object))
+
+
+def simulate_footprints(config: ScenarioConfig) -> tuple[Footprints, float]:
+    """Footprints of trial 0 of ``run_scenario(config)`` (its m passes, redrawn
+    from the same stream positions), with one out-of-cordon record on each
+    side of every pass so downstream cropping is exercised.
+
+    Returns the footprints (no labels) and the estimator's m_hat of their
+    crop to the cordon (0, d]: what ``estimate`` gives for the written file.
+    The per-pass arrays are freed before the crop.
+    """
+    footprints = _footprint_columns(config)
+    crop = crop_to_cordon(footprints, CordonSpec(0.0, config.d), config.t)
+    return footprints, estimate_probe_volume(crop.sample).m_hat
 
 
 # -- multi-site regression experiment ----------------------------------------

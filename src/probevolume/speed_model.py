@@ -11,7 +11,7 @@ import numpy as np
 from scipy.special import ndtr, ndtri
 
 from . import kernels
-from .estimator import as_float, finite, is_number, positive
+from .estimator import as_float, finite, finites, is_number, positive
 
 # Printed mixture weights in the wild are rounded (a canonical preset sums to
 # 0.999), so configs are accepted and renormalized within this slack.
@@ -195,7 +195,8 @@ def integrate_weighted(
 
     The support is cut at the given breakpoints (clipped to it) plus the
     fixed anchor cuts of each component; every piece gets one 8-node
-    Gauss-Legendre rule, exact for polynomials up to degree 15. It suits a
+    Gauss-Legendre rule, exact for polynomials up to degree 15. Each
+    breakpoint must be a finite number, else ``ValueError``. It suits a
     weight that is smooth between breakpoints, such as the variance kernel,
     a quadratic between its kinks. The top piece ends where every
     component's density term underflows to 0 (40 sd above the highest
@@ -215,7 +216,7 @@ def integrate_weighted(
     anchor cuts) floats: batch integrals of like sizes, as ``vmr``'s
     chunks of about ``kernels.CHUNK_PIECES`` pieces do.
     """
-    pts = np.asarray(breakpoints, dtype=np.float64).reshape(-1)
+    pts = finites(breakpoints, "breakpoints").reshape(-1)
     counts = np.asarray([pts.size] if sizes is None else sizes, dtype=np.int64)
     n = counts.size
     owner = np.repeat(np.arange(n), counts)

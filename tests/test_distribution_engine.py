@@ -305,6 +305,7 @@ class TestBooleansRefused:
         ("CalibrationPair", "weight", 0.3, 1, lambda v, g: CalibrationPair(2.0, 3.0, v)),
         ("CordonSample", "d", 300.1, 300, lambda v, g: CordonSample((20.0,), v, 4.0)),
         ("CordonSample", "t", 4.1, 4, lambda v, g: CordonSample((20.0,), 300.0, v)),
+        ("CordonSample", "speed", 20.1, 20, lambda v, g: CordonSample((30.0, v), 300.0, 4.0)),
         ("CordonSpec", "cordon start", 0.1, 1, lambda v, g: CordonSpec(v, 10.0)),
         ("CordonSpec", "cordon length", 3.3, 3, lambda v, g: CordonSpec(0.0, v)),
         ("ScenarioConfig", "d", 300.1, 300, lambda v, g: ScenarioConfig(v, 4.0, 2, g, 2, 1)),
@@ -335,6 +336,8 @@ class TestBooleansRefused:
         ("cv", "m", 2.0, 2, lambda v, g: cv(v, 300.0, 4.0, g)),
         ("cv", "d", 300.1, 300, lambda v, g: cv(2, v, 4.0, g)),
         ("cv", "t", 4.1, 4, lambda v, g: cv(2, 300.0, v, g)),
+        ("integrate_weighted", "breakpoints", 20.1, 20,
+         lambda v, g: integrate_weighted(g, lambda s: s * s, (10.0, v))),
         ("interval_estimate", "level", 0.9, None,
          lambda v, g: interval_estimate(_single(g), v)),
         ("m_fold_pdf", "m", 2.0, 2, lambda v, g: m_fold_pdf(_single(g), v)),
@@ -375,9 +378,8 @@ class TestBooleansRefused:
         "CalibrationModel", "ExperimentReport", "OptimumReport", "PrecisionReport",
         "SimSummary", "VolumeEstimate", "VolumePdf",
         # columns, records, files, names and functions
-        "Footprints", "estimate_probe_volume", "fit_through_origin", "integrate_weighted",
-        "load_distribution", "pdf_moments", "read_footprints_csv", "run_scenario",
-        "write_footprints_csv",
+        "Footprints", "estimate_probe_volume", "fit_through_origin", "load_distribution",
+        "pdf_moments", "read_footprints_csv", "run_scenario", "write_footprints_csv",
     }
     IDS = [f"{name}-{param}" for name, param, *_ in PARAMS]
 
@@ -421,6 +423,27 @@ class TestBooleansRefused:
         single = _single(park)
         assert _bits(interval_estimate(single, np.float32(0.95))) == _bits(
             interval_estimate(single, float(np.float32(0.95))))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 0.0, -1.0, "20", True, None])
+    def test_sample_speeds_refused(self, bad):
+        given = [(20.0, bad)] + ([np.array([20.0, bad])] if isinstance(bad, float) else [])
+        for speeds in given:
+            with pytest.raises(ValueError, match="^speed must be positive and finite, got "):
+                CordonSample(speeds, 300.0, 4.0)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, "20", True, None])
+    def test_breakpoints_refused(self, park, bad):
+        given = [[10.0, bad]] + ([np.array([10.0, bad])] if isinstance(bad, float) else [])
+        for breakpoints in given:
+            with pytest.raises(ValueError, match="^breakpoints must be finite, got "):
+                integrate_weighted(park, lambda s: s * s, breakpoints)
+
+    def test_float32_speed_column_is_its_float64_cast(self):
+        speeds = np.array([20.1, 25.3, 31.7], dtype=np.float32)
+        got = CordonSample(speeds, 300.0, 4.0)
+        want = CordonSample(speeds.astype(np.float64), 300.0, 4.0)
+        assert _bits(got) == _bits(want)
+        assert _bits(estimate_probe_volume(got)) == _bits(estimate_probe_volume(want))
 
     def test_vmr_list_and_string_refused(self, park):
         for d in ([300.0, True], [300.0, np.True_], [300.0, "300"], "300", [300.0, None]):

@@ -50,6 +50,12 @@ def assert_columns(footprints, rows):
     assert len(footprints) == len(rows)
 
 
+def assert_speeds(sample, speeds):
+    """The sample's speed column is float64 and holds exactly ``speeds``, bit for bit."""
+    assert sample.speeds.dtype == np.float64 and sample.speeds.shape == (len(speeds),)
+    assert sample.speeds.tobytes() == np.array(speeds, dtype=np.float64).tobytes()
+
+
 class TestCrop:
     def test_eight_point_cordon(self):
         # two probes: five points at 20 m/s and three at 30 m/s inside (0, 100]
@@ -60,7 +66,7 @@ class TestCrop:
 
     def test_empty(self):
         result = crop_to_cordon(_footprints([]), CordonSpec(0.0, 100.0), t=1.0)
-        assert result.sample.speeds == ()
+        assert_speeds(result.sample, ())
 
     def test_half_open_boundaries(self):
         # hand enumeration under (start, start+length]: only 50 and 100 stay
@@ -81,6 +87,14 @@ class TestCrop:
         assert len(result.sample.speeds) == 1
         assert result.dropped_nonpositive == 2
 
+    def test_nonfinite_speed_in_cordon_refused(self):
+        # the sample takes no NaN or infinite speed; outside the cordon none is read
+        for bad in (math.nan, math.inf):
+            raw = _footprints([(10.0, 20.0, None), (20.0, bad, None), (200.0, bad, None)])
+            with pytest.raises(ValueError, match="^speed must be positive and finite, got "):
+                crop_to_cordon(raw, CordonSpec(0.0, 100.0), t=1.0)
+            assert_speeds(crop_to_cordon(raw, CordonSpec(0.0, 15.0), t=1.0).sample, [20.0])
+
     def test_rejects_bad_t_and_length(self):
         with pytest.raises(ValueError):
             crop_to_cordon(_footprints([]), CordonSpec(0.0, 100.0), t=0.0)
@@ -93,7 +107,8 @@ class TestCrop:
         once = crop_to_cordon(_footprints(rows), spec, t=2.0)
         kept = [r for r in rows if 0.0 < r.position <= 100.0]
         twice = crop_to_cordon(_footprints(kept), spec, t=2.0)
-        assert once.sample == twice.sample
+        assert_speeds(once.sample, twice.sample.speeds.tolist())
+        assert (once.sample.d, once.sample.t) == (twice.sample.d, twice.sample.t)
 
     def test_monotone_in_length(self):
         footprints = _footprints(_records([3.0, 8.0, 13.0, 42.0, 77.0, 91.0]))
@@ -350,7 +365,8 @@ class TestCropOracle:
         kept, dropped = _oracle_crop(rows, cordon, t)
         oracle = estimate_probe_volume(CordonSample(kept, length, t))
         result = crop_to_cordon(_footprints(rows), cordon, t)
-        assert (result.sample.speeds, result.dropped_nonpositive) == (kept, dropped)
+        assert_speeds(result.sample, kept)
+        assert result.dropped_nonpositive == dropped
         assert estimate_probe_volume(result.sample) == oracle  # m_hat bit-identical
 
     def test_bounds_exactly_at_start_and_end(self, tmp_path):
@@ -363,7 +379,8 @@ class TestCropOracle:
         assert kept == (21.5, 22.5)  # 150 and 250; 100 itself is outside
         for source in (_footprints(recs), read_footprints_csv(path).records):
             result = crop_to_cordon(source, cordon, t=1.0)
-            assert (result.sample.speeds, result.dropped_nonpositive) == (kept, dropped)
+            assert_speeds(result.sample, kept)
+            assert result.dropped_nonpositive == dropped
 
     def test_label_filter_on_file_without_label_column(self, tmp_path):
         path = tmp_path / "f.csv"
@@ -374,8 +391,8 @@ class TestCropOracle:
         for label in ("a", None):
             cordon = CordonSpec(0.0, 10.0, label)
             result = crop_to_cordon(read.records, cordon, t=1.0)
-            assert result.sample.speeds == _oracle_crop(records, cordon, 1.0)[0]
-        assert crop_to_cordon(read.records, CordonSpec(0.0, 10.0, "a"), 1.0).sample.speeds == ()
+            assert_speeds(result.sample, _oracle_crop(records, cordon, 1.0)[0])
+        assert_speeds(crop_to_cordon(read.records, CordonSpec(0.0, 10.0, "a"), 1.0).sample, ())
 
     def test_hand_built_nonpositive_speeds_counted(self):
         rows = [_Record(10.0, 20.0, None), _Record(20.0, 0.0, None), _Record(25.0, -0.0, None),
@@ -386,7 +403,8 @@ class TestCropOracle:
             kept, dropped = _oracle_crop(rows, cordon, 1.0)
             assert (kept, dropped) == want
             result = crop_to_cordon(_footprints(rows), cordon, t=1.0)
-            assert (result.sample.speeds, result.dropped_nonpositive) == (kept, dropped)
+            assert_speeds(result.sample, kept)
+            assert result.dropped_nonpositive == dropped
 
 
 class TestWriterOracle:
