@@ -12,11 +12,9 @@ from scipy.fft import irfft, next_fast_len, rfft
 from . import kernels
 from .estimator import _var_term, as_float, positive, positives, probe_count
 from .speed_model import (
+    CUTS_PER_COMPONENT,
     SpeedDistribution,
-    _PDF_ZERO_SDS,
-    _anchor_scales,
     integrate_weighted,
-    quadrature_pieces,
 )
 
 # The variance integral resolves the kinks s = R/j, R = d/t, of its kernel
@@ -45,7 +43,8 @@ _EM_STEPS = np.arange(1.0, _EM_ORDER + 1.0)
 
 # Most quadrature pieces one variance integral is cut into, for a mixture of
 # up to VARIANCE_COMPONENTS components: the J - first + 1 kink pieces, one
-# at J_e, and 21 fixed pieces per component. Each piece gets 8 quadrature
+# at J_e, and CUTS_PER_COMPONENT fixed pieces per component (one per anchor
+# cut: the centre, and two per anchor sd). Each piece gets 8 quadrature
 # nodes, and the mixture density is evaluated one component at a time, so
 # memory is O(nodes) whatever the component count; the time is O(nodes x
 # components), and for more components the cap shrinks in proportion to
@@ -244,8 +243,8 @@ def vmr(d, t: float, dist: SpeedDistribution):
         first = np.floor(R / dist.upper) + 1.0
         # each component bounds J by its anchor scale, unless its density term
         # is 0 in double precision at and below R/J
-        zero_below = dist._means - _PDF_ZERO_SDS * dist._sds
-        smooth = np.ceil(np.sqrt(8.0 * R / _anchor_scales(dist)[:, None]))
+        zero_below = dist.frame.zero_below
+        smooth = np.ceil(np.sqrt(8.0 * R / dist.frame.scales[:, None]))
         vanish = np.where(zero_below[:, None] > 0.0, np.ceil(R / zero_below[:, None]), math.inf)
         J = np.maximum(np.maximum(first, EM_MIN_J), np.max(np.minimum(smooth, vanish), axis=0))
         Je = np.full_like(R, math.inf)
@@ -288,8 +287,8 @@ def _check_pieces(d, t, first, J, Je, dist):
     """Each integral's piece count, once all are under the cap; ValueError
     naming the first d over it."""
     kinks = np.maximum(J - first + 1.0, 0.0) + ((J < Je) & (Je < math.inf))
-    pieces = quadrature_pieces(dist, kinks)
     k = len(dist.components)
+    pieces = kinks + k * CUTS_PER_COMPONENT + 1
     cap = MAX_VARIANCE_PIECES * VARIANCE_COMPONENTS // max(k, VARIANCE_COMPONENTS)
     # past 2**53 a kink index is no longer an exact float
     inexact = ~(J < 2.0**53)
@@ -299,7 +298,7 @@ def _check_pieces(d, t, first, J, Je, dist):
     if over.any():
         raise ValueError(
             f"variance at d={d[over][0]}, t={t} needs over {cap} quadrature pieces (kink "
-            f"pieces and 21 per component) for a mixture of {k} components"
+            f"pieces and {CUTS_PER_COMPONENT} per component) for a mixture of {k} components"
         )
     return pieces
 

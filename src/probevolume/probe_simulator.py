@@ -344,9 +344,9 @@ def run_regression_experiment(
     volumes = np.array([site.adt for site in sites], dtype=np.float64)
     # one batched vmr per distribution and t, each ratio the bits of its own call
     ratios = np.empty(len(sites), dtype=np.float64)
-    groups: dict[tuple[int, float], list[int]] = {}
+    groups: dict[tuple[SpeedDistribution, float], list[int]] = {}
     for i, site in enumerate(sites):
-        groups.setdefault((id(site.dist), site.t), []).append(i)
+        groups.setdefault((site.dist, site.t), []).append(i)
     for members in groups.values():
         site = sites[members[0]]
         ratios[members] = vmr(np.array([sites[i].d for i in members]), site.t, site.dist)

@@ -3,15 +3,16 @@
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 from scipy.special import ndtr, ndtri
 
 from . import kernels
-from .estimator import as_float, finite, finites, is_number, positive
+from .estimator import as_float, finite, finites, is_number, positive, probe_count
 
 # Printed mixture weights in the wild are rounded (a canonical preset sums to
 # 0.999), so configs are accepted and renormalized within this slack.
@@ -39,10 +40,40 @@ class SpeedComponent:
         object.__setattr__(self, "mean", finite(self.mean, "component mean"))
 
 
-@dataclass
+# Fixed cut offsets around every component, in units of its local scale: an
+# 8-node rule between consecutive cuts resolves a Gaussian of any sd to about
+# 1e-14, so normalization holds even for near-degenerate mixtures. A component
+# whose mean lies z > 1 sd outside the support shows only its tail there,
+# which falls off within sd/z of the support's end, so its cuts are centred
+# on that end and scaled by sd/z. The rule is fixed, not adaptive: results
+# stay bit-stable across runs.
+_ANCHOR_SDS = (1.0, 2.0, 3.0, 4.0, 6.0, 8.0, 12.0, 16.0, 24.0, 32.0)
+# a component's cuts: its centre, then each of _ANCHOR_SDS above and below it
+_ANCHOR_OFFSETS = np.array((0.0, *_ANCHOR_SDS, *(-k for k in _ANCHOR_SDS)))
+# anchor cuts per component; each adds at most one quadrature piece
+CUTS_PER_COMPONENT = _ANCHOR_OFFSETS.size
+
+# exp(-z*z/2) is 0 in double precision once z*z/2 passes about 745.1, so
+# every term of the mixture density is exactly 0 more than this many sd
+# away from its component's mean
+_PDF_ZERO_SDS = 40.0
+
+
+class QuadratureFrame(NamedTuple):
+    """What every quadrature over one distribution is cut at; the arrays are read-only."""
+
+    scales: np.ndarray  # per component: its sd, or sd/z for a mean z > 1 sd outside the support
+    zero_below: np.ndarray  # per component: the speed at and below which its density term is 0
+    top: float  # where the top piece ends: upper, or where every density term is 0 if lower
+    edges: np.ndarray  # the fixed edges: lower, top and the anchor cuts strictly between them
+
+
+@dataclass(frozen=True)
 class SpeedDistribution:
     """Mixture of truncated normals on the half-open support (lower, upper].
 
+    An immutable value: ``==`` and ``hash`` go by (components, lower,
+    upper), and assigning a field raises ``dataclasses.FrozenInstanceError``.
     Weights are renormalized to an exact unit sum at construction; inputs
     whose raw sum strays from 1 by more than ``WEIGHT_SUM_TOL`` are rejected.
     """
@@ -51,47 +82,63 @@ class SpeedDistribution:
     lower: float
     upper: float
 
-    # derived arrays shared by the kernels; filled in __post_init__
-    _means: np.ndarray = field(init=False, repr=False)
-    _sds: np.ndarray = field(init=False, repr=False)
-    _weights: np.ndarray = field(init=False, repr=False)
-    _norms: np.ndarray = field(init=False, repr=False)
-    _cdf_lo: np.ndarray = field(init=False, repr=False)
-    _cdf_w: np.ndarray = field(init=False, repr=False)
-    _cdf_span: np.ndarray = field(init=False, repr=False)
-    # cumulative weights of components 0..k-2: the edges a component draw
-    # compares its uniform against
-    _cum_inner: np.ndarray = field(init=False, repr=False)
-
     def __post_init__(self):
-        self.components = tuple(self.components)
-        if not self.components:
+        comps = tuple(self.components)
+        if not comps:
             raise ValueError("mixture needs at least one component")
+        for i, c in enumerate(comps):
+            if not isinstance(c, SpeedComponent):
+                raise ValueError(f"component {i} must be a SpeedComponent, got {c!r}")
         if not 0.0 <= (lower := as_float(self.lower)) < (upper := as_float(self.upper)):
             raise ValueError(
                 f"support must satisfy 0 <= lower < upper, got ({self.lower}, {self.upper})"
             )
-        self.lower, self.upper = lower, upper
-        raw = np.array([c.weight for c in self.components], dtype=np.float64)
+        raw = np.array([c.weight for c in comps], dtype=np.float64)
         total = raw.sum()
         if abs(total - 1.0) > WEIGHT_SUM_TOL:
             raise ValueError(f"component weights sum to {total}, expected 1")
-        self._weights = raw / total
-        self._means = np.array([c.mean for c in self.components], dtype=np.float64)
-        self._sds = np.array([c.sd for c in self.components], dtype=np.float64)
-        a = (self.lower - self._means) / self._sds
-        b = (self.upper - self._means) / self._sds
-        z = ndtr(b) - ndtr(a)
-        if np.any(z <= 0.0):
+        weights = raw / total
+        means = np.array([c.mean for c in comps], dtype=np.float64)
+        sds = np.array([c.sd for c in comps], dtype=np.float64)
+        a = (lower - means) / sds
+        b = (upper - means) / sds
+        cdf_lo = ndtr(a)
+        z = ndtr(b) - cdf_lo
+        if not z.min() > 0.0:
             bad = int(np.argmin(z))
             raise ValueError(
                 f"component {bad} has no probability mass inside the support"
             )
-        self._norms = self._weights / (self._sds * z)
-        self._cdf_lo = ndtr(a)
-        self._cdf_w = self._weights / z
-        self._cdf_span = z
-        self._cum_inner = np.cumsum(self._weights)[:-1]
+        for name, value in (("components", comps), ("lower", lower), ("upper", upper)):
+            object.__setattr__(self, name, value)
+        # the arrays the kernels share, read-only and not compared; _cum_inner, the
+        # cumulative weights of components 0..k-2, is what a component draw compares
+        # its uniform against
+        for name, value in (
+            ("_weights", weights), ("_means", means), ("_sds", sds),
+            ("_norms", weights / (sds * z)), ("_cdf_lo", cdf_lo), ("_cdf_w", weights / z),
+            ("_cdf_span", z), ("_cum_inner", weights.cumsum()[:-1]),
+        ):
+            value.setflags(write=False)
+            object.__setattr__(self, name, value)
+
+    def __reduce__(self):  # a copy or unpickled value is built anew: read-only, no frame
+        return SpeedDistribution, (self.components, self.lower, self.upper)
+
+    @cached_property
+    def frame(self) -> QuadratureFrame:
+        """The quadrature frame, derived on first use: a density or a draw never reads it."""
+        means, sds, lower, upper = self._means, self._sds, self.lower, self.upper
+        outside = np.maximum(lower - means, means - upper) / sds
+        scales = sds / np.maximum(outside, 1.0)
+        top = min(upper, float(np.max(means + _PDF_ZERO_SDS * sds)))
+        centre = np.clip(means, lower, upper)
+        cuts = (centre[:, None] + scales[:, None] * _ANCHOR_OFFSETS).ravel()
+        edges = np.concatenate(([lower, top], cuts[(cuts > lower) & (cuts < top)]))
+        zero_below = means - _PDF_ZERO_SDS * sds
+        for array in (scales, zero_below, edges):
+            array.setflags(write=False)
+        return QuadratureFrame(scales, zero_below, top, edges)
 
     # -- evaluation ---------------------------------------------------------
     # pdf and cdf keep the shape of s: a float for a 0-d s, else an array
@@ -151,40 +198,6 @@ def sample_with_rng(dist: SpeedDistribution, count: int, rng: np.random.Generato
     return s
 
 
-# Fixed cut offsets around every component, in units of its local scale: an
-# 8-node rule between consecutive cuts resolves a Gaussian of any sd to about
-# 1e-14, so normalization holds even for near-degenerate mixtures. A component
-# whose mean lies z > 1 sd outside the support shows only its tail there,
-# which falls off within sd/z of the support's end, so its cuts are centred
-# on that end and scaled by sd/z. The rule is fixed, not adaptive: results
-# stay bit-stable across runs.
-_ANCHOR_SDS = (1.0, 2.0, 3.0, 4.0, 6.0, 8.0, 12.0, 16.0, 24.0, 32.0)
-
-# exp(-z*z/2) is 0 in double precision once z*z/2 passes about 745.1, so
-# every term of the mixture density is exactly 0 more than this many sd
-# above its component's mean
-_PDF_ZERO_SDS = 40.0
-
-
-def _anchor_scales(dist: SpeedDistribution) -> np.ndarray:
-    """Each component's local scale: its sd, or sd/z for a mean z > 1 sd
-    outside the support."""
-    outside = np.maximum(dist.lower - dist._means, dist._means - dist.upper) / dist._sds
-    return dist._sds / np.maximum(outside, 1.0)
-
-
-def _anchor_cuts(dist: SpeedDistribution) -> np.ndarray:
-    offs = np.concatenate(([0.0], _ANCHOR_SDS, [-k for k in _ANCHOR_SDS]))
-    centre = np.clip(dist._means, dist.lower, dist.upper)
-    return (centre[:, None] + _anchor_scales(dist)[:, None] * offs[None, :]).ravel()
-
-
-def quadrature_pieces(dist: SpeedDistribution, n_breakpoints: np.ndarray) -> np.ndarray:
-    """Most pieces ``integrate_weighted`` cuts the support into, given the
-    number of breakpoints: one more than the breakpoints and anchor cuts."""
-    return n_breakpoints + dist._means.size * (2 * len(_ANCHOR_SDS) + 1) + 1
-
-
 def integrate_weighted(
     dist: SpeedDistribution,
     weight: Callable[..., np.ndarray],
@@ -207,7 +220,8 @@ def integrate_weighted(
 
     With ``sizes``, one pass makes ``len(sizes)`` integrals: ``breakpoints``
     holds their ascending breakpoints one integral after another, sizes[i]
-    of them for integral i, ``weight`` is called as ``weight(nodes, owner)``
+    of them for integral i (integers >= 0 that sum to the breakpoint count,
+    else ``ValueError``), ``weight`` is called as ``weight(nodes, owner)``
     with one row of nodes per piece, shape (pieces, 8), and owner[k] the
     integral that piece k belongs to, and the integrals come back as an
     array. Each integral gets the pieces, nodes and sum, so the bits, that
@@ -217,14 +231,21 @@ def integrate_weighted(
     chunks of about ``kernels.CHUNK_PIECES`` pieces do.
     """
     pts = finites(breakpoints, "breakpoints").reshape(-1)
-    counts = np.asarray([pts.size] if sizes is None else sizes, dtype=np.int64)
+    if sizes is None:
+        counts = np.array([pts.size])
+    elif isinstance(sizes, np.ndarray) and sizes.dtype.kind == "i" and sizes.min(initial=0) >= 0:
+        counts = sizes.reshape(-1)  # an integer array is tested whole
+    else:  # each size checked; one past the breakpoint count is too many already
+        counts = np.array([min(probe_count(c, least=0, name="sizes"), pts.size + 1)
+                           for c in np.array(sizes, dtype=object).flat], dtype=np.int64)
+    # no size over the count, so that the sum cannot wrap
+    if counts.max(initial=0) > pts.size or counts.sum() != pts.size:
+        raise ValueError(f"sizes must sum to the number of breakpoints, {pts.size}")
     n = counts.size
     owner = np.repeat(np.arange(n), counts)
     if np.any((pts[1:] < pts[:-1]) & (owner[1:] == owner[:-1])):
         raise ValueError("breakpoints must be sorted ascending")
-    top = min(dist.upper, float(np.max(dist._means + _PDF_ZERO_SDS * dist._sds)))
-    cuts = _anchor_cuts(dist)
-    fixed = np.concatenate(([dist.lower, top], cuts[(cuts > dist.lower) & (cuts < top)]))
+    top, fixed = dist.frame.top, dist.frame.edges
     inner = (pts > dist.lower) & (pts < top)
     # one row per integral: its inner breakpoints, padded with top, then the
     # fixed edges; sorted, each unequal neighbour pair is one piece
@@ -242,9 +263,7 @@ def integrate_weighted(
     nodes = node_rows.ravel()
     wts = (half[:, None] * kernels._GL8_W).ravel()
 
-    gv = kernels.mixture_pdf(
-        nodes, dist._means, dist._sds, dist._norms, dist.lower, dist.upper
-    )
+    gv = dist.pdf(nodes)
     if sizes is None:
         shape, wv = nodes.shape, weight(nodes)
     else:

@@ -20,6 +20,7 @@ from probevolume.probe_simulator import (
     _passes,
     _scenario_streams,
     SiteConfig,
+    load_scenario,
     load_sites,
     run_regression_experiment,
     run_scenario,
@@ -390,6 +391,19 @@ class TestSitePreset:
         # 30 mph sites use the slower modelled distribution
         assert by_id["5121"].dist.components[0].mean == pytest.approx(13.41)
         assert by_id["4945"].dist.components[0].mean == pytest.approx(26.82)
+
+
+class TestConfigValues:
+    """Configs compare and hash by value, through their distribution."""
+
+    def test_equal_scenarios(self):
+        a, b = load_scenario("s1", 8, 10, 1), load_scenario("s1", 8, 10, 1)
+        assert a.dist is not b.dist and a == b and hash(a) == hash(b)
+        assert a != load_scenario("s1", 8, 10, 2)
+
+    def test_equal_site_sets(self):
+        a, b = load_sites("table2"), load_sites("table2")
+        assert a == b and {hash(site) for site in a} == {hash(site) for site in b}
 
 
 class TestTrialsCount:

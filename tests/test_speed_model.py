@@ -1,5 +1,9 @@
+import copy
+import dataclasses
 import json
 import math
+import pickle
+import re
 
 import numpy as np
 import pytest
@@ -9,8 +13,6 @@ from probevolume.speed_model import (
     PRESET_NAMES,
     SpeedComponent,
     SpeedDistribution,
-    _PDF_ZERO_SDS,
-    _anchor_cuts,
     from_dict,
     integrate_weighted,
     load_distribution,
@@ -326,9 +328,7 @@ class TestIntegrateWeightedBatch:
     @pytest.mark.parametrize("which", ["park", "lower", "topped"])
     def test_ties_and_padding_equal_single_calls(self, park, which):
         dist = {"park": park, "lower": self.LOWER, "topped": self.TOPPED}[which]
-        top = min(dist.upper, float(np.max(dist._means + _PDF_ZERO_SDS * dist._sds)))
-        cuts = _anchor_cuts(dist)
-        cuts = np.sort(cuts[(cuts > dist.lower) & (cuts < top)])
+        top, cuts = dist.frame.top, np.sort(dist.frame.edges[2:])
         lo, hi, mid = dist.lower, top, 0.5 * (dist.lower + top)
         groups = [
             [],  # the first row all padding
@@ -374,6 +374,84 @@ class TestIntegrateWeightedBatch:
             want = integrate_weighted(park, lambda s: 1.0 + i if per_piece else 2.5, g)
             assert got[i].hex() == want.hex()
 
+    @pytest.mark.parametrize(
+        "sizes, refused",
+        [
+            ([True, True], "sizes must be an integer >= 0, got True"),
+            (["1", "1"], "sizes must be an integer >= 0, got 1"),
+            ([1.9, 0.2], "sizes must be an integer >= 0, got 1.9"),
+            ([3, -1], "sizes must be an integer >= 0, got -1"),
+            (np.array([3, -1]), "sizes must be an integer >= 0, got -1"),
+            ([1, 2], "sizes must sum to the number of breakpoints, 2"),
+            (np.array([1, 0]), "sizes must sum to the number of breakpoints, 2"),
+            ([2**70, 0], "sizes must sum to the number of breakpoints, 2"),
+            # an int64 sum that wraps to the count: 4 * 2**62 + 2 is 2 modulo 2**64
+            (np.array([2**62] * 4 + [2]), "sizes must sum to the number of breakpoints, 2"),
+        ],
+    )
+    def test_sizes_refused(self, park, sizes, refused):
+        with pytest.raises(ValueError, match=re.escape(refused)):
+            integrate_weighted(park, lambda s, of: s, [10.0, 20.0], sizes)
+
+    @pytest.mark.parametrize("sizes", [[1.0, 1.0], (np.int64(1), np.uint8(1)), np.array([1, 1])])
+    def test_integral_sizes_run_as_integers(self, park, sizes):
+        got, want = (integrate_weighted(park, lambda s, of: s, [10.0, 20.0], counts)
+                     for counts in (sizes, [1, 1]))
+        assert got.tobytes() == want.tobytes()
+
+
+class TestValue:
+    """A distribution is an immutable value: compared and hashed by its
+    components and support, its derived arrays read-only, its frame built once."""
+
+    def test_equal_loads_are_one_value(self):
+        a, b = load_distribution("park-i35"), load_distribution("park-i35")
+        assert a is not b and a == b and hash(a) == hash(b)
+        assert len({a, b, load_distribution("table2-60mph")}) == 2
+        one = (SpeedComponent(20.0, 5.0, 1.0),)
+        assert SpeedDistribution(one, 0, 40) == SpeedDistribution(list(one), 0.0, 40.0)
+
+    def test_components_and_support_tell_values_apart(self, park):
+        assert park != SpeedDistribution(park.components, park.lower, 39.0)
+        assert park != SpeedDistribution(park.components, 1.0, park.upper)
+        assert park != SpeedDistribution(park.components[::-1], park.lower, park.upper)
+
+    @pytest.mark.parametrize("name", ["components", "lower", "upper", "_means", "frame"])
+    def test_assignment_refused(self, name):
+        dist = load_distribution("park-i35")
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(dist, name, "abc")
+        assert dist == load_distribution("park-i35")
+
+    def test_derived_arrays_read_only(self, park):
+        names = ("_means", "_sds", "_weights", "_norms", "_cdf_lo", "_cdf_w", "_cdf_span",
+                 "_cum_inner")
+        arrays = [getattr(park, name) for name in names] + [park.frame.scales,
+                                                            park.frame.zero_below,
+                                                            park.frame.edges]
+        for array in arrays:
+            with pytest.raises(ValueError, match="read-only"):
+                array[...] = 0.0
+
+    @pytest.mark.parametrize("how", ["copy", "deepcopy", "pickle"])
+    def test_copies_are_built_anew(self, how):
+        dist = load_distribution("park-i35")
+        assert dist.frame.edges.size  # the frame is built, and not carried over
+        again = {"copy": copy.copy, "deepcopy": copy.deepcopy,
+                 "pickle": lambda d: pickle.loads(pickle.dumps(d))}[how](dist)
+        assert again == dist and "frame" not in vars(again)
+        assert not again._means.flags.writeable and not again.frame.edges.flags.writeable
+
+    def test_frame_built_once_on_first_use(self):
+        dist = load_distribution("park-i35")
+        assert "frame" not in vars(dist)
+        assert dist.frame is dist.frame
+
+    def test_frame_edges(self, park):
+        frame = park.frame
+        assert frame.edges[:2].tolist() == [park.lower, frame.top]
+        assert np.all((frame.edges[2:] > park.lower) & (frame.edges[2:] < frame.top))
+
 
 class TestValidation:
     def test_weights_sum_to_0999_renormalized(self):
@@ -413,6 +491,10 @@ class TestValidation:
         with pytest.raises(ValueError):
             SpeedDistribution((), 0.0, 10.0)
 
+    def test_non_component_refused_by_index(self):
+        with pytest.raises(ValueError, match=r"component 1 must be a SpeedComponent, got \(20.0"):
+            SpeedDistribution([SpeedComponent(20.0, 5.0, 0.5), (20.0, 5.0, 0.5)], 0.0, 40.0)
+
 
 class TestConfig:
     def test_presets_load(self):
@@ -426,9 +508,7 @@ class TestConfig:
                   "lower": 0.0, "upper": 40.0}
         path = tmp_path / "dist.json"
         path.write_text(json.dumps(config), encoding="utf-8")
-        again, want = load_distribution(str(path)), from_dict(config)
-        assert again.components == want.components
-        assert (again.lower, again.upper) == (want.lower, want.upper)
+        assert load_distribution(str(path)) == from_dict(config)
 
     def test_unknown_spec(self):
         with pytest.raises(ValueError, match="unknown speed distribution"):
