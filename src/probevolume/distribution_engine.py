@@ -11,11 +11,7 @@ from scipy.fft import irfft, next_fast_len, rfft
 
 from . import kernels
 from .estimator import _var_term, as_float, positive, positives, probe_count
-from .speed_model import (
-    CUTS_PER_COMPONENT,
-    SpeedDistribution,
-    integrate_weighted,
-)
+from .speed_model import CUTS_PER_COMPONENT, SpeedDistribution, integrate_weighted
 
 # The variance integral resolves the kinks s = R/j, R = d/t, of its kernel
 # s^2 p (1 - p) one by one only for j = first..J, first = floor(R/upper) + 1

@@ -100,20 +100,14 @@ class SpeedDistribution:
         weights = raw / total
         means = np.array([c.mean for c in comps], dtype=np.float64)
         sds = np.array([c.sd for c in comps], dtype=np.float64)
-        a = (lower - means) / sds
-        b = (upper - means) / sds
-        cdf_lo = ndtr(a)
-        z = ndtr(b) - cdf_lo
+        cdf_lo = ndtr((lower - means) / sds)
+        z = ndtr((upper - means) / sds) - cdf_lo
         if not z.min() > 0.0:
-            bad = int(np.argmin(z))
-            raise ValueError(
-                f"component {bad} has no probability mass inside the support"
-            )
+            raise ValueError(f"component {z.argmin()} has no probability mass inside the support")
         for name, value in (("components", comps), ("lower", lower), ("upper", upper)):
             object.__setattr__(self, name, value)
-        # the arrays the kernels share, read-only and not compared; _cum_inner, the
-        # cumulative weights of components 0..k-2, is what a component draw compares
-        # its uniform against
+        # the kernels' shared arrays, read-only and not compared; _cum_inner (the cumulative
+        # weights of components 0..k-2) is what a component draw compares its uniform against
         for name, value in (
             ("_weights", weights), ("_means", means), ("_sds", sds),
             ("_norms", weights / (sds * z)), ("_cdf_lo", cdf_lo), ("_cdf_w", weights / z),
@@ -121,9 +115,6 @@ class SpeedDistribution:
         ):
             value.setflags(write=False)
             object.__setattr__(self, name, value)
-
-    def __reduce__(self):  # a copy or unpickled value is built anew: read-only, no frame
-        return SpeedDistribution, (self.components, self.lower, self.upper)
 
     @cached_property
     def frame(self) -> QuadratureFrame:
@@ -219,29 +210,23 @@ def integrate_weighted(
     raises ``ValueError``.
 
     With ``sizes``, one pass makes ``len(sizes)`` integrals: ``breakpoints``
-    holds their ascending breakpoints one integral after another, sizes[i]
-    of them for integral i (integers >= 0 that sum to the breakpoint count,
-    else ``ValueError``), ``weight`` is called as ``weight(nodes, owner)``
-    with one row of nodes per piece, shape (pieces, 8), and owner[k] the
-    integral that piece k belongs to, and the integrals come back as an
-    array. Each integral gets the pieces, nodes and sum, so the bits, that
-    it gets on its own. The edges are sorted as one padded row per
-    integral, so the pass holds and sorts len(sizes) * (max(sizes) + the
-    anchor cuts) floats: batch integrals of like sizes, as ``vmr``'s
-    chunks of about ``kernels.CHUNK_PIECES`` pieces do.
+    holds their ascending breakpoints one integral after another, sizes[i] of
+    them for integral i (integers >= 0 that sum to the breakpoint count, else
+    ``ValueError``), ``weight`` is called as ``weight(nodes, owner)`` with one
+    row of nodes per piece, shape (pieces, 8), and owner[k] the integral that
+    piece k belongs to, and the integrals come back as an array. Each integral
+    gets the pieces, nodes and sum, so the bits, that it gets on its own. The
+    edges are sorted as one padded row per integral, so the pass holds and sorts
+    len(sizes) * (max(sizes) + the anchor cuts) floats: batch integrals of like
+    sizes, as ``vmr``'s chunks of about ``kernels.CHUNK_PIECES`` pieces do.
     """
     pts = finites(breakpoints, "breakpoints").reshape(-1)
-    if sizes is None:
-        counts = np.array([pts.size])
-    elif isinstance(sizes, np.ndarray) and sizes.dtype.kind == "i" and sizes.min(initial=0) >= 0:
-        counts = sizes.reshape(-1)  # an integer array is tested whole
-    else:  # each size checked; one past the breakpoint count is too many already
-        counts = np.array([min(probe_count(c, least=0, name="sizes"), pts.size + 1)
-                           for c in np.array(sizes, dtype=object).flat], dtype=np.int64)
-    # no size over the count, so that the sum cannot wrap
-    if counts.max(initial=0) > pts.size or counts.sum() != pts.size:
-        raise ValueError(f"sizes must sum to the number of breakpoints, {pts.size}")
-    n = counts.size
+    counts = [pts.size]
+    if sizes is not None:  # each size checked, as Python ints whose sum cannot wrap
+        counts = [probe_count(c, 0, "sizes") for c in np.array(sizes, dtype=object).flat]
+        if sum(counts) != pts.size:
+            raise ValueError(f"sizes must sum to the number of breakpoints, {pts.size}")
+    n = len(counts)
     owner = np.repeat(np.arange(n), counts)
     if np.any((pts[1:] < pts[:-1]) & (owner[1:] == owner[:-1])):
         raise ValueError("breakpoints must be sorted ascending")

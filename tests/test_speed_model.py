@@ -1,8 +1,6 @@
-import copy
 import dataclasses
 import json
 import math
-import pickle
 import re
 
 import numpy as np
@@ -432,15 +430,6 @@ class TestValue:
         for array in arrays:
             with pytest.raises(ValueError, match="read-only"):
                 array[...] = 0.0
-
-    @pytest.mark.parametrize("how", ["copy", "deepcopy", "pickle"])
-    def test_copies_are_built_anew(self, how):
-        dist = load_distribution("park-i35")
-        assert dist.frame.edges.size  # the frame is built, and not carried over
-        again = {"copy": copy.copy, "deepcopy": copy.deepcopy,
-                 "pickle": lambda d: pickle.loads(pickle.dumps(d))}[how](dist)
-        assert again == dist and "frame" not in vars(again)
-        assert not again._means.flags.writeable and not again.frame.edges.flags.writeable
 
     def test_frame_built_once_on_first_use(self):
         dist = load_distribution("park-i35")
