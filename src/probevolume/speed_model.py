@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from pathlib import Path
 from typing import Callable, Mapping, NamedTuple, Sequence
 
@@ -333,5 +333,14 @@ def read_config(spec: str, presets: Mapping[str, str | dict], what: str) -> dict
 
 
 def load_distribution(spec: str) -> SpeedDistribution:
-    """Resolve a preset name or a JSON config path to a distribution."""
+    """Resolve a preset name or a JSON config path to a distribution. A preset is
+    one shared immutable value per process, its quadrature frame derived once; a
+    path is read and built anew on every call, since the file may change."""
+    if isinstance(spec, str) and spec in _PRESET_FILES:
+        return _preset(spec)
     return from_dict(read_config(spec, _PRESET_FILES, "speed distribution"))
+
+
+@cache
+def _preset(name: str) -> SpeedDistribution:
+    return from_dict(read_config(name, _PRESET_FILES, "speed distribution"))

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -41,6 +42,12 @@ def m30():
 def narrow20():
     """Near-point-mass at 20 m/s."""
     return SpeedDistribution((SpeedComponent(20.0, 1e-6, 1.0),), 0.0, 40.0)
+
+
+def config_doc(dist: SpeedDistribution) -> dict:
+    """The JSON config of a distribution: ``from_dict(config_doc(dist)) == dist``."""
+    return {"components": [dataclasses.asdict(c) for c in dist.components],
+            "lower": dist.lower, "upper": dist.upper}
 
 
 def random_mixture(rng: np.random.Generator) -> SpeedDistribution:

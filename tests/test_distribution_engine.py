@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy.fft import irfft, next_fast_len, rfft
 from scipy.integrate import quad
+from scipy.special import ndtr
 
 import probevolume
 import probevolume.kernels as kernels
@@ -864,11 +865,41 @@ class TestFoldWindow:
         assert widths[16000] < 2.1 * widths[4000]
 
 
-class TestNormalApprox:
-    def test_values(self, park):
-        # the large-m normal limit has mean m and the exact variance
-        assert variance(8, 300.0, 4.0, park) == pytest.approx(0.149, abs=0.002)
-        assert variance(1, 300.0, 4.0, park) == pytest.approx(0.019, abs=0.001)
+def _kolmogorov(pdf, m, ratio):
+    """Largest gap between the pdf's CDF, zero atom included, and that of
+    N(m, m*ratio), at both edges of every cell: where the cells' CDF is exact."""
+    step = pdf.grid_step
+    edges = pdf.grid_start + step * (np.arange(pdf.densities.size + 1) - 0.5)
+    cdf = np.concatenate(([0.0], np.cumsum(pdf.cell_masses()))) + pdf.atom_at_zero * (edges >= 0)
+    return float(np.max(np.abs(cdf - ndtr((edges - m) / math.sqrt(m * ratio)))))
+
+
+class TestNormalLimit:
+    """The paper's normal limit: the m-probe law approaches N(m, m*VMR), its
+    Kolmogorov distance D falling like m**-0.5 (Berry-Esseen) to the
+    one-term Edgeworth limit D*sqrt(m) -> |k3| / (6 sqrt(2 pi) VMR**1.5),
+    k3 the third central moment of one probe's estimate (its mean is 1)."""
+
+    @pytest.mark.parametrize(
+        "name,d,t",
+        [("park-i35", 300.0, 4.0), ("park-i35", 40.0, 1.0),
+         ("table2-60mph", 41.0, 1.0), ("table2-30mph", 41.0, 1.0)],
+    )
+    def test_kolmogorov_distance_falls_as_one_over_root_m(self, name, d, t):
+        dist = load_distribution(name)
+        single, ratio = single_probe_pdf(d, t, dist), vmr(d, t, dist)
+        ms = np.array([8, 64, 500, 5000])
+        scaled = np.array([_kolmogorov(m_fold_pdf(single, m), m, ratio) for m in ms]) * np.sqrt(ms)
+        assert np.all(np.diff(scaled / np.sqrt(ms)) < 0)  # D falls
+        assert np.all(np.diff(scaled) < 0)  # and D*sqrt(m) falls toward its limit
+        centred, masses = single.grid() - 1.0, single.cell_masses()
+        k3 = float(np.sum(masses * centred**3)) - single.atom_at_zero
+        rho = float(np.sum(masses * np.abs(centred) ** 3)) + single.atom_at_zero
+        # at m = 5000 it reads within 0.4% of the Edgeworth limit
+        edgeworth = abs(k3) / (6.0 * math.sqrt(2.0 * math.pi) * ratio**1.5)
+        assert scaled[-1] == pytest.approx(edgeworth, rel=0.01)
+        # Berry-Esseen (Shevtsova's constant): 0.57-0.82 here, against D*sqrt(m) <= 0.044
+        assert scaled[0] <= 0.4748 * rho / ratio**1.5
 
 
 class TestPdfMoments:

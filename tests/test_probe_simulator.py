@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import json
 import math
 import tracemalloc
 
@@ -28,6 +29,8 @@ from probevolume.probe_simulator import (
     summarize,
 )
 from probevolume.speed_model import SpeedComponent, SpeedDistribution, sample_with_rng
+
+from conftest import config_doc
 
 
 def _counts(s, d, t, offsets):
@@ -396,10 +399,16 @@ class TestSitePreset:
 class TestConfigValues:
     """Configs compare and hash by value, through their distribution."""
 
-    def test_equal_scenarios(self):
+    def test_equal_scenarios(self, tmp_path):
         a, b = load_scenario("s1", 8, 10, 1), load_scenario("s1", 8, 10, 1)
-        assert a.dist is not b.dist and a == b and hash(a) == hash(b)
+        assert a.dist is b.dist and a == b and hash(a) == hash(b)
         assert a != load_scenario("s1", 8, 10, 2)
+        # an inline mixture is built anew on every load, and compares by value
+        path = tmp_path / "inline.json"
+        path.write_text(json.dumps({"d": 300.0, "t": 4.0, "dist": config_doc(a.dist)}),
+                        encoding="utf-8")
+        c, d = load_scenario(str(path), 8, 10, 1), load_scenario(str(path), 8, 10, 1)
+        assert c.dist is not d.dist and c == d == a and hash(c) == hash(d) == hash(a)
 
     def test_equal_site_sets(self):
         a, b = load_sites("table2"), load_sites("table2")

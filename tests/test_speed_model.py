@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from scipy.special import ndtri
 
+from probevolume.distribution_engine import vmr
 from probevolume.speed_model import (
     PRESET_NAMES,
     SpeedComponent,
@@ -17,7 +18,7 @@ from probevolume.speed_model import (
     sample_with_rng,
 )
 
-from conftest import random_mixture
+from conftest import config_doc, random_mixture
 
 
 def _psi_oracle(x, mu, sd, lo, hi):
@@ -402,10 +403,17 @@ class TestValue:
     """A distribution is an immutable value: compared and hashed by its
     components and support, its derived arrays read-only, its frame built once."""
 
-    def test_equal_loads_are_one_value(self):
-        a, b = load_distribution("park-i35"), load_distribution("park-i35")
+    def test_equal_loads_are_one_value(self, tmp_path):
+        # a path is built anew on every load: distinct objects, one value
+        path = tmp_path / "park.json"
+        path.write_text(json.dumps(config_doc(load_distribution("park-i35"))), encoding="utf-8")
+        a, b = load_distribution(str(path)), load_distribution(str(path))
         assert a is not b and a == b and hash(a) == hash(b)
-        assert len({a, b, load_distribution("table2-60mph")}) == 2
+        assert len({a, b, load_distribution("park-i35"), load_distribution("table2-60mph")}) == 2
+        # a preset is one shared object; different presets are different objects
+        assert load_distribution("park-i35") is load_distribution("park-i35")
+        presets = [load_distribution(name) for name in PRESET_NAMES]
+        assert len({id(d) for d in presets}) == len(set(presets)) == len(PRESET_NAMES)
         one = (SpeedComponent(20.0, 5.0, 1.0),)
         assert SpeedDistribution(one, 0, 40) == SpeedDistribution(list(one), 0.0, 40.0)
 
@@ -431,15 +439,46 @@ class TestValue:
             with pytest.raises(ValueError, match="read-only"):
                 array[...] = 0.0
 
-    def test_frame_built_once_on_first_use(self):
-        dist = load_distribution("park-i35")
-        assert "frame" not in vars(dist)
+    def test_frame_built_once_on_first_use(self, park):
+        # a fresh value: the shared preset may have built its frame in another test
+        dist = from_dict(config_doc(park))
+        assert dist == park and "frame" not in vars(dist)
         assert dist.frame is dist.frame
 
     def test_frame_edges(self, park):
         frame = park.frame
         assert frame.edges[:2].tolist() == [park.lower, frame.top]
         assert np.all((frame.edges[2:] > park.lower) & (frame.edges[2:] < frame.top))
+
+
+class TestPresetCache:
+    """A preset is built once per process and shared; a path is read on every load."""
+
+    @pytest.mark.parametrize("name", PRESET_NAMES)
+    def test_preset_is_one_object_with_one_frame(self, name):
+        dist = load_distribution(name)
+        frame = dist.frame
+        vmr(40.0, 1.0, load_distribution(name))
+        again = load_distribution(name)
+        assert again is dist and vars(again)["frame"] is frame
+
+    def test_rewritten_path_gives_new_value(self, tmp_path):
+        park = load_distribution("park-i35")
+        path = tmp_path / "dist.json"
+        path.write_text(json.dumps(config_doc(park)), encoding="utf-8")
+        assert load_distribution(str(path)) == park
+        path.write_text(json.dumps({**config_doc(park), "upper": 39.0}), encoding="utf-8")
+        assert load_distribution(str(path)) == SpeedDistribution(park.components, park.lower, 39.0)
+
+    @pytest.mark.parametrize("spec", [5, ["park-i35"], None, b"park-i35"])
+    def test_non_str_spec_refused(self, spec):
+        with pytest.raises(ValueError, match="must be a preset name or a file path"):
+            load_distribution(spec)
+
+    def test_unknown_name_refused_every_time(self):
+        for _ in range(2):
+            with pytest.raises(ValueError, match="unknown speed distribution 'park-i36'"):
+                load_distribution("park-i36")
 
 
 class TestValidation:
