@@ -9,7 +9,7 @@ of it.
 
 __version__ = "0.1.0"
 
-from .calibration import CalibrationModel, CalibrationPair, fit_through_origin
+from .calibration import CalibrationModel, fit_through_origin
 from .cordon_optimizer import OptimumReport, objective_curve, optimize_cordon
 from .distribution_engine import (
     PrecisionReport,
@@ -51,7 +51,6 @@ from .speed_model import (
 
 __all__ = [
     "CalibrationModel",
-    "CalibrationPair",
     "CordonSample",
     "CordonSpec",
     "ExperimentReport",

@@ -4,32 +4,16 @@ from __future__ import annotations
 
 import logging
 import math
+from array import array
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
 
-from .estimator import finite, positive
+import numpy as np
+
+from .estimator import finite, finites, positive, positives
 from .footprint_data import read_csv_rows
 
 log = logging.getLogger(__name__)
-
-
-@dataclass(frozen=True)
-class CalibrationPair:
-    """One (estimated probe volume, known traffic volume) observation.
-
-    ``weight`` defaults to 1 (ordinary least squares); inverse-VMR weights
-    give the heteroscedasticity-aware fit.
-    """
-
-    m_hat: float
-    known_volume: float
-    weight: float = 1.0
-
-    def __post_init__(self):
-        object.__setattr__(self, "m_hat", finite(self.m_hat, "m_hat"))
-        object.__setattr__(self, "known_volume", positive(self.known_volume, "known_volume"))
-        object.__setattr__(self, "weight", positive(self.weight, "weight"))
 
 
 @dataclass(frozen=True)
@@ -38,11 +22,13 @@ class CalibrationModel:
     method: str  # "ols" | "wls"
 
 
-def read_pairs_csv(path: str | Path, weighted: bool) -> list[CalibrationPair]:
+def read_pairs_csv(path: str | Path, weighted: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Read calibration pairs from CSV with header ``m_hat,adt[,weight]``.
 
-    Weights are read only when ``weighted``, which needs the weight column;
-    otherwise every weight is 1. A bad or unreadable row raises
+    Returns float64 columns ``(m_hat, adt, weight)``, one row per pair: a
+    finite ``m_hat``, a positive finite known volume and a positive finite
+    weight. Weights are read only when ``weighted``, which needs the weight
+    column; otherwise every weight is 1. A bad or unreadable row raises
     ``ValueError`` with its line number.
     """
     path = Path(path)
@@ -54,31 +40,53 @@ def read_pairs_csv(path: str | Path, weighted: bool) -> list[CalibrationPair]:
     has_weight = next(rows, False)
     if weighted and not has_weight:
         raise ValueError("wls calibration needs a weight column")
-    pairs = []
+    m_hats, adts, weights = array("d"), array("d"), array("d")
     for lineno, row in rows:
         try:
             weight = float(row[2]) if weighted else 1.0
-            pairs.append(CalibrationPair(float(row[0]), float(row[1]), weight))
+            m_hat = float(row[0])
+            adt = float(row[1])
+            # one comparison a row; a refused row's error is the number rule's
+            if not (math.isfinite(m_hat) and 0.0 < adt < math.inf and 0.0 < weight < math.inf):
+                finite(m_hat, "m_hat")
+                positive(adt, "known_volume")
+                positive(weight, "weight")
+            m_hats.append(m_hat)
+            adts.append(adt)
+            weights.append(weight)
         except (IndexError, ValueError) as exc:
             bad(f"{path}:{lineno}: bad row {row!r} ({exc})", exc)
-    return pairs
+    return np.asarray(m_hats), np.asarray(adts), np.asarray(weights)
 
 
-def fit_through_origin(pairs: Sequence[CalibrationPair], method: str) -> CalibrationModel:
+def fit_through_origin(m_hat, known_volume, weight, method: str) -> CalibrationModel:
     """beta = sum(w x y) / sum(w x^2); OLS is the all-weights-equal case.
 
-    ``method``, "ols" or "wls", only labels the model.
+    ``m_hat`` (finite), ``known_volume`` and ``weight`` (positive and finite)
+    are equal-length 1-D columns, one pair a row; ``method``, "ols" or
+    "wls", only labels the model.
     """
-    if not pairs:
+    if method not in ("ols", "wls"):
+        raise ValueError(f"method must be 'ols' or 'wls', got {method!r}")
+    x = finites(m_hat, "m_hat")
+    y = positives(known_volume, "known_volume")
+    w = positives(weight, "weight")
+    if not (x.ndim == y.ndim == w.ndim == 1 and len(x) == len(y) == len(w)):
+        raise ValueError(
+            "m_hat, known_volume and weight must be 1-D columns of one length, "
+            f"got shapes {x.shape}, {y.shape} and {w.shape}"
+        )
+    if not len(x):
         raise ValueError("need at least one calibration pair")
-    zeros = sum(1 for p in pairs if p.m_hat == 0.0)
+    zeros = len(x) - int(np.count_nonzero(x))
     if zeros:
         log.warning("%d calibration pairs have m_hat = 0 and do not constrain the fit", zeros)
-    if zeros == len(pairs):
+    if zeros == len(x):
         raise ValueError("cannot fit: every pair has m_hat = 0")
     try:
-        sxy = math.fsum(p.weight * p.m_hat * p.known_volume for p in pairs)
-        sxx = math.fsum(p.weight * p.m_hat * p.m_hat for p in pairs)
+        with np.errstate(over="ignore"):  # an infinite product is caught below
+            sxy = math.fsum(memoryview(w * x * y))
+            sxx = math.fsum(memoryview(w * x * x))
     except (OverflowError, ValueError) as exc:  # ValueError: inf - inf
         raise ValueError("cannot fit: weighted normal equation overflowed") from exc
     if sxx == 0.0:
@@ -86,6 +94,4 @@ def fit_through_origin(pairs: Sequence[CalibrationPair], method: str) -> Calibra
     beta = sxy / sxx
     if not (math.isfinite(sxx) and math.isfinite(beta)):
         raise ValueError("cannot fit: weighted normal equation overflowed")
-    if method not in ("ols", "wls"):
-        raise ValueError(f"method must be 'ols' or 'wls', got {method!r}")
     return CalibrationModel(beta=beta, method=method)

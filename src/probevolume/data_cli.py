@@ -181,8 +181,8 @@ def _run_experiment(args) -> dict:
 
 
 def _run_calibrate(args) -> dict:
-    pairs = calib.read_pairs_csv(args.pairs, weighted=args.method == "wls")
-    return _fields(calib.fit_through_origin(pairs, method=args.method))
+    columns = calib.read_pairs_csv(args.pairs, weighted=args.method == "wls")
+    return _fields(calib.fit_through_origin(*columns, method=args.method))
 
 
 def _run_apply(args) -> dict:

@@ -22,16 +22,6 @@ CSV_FIELDS = ("position_m", "speed_mps", "label")
 WRITE_BLOCK = 1024
 
 
-def _check_footprint(position: float, speed: float) -> None:
-    """Raise ``ValueError`` unless position is finite and speed in (0, inf).
-    Inline, not ``finite``/``positive``: it runs once per CSV row, on floats
-    ``float()`` parsed, and a call per row would cost ingest several percent."""
-    if not math.isfinite(position):
-        raise ValueError(f"position must be finite, got {position}")
-    if not (0.0 < speed < math.inf):
-        raise ValueError(f"speed must be positive and finite, got {speed}")
-
-
 @dataclass(frozen=True, eq=False)
 class Footprints:
     """Footprint columns: float64 ``positions`` and ``speeds``, one ``label`` per row.
@@ -181,7 +171,10 @@ def read_footprints_csv(path: str | Path, strict: bool = False) -> CsvReadResult
         try:
             position = float(row[0])
             speed = float(row[1])
-            _check_footprint(position, speed)
+            # one comparison a row; a refused row's error is the number rule's
+            if not (math.isfinite(position) and 0.0 < speed < math.inf):
+                finite(position, "position")
+                positive(speed, "speed")
         except (IndexError, ValueError) as exc:
             skip(f"{path}:{lineno}: skipped unparseable row {row!r} ({exc})", exc)
             continue

@@ -825,6 +825,41 @@ class TestCalibrate:
         doc = run_json(capsys, "calibrate", "--pairs", str(path), "--method", "wls")
         assert doc["beta"] == pytest.approx(55.0, rel=1e-12)
 
+    # (method, bad row, its error after "<path>:3: bad row <row> "), the row
+    # parsed weight, m_hat, adt and checked m_hat, known_volume, weight
+    BAD_ROWS = [
+        ("ols", "x,60", "(could not convert string to float: 'x')"),
+        ("ols", "2,x", "(could not convert string to float: 'x')"),
+        ("wls", "2,100,x", "(could not convert string to float: 'x')"),
+        ("wls", "x,y,z", "(could not convert string to float: 'z')"),
+        ("ols", "2", "(list index out of range)"),
+        ("wls", "2,100", "(list index out of range)"),
+        ("ols", "inf,100", "(m_hat must be finite, got inf)"),
+        ("ols", "nan,100", "(m_hat must be finite, got nan)"),
+        ("ols", "2,0", "(known_volume must be positive and finite, got 0.0)"),
+        ("ols", "2,-1", "(known_volume must be positive and finite, got -1.0)"),
+        ("ols", "2,inf", "(known_volume must be positive and finite, got inf)"),
+        ("wls", "2,100,0", "(weight must be positive and finite, got 0.0)"),
+        ("wls", "nan,0,0", "(m_hat must be finite, got nan)"),
+        ("wls", "2,0,0", "(known_volume must be positive and finite, got 0.0)"),
+        ("ols", "2,100,x", None),  # ols reads no weight: a bad one is ignored
+        ("ols", "2,100,0", None),
+    ]
+
+    @pytest.mark.parametrize("method,row,error", BAD_ROWS)
+    def test_bad_row_error_is_pinned(self, capsys, tmp_path, method, row, error):
+        path = tmp_path / "pairs.csv"
+        path.write_text(f"m_hat,adt,weight\n1,60,4\n{row}\n", encoding="utf-8")
+        code, out, err = run_cli(capsys, "calibrate", "--pairs", str(path), "--method", method)
+        if error is None:
+            assert (code, err) == (EXIT_OK, "")
+            assert out == '{\n  "beta": 52,\n  "method": "ols"\n}\n'
+            return
+        cells = row.split(",")
+        message = f"{path}:3: bad row {cells!r} {error}"
+        assert (code, out) == (EXIT_BAD_PARAMETER, "")
+        assert err == dumps_json({"error": message, "code": EXIT_BAD_PARAMETER}) + "\n"
+
 
 class TestApply:
     def test_scalar(self, capsys):

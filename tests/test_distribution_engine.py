@@ -10,7 +10,7 @@ from scipy.special import ndtr
 
 import probevolume
 import probevolume.kernels as kernels
-from probevolume.calibration import CalibrationPair
+from probevolume.calibration import fit_through_origin
 from probevolume.cordon_optimizer import objective_curve, optimize_cordon
 from probevolume.distribution_engine import (
     FOLD_TAIL_BOUND,
@@ -301,9 +301,6 @@ class TestBooleansRefused:
     # message names it, a valid value, a valid integral value or None, and the
     # call with that parameter set to v)
     PARAMS = [
-        ("CalibrationPair", "m_hat", 3.3, 3, lambda v, g: CalibrationPair(v, 3.0, 1.0)),
-        ("CalibrationPair", "known_volume", 3.3, 3, lambda v, g: CalibrationPair(2.0, v, 1.0)),
-        ("CalibrationPair", "weight", 0.3, 1, lambda v, g: CalibrationPair(2.0, 3.0, v)),
         ("CordonSample", "d", 300.1, 300, lambda v, g: CordonSample((20.0,), v, 4.0)),
         ("CordonSample", "t", 4.1, 4, lambda v, g: CordonSample((20.0,), 300.0, v)),
         ("CordonSample", "speed", 20.1, 20, lambda v, g: CordonSample((30.0, v), 300.0, 4.0)),
@@ -337,6 +334,12 @@ class TestBooleansRefused:
         ("cv", "m", 2.0, 2, lambda v, g: cv(v, 300.0, 4.0, g)),
         ("cv", "d", 300.1, 300, lambda v, g: cv(2, v, 4.0, g)),
         ("cv", "t", 4.1, 4, lambda v, g: cv(2, 300.0, v, g)),
+        ("fit_through_origin", "m_hat", 3.3, 3,
+         lambda v, g: fit_through_origin((2.0, v), (3.0, 4.0), (1.0, 2.0), "wls")),
+        ("fit_through_origin", "known_volume", 3.3, 3,
+         lambda v, g: fit_through_origin((2.0, 1.5), (3.0, v), (1.0, 2.0), "wls")),
+        ("fit_through_origin", "weight", 0.3, 1,
+         lambda v, g: fit_through_origin((2.0, 1.5), (3.0, 4.0), (1.0, v), "wls")),
         ("integrate_weighted", "breakpoints", 20.1, 20,
          lambda v, g: integrate_weighted(g, lambda s: s * s, (10.0, v))),
         ("interval_estimate", "level", 0.9, None,
@@ -379,7 +382,7 @@ class TestBooleansRefused:
         "CalibrationModel", "ExperimentReport", "OptimumReport", "PrecisionReport",
         "SimSummary", "VolumeEstimate", "VolumePdf",
         # columns, records, files, names and functions
-        "Footprints", "estimate_probe_volume", "fit_through_origin", "load_distribution",
+        "Footprints", "estimate_probe_volume", "load_distribution",
         "pdf_moments", "read_footprints_csv", "run_scenario", "write_footprints_csv",
     }
     IDS = [f"{name}-{param}" for name, param, *_ in PARAMS]

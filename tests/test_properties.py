@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from probevolume import data_cli
-from probevolume.calibration import CalibrationPair
+from probevolume.calibration import fit_through_origin
 from probevolume.distribution_engine import (
     m_fold_pdf,
     pdf_moments,
@@ -213,9 +213,9 @@ class TestNonFiniteRejected:
             lambda: crop_to_cordon(_footprints([]), CordonSpec(0.0, 10.0), bad),
             lambda: ScenarioConfig(bad, 4.0, 1, park, 1, 1),
             lambda: ScenarioConfig(300.0, bad, 1, park, 1, 1),
-            lambda: CalibrationPair(bad, 10.0),
-            lambda: CalibrationPair(1.0, bad),
-            lambda: CalibrationPair(1.0, 10.0, bad),
+            lambda: fit_through_origin((bad,), (10.0,), (1.0,), "ols"),
+            lambda: fit_through_origin((1.0,), (bad,), (1.0,), "ols"),
+            lambda: fit_through_origin((1.0,), (10.0,), (bad,), "ols"),
         ]
         for call in calls:
             with pytest.raises(ValueError):
