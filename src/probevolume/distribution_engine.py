@@ -63,6 +63,13 @@ FOLD_DRIFT_WARN = 1e-4
 # aliases back into it, are each at most this bound.
 FOLD_TAIL_BOUND = 1e-16
 
+# The transform leaves every window cell about m*eps/nfft of round-off
+# (6.97e-18 a cell at pdf --m 5000 --d 300 --t 4, where m*eps/nfft is
+# 6.1e-18): the fold keeps its cells from the first to the last one whose
+# mass exceeds FOLD_ROUNDOFF times that. At 1 the noise of m = 4000 at step
+# 1e-3 is still kept; at 100 cells of 4e-16 real mass are dropped.
+FOLD_ROUNDOFF = 4.0
+
 # Most pieces the band partition of a single-probe density may have. A
 # density over n cells of the m_hat axis, n = max(2, upper*t/d)/grid_step,
 # has about n + (2/grid_step)*ln(2/grid_step) pieces at 50-60 bytes each
@@ -99,8 +106,9 @@ class VolumePdf:
     ``densities[i]`` is the cell-averaged density over the cell centered at
     ``grid_start + i*grid_step``; ``atom_at_zero`` carries the probability
     that a probe crosses the cordon without leaving a record. The densities
-    this module builds run from their first to their last nonzero cell, on
-    the lattice of cells ``k*grid_step``: ``grid_start`` is
+    this module builds run from their first to their last nonzero cell (an
+    m-fold density, to its last cell over FOLD_ROUNDOFF's bound), on the
+    lattice of cells ``k*grid_step``: ``grid_start`` is
     ``first_cell*grid_step``.
     """
 
@@ -374,14 +382,17 @@ def single_probe_pdf(
     )
     # CDF differences are nonnegative up to rounding; clamp the few ulps
     np.clip(masses, 0.0, None, out=masses)
-    return _trimmed(masses, 0, grid_step, max(float(atom), 0.0))
+    return _trimmed(masses, 0, grid_step, max(float(atom), 0.0), 0.0)
 
 
-def _trimmed(masses: np.ndarray, first_cell: int, step: float, atom: float) -> VolumePdf:
+def _trimmed(
+    masses: np.ndarray, first_cell: int, step: float, atom: float, floor: float
+) -> VolumePdf:
     """The density of cell masses from lattice cell first_cell on, kept from
-    its first to its last nonzero cell (one zero cell if all are zero)."""
-    nonzero = np.flatnonzero(masses)
-    lo, hi = (int(nonzero[0]), int(nonzero[-1])) if nonzero.size else (0, 0)
+    its first to its last cell whose mass exceeds floor (its first cell if
+    none does); the cells between are kept as they are."""
+    over = np.flatnonzero(masses > floor)
+    lo, hi = (int(over[0]), int(over[-1])) if over.size else (0, 0)
     return VolumePdf(
         grid_start=(first_cell + lo) * step,
         grid_step=step,
@@ -407,7 +418,8 @@ def m_fold_pdf(single: VolumePdf, m: int) -> VolumePdf:
     into cell 0 and each cell into its residue, the rfft of those masses is
     raised to the m-th power and inverted, q^m, the chance that no probe
     recorded, moves from residue 0 back to the atom, and the window's cells
-    are read off at their residues.
+    are read off at their residues. They are kept from the first to the last
+    one over the transform's round-off bound (see FOLD_ROUNDOFF).
     """
     m = probe_count(m)
     step = single.grid_step
@@ -464,7 +476,7 @@ def m_fold_pdf(single: VolumePdf, m: int) -> VolumePdf:
             RuntimeWarning,
             stacklevel=2,
         )
-    return _trimmed(folded, lo, step, atom)
+    return _trimmed(folded, lo, step, atom, FOLD_ROUNDOFF * m * np.finfo(float).eps / nfft)
 
 
 def pdf_moments(pdf: VolumePdf) -> tuple[float, float]:

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import re
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from scipy.integrate import quad
 from scipy.special import ndtr
 
 import probevolume
+import probevolume.distribution_engine as distribution_engine
 import probevolume.kernels as kernels
 from probevolume.calibration import fit_through_origin
 from probevolume.cordon_optimizer import objective_curve, optimize_cordon
@@ -109,6 +111,20 @@ def _full_grid_fold(single, m):
     folded[: first if q > 0.0 else m * first] = 0.0
     folded[m * last + 1 :] = 0.0
     return folded, atom
+
+
+def _fold_nfft(single, m):
+    """m_fold_pdf(single, m), and the length of the transform it took."""
+    with mock.patch.object(distribution_engine, "irfft", wraps=irfft) as spy:
+        pdf = m_fold_pdf(single, m)
+    return pdf, spy.call_args.args[1]
+
+
+def _fold_floor(m, nfft):
+    """The round-off the fold's transform leaves a cell, 4 m eps / nfft as
+    measured, stated here apart from the module's constant so that a higher
+    floor there shows as dropped mass."""
+    return 4.0 * m * np.finfo(float).eps / nfft
 
 
 class TestBernoulliVarTerm:
@@ -825,15 +841,19 @@ class TestFoldWindow:
 
     def test_window_shorter_than_cell_index(self):
         # three cells at m_hat = 1: the window, and so the transform, is far
-        # shorter than the cells' index, and they wrap around it
+        # shorter than the cells' index, and they wrap around it; m probes
+        # put C(2m, i)/4^m on cell 1000m + i, and a cell of that law is left
+        # out only where it is under twice the transform's round-off
         step = 1e-3
         single = VolumePdf(1000 * step, step, np.array([0.25, 0.5, 0.25]) / step, 0.0)
         for m in (2, 3, 50):
-            pdf = m_fold_pdf(single, m)
-            ref, _ = _full_grid_fold(single, m)
+            pdf, nfft = _fold_nfft(single, m)
+            exact = np.array([math.comb(2 * m, i) / 4**m for i in range(2 * m + 1)])
             k, size = pdf.first_cell, pdf.densities.size
-            assert (k, size) == (1000 * m, 2 * m + 1)
-            assert np.max(np.abs(pdf.cell_masses() - ref[k : k + size])) < 1e-15
+            assert 1000 * m <= k and k + size <= 1002 * m + 1
+            kept = np.arange(k, k + size) - 1000 * m
+            assert np.max(np.abs(pdf.cell_masses() - exact[kept])) <= 1e-15
+            assert np.all(np.delete(exact, kept) <= 2.0 * _fold_floor(m, nfft))
 
     def test_window_against_binomial(self):
         # a zero atom of 0.1 and one cell at m_hat = 1: m probes put
@@ -866,6 +886,81 @@ class TestFoldWindow:
         widths = {m: m_fold_pdf(single, m).densities.size for m in (1000, 4000, 16000)}
         assert widths[4000] < 2.1 * widths[1000]
         assert widths[16000] < 2.1 * widths[4000]
+
+    # the grid law of m probes has exactly m times one probe's mean and
+    # variance; measured worst 5.5e-13 and 7.3e-12 (table2-30mph, m = 2000),
+    # and the tolerances leave margins of 1.4x and 1.8x
+    @pytest.mark.parametrize("preset,d,t,m", _WINDOW_CASES)
+    def test_moments_add_exactly(self, folds, preset, d, t, m):
+        single, pdf, _, _ = folds(preset, d, t, m)
+        _assert_moments_add(single, pdf, m)
+
+    def test_moments_add_exactly_at_large_m(self, park):
+        # writing the transform's round-off as density put the variance
+        # 1.9e-11 off here; the cells over the floor alone read 1.8e-12
+        single = single_probe_pdf(300.0, 4.0, park, grid_step=1e-3)
+        _assert_moments_add(single, m_fold_pdf(single, 5000), 5000)
+
+
+def _assert_moments_add(single, pdf, m):
+    mean1, var1 = pdf_moments(single)
+    mean, var = pdf_moments(pdf)
+    assert abs(mean / (m * mean1) - 1.0) <= 1e-12
+    assert abs(var / (m * var1) - 1.0) <= 1e-11
+
+
+_FLOOR_CASES = [(preset, 300.0, 4.0) for preset in ("park-i35", "table2-30mph", "table2-60mph")]
+_FLOOR_CASES += [("park-i35", 40.0, 1.0), ("park-i35", 5.0, 4.0), ("park-i35", 8.0, 4.0)]
+
+
+class TestFoldFloor:
+    """The fold against direct convolution, at grid step 1e-2. Convolving
+    the one-probe law adds only nonnegative terms, so the reference keeps
+    its tail cells to a few ulps of themselves: the fold may leave out only
+    the cells past the last one over its round-off floor, and keeps every
+    cell between, the valleys of a multimodal law (d=5 and d=8, t=4, with
+    zero atoms of 0.92 and 0.88) among them."""
+
+    @pytest.fixture(scope="class")
+    def laws(self):
+        cache = {}
+
+        def law(preset, d, t, m):
+            if (preset, d, t) not in cache:
+                single = single_probe_pdf(d, t, load_distribution(preset), grid_step=1e-2)
+                one = _on_cells(single) * single.grid_step
+                one[0] += single.atom_at_zero
+                powers = [one]
+                while len(powers) < 16:
+                    powers.append(np.convolve(powers[-1], one))
+                cache[preset, d, t] = single, powers
+            single, powers = cache[preset, d, t]
+            return single, powers[m - 1]
+
+        return law
+
+    @pytest.mark.parametrize("m", [2, 3, 8, 16])
+    @pytest.mark.parametrize("preset,d,t", _FLOOR_CASES)
+    def test_drops_only_cells_under_the_floor(self, laws, preset, d, t, m):
+        single, law = laws(preset, d, t, m)
+        # cell 0 holds the atom alone: every case's one-probe cells start past it
+        assert single.first_cell > 0
+        want = law.copy()
+        want[0] = 0.0
+        pdf, nfft = _fold_nfft(single, m)
+        k, size = pdf.first_cell, pdf.densities.size
+        assert k + size <= want.size
+        # the cell on residue 0 also carries the rounding of taking q^m off it
+        on_atom = np.arange(k, k + size) % nfft == 0
+        tol = np.where(on_atom, 1.1e-16 + 2.0 * np.spacing(pdf.atom_at_zero), 1.1e-16)
+        assert np.all(np.abs(pdf.cell_masses() - want[k : k + size]) <= tol)
+        floor = _fold_floor(m, nfft)
+        assert np.all(np.concatenate((want[:k], want[k + size :])) <= 2.0 * floor)
+        # every mode over the floor is kept, so is every cell between them
+        is_mode = (want[1:-1] > want[:-2]) & (want[1:-1] >= want[2:]) & (want[1:-1] > 2.0 * floor)
+        modes = np.flatnonzero(is_mode) + 1
+        assert k <= modes[0] and modes[-1] < k + size
+        assert modes.size >= (3 if d / t < 2.0 else 1)
 
 
 def _kolmogorov(pdf, m, ratio):
