@@ -12,10 +12,10 @@ from .speed_model import SpeedDistribution
 
 OBJECTIVES = ("vmr", "cv")
 # most d values one curve evaluates; each costs one variance quadrature of
-# its own pieces, all of a curve made in one batched vmr call: about 0.04 ms
-# a point at d/t = 40 on park-i35, 4 s for a full grid, and at most about
-# 0.08 s a point at the variance piece cap (four near-point-mass components
-# at d/t = 1.3e6), so the cap bounds one request to hours, not years
+# its own pieces, all of a curve made in one batched vmr call: 0.031 ms a
+# point at d/t = 40 on park-i35 (best of 3 over 10^4 points, 2 vCPUs), 3 s for
+# a full grid, and at most about 0.08 s a point at the variance piece cap (four
+# near-point-mass components at d/t = 1.3e6): one request takes hours, not years
 MAX_GRID_POINTS = 10**5
 
 
@@ -61,11 +61,11 @@ def objective_curve(
         raise ValueError(
             f"grid from {d_min} to {d_max} by {step} has over {MAX_GRID_POINTS} points"
         )
-    grid = (d_min + step * np.arange(int(intervals) + 1)).tolist()
-    ratios = vmr(np.array(grid), t, dist).tolist()
+    grid = d_min + step * np.arange(int(intervals) + 1)
+    ratios = vmr(grid, t, dist)
     if kind == "cv":
-        ratios = [moments_report(m, d, t, ratio).cv for d, ratio in zip(grid, ratios)]
-    return list(zip(grid, ratios))
+        ratios = moments_report(m, grid, t, ratios).cv
+    return list(zip(grid.tolist(), ratios.tolist()))
 
 
 def optimize_cordon(

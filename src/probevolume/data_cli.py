@@ -64,7 +64,8 @@ def dumps_json(obj, indent: int = 0) -> str:
     if isinstance(obj, (list, tuple)):
         if not obj:
             return "[]"
-        items = ",\n".join(f"{pad}  {dumps_json(v, indent + 1)}" for v in obj)
+        items = ",\n".join([pad + "  " + (
+            _fmt_float(v) if isinstance(v, float) else dumps_json(v, indent + 1)) for v in obj])
         return "[\n" + items + "\n" + pad + "]"
     if isinstance(obj, bool):
         return "true" if obj else "false"

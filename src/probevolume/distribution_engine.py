@@ -30,12 +30,12 @@ from .speed_model import CUTS_PER_COMPONENT, SpeedDistribution, integrate_weight
 # exceeds EM_TERM_TOL of the integral.
 EM_MIN_J = 32
 EM_TERM_TOL = 1e-17
-# 2 B_2k (2k-3)! / (2k)! for k = 2..7: the weight of H's Taylor coefficient
-# of order 2k - 3 in the end terms; the last (k = 7) is the one left out
-_EM_WEIGHTS = (-1 / 360, 1 / 2520, -1 / 5040, 1 / 4752, -691 / 1801800, 1 / 936)
-# the highest order of H's Taylor coefficients taken, and the steps 1..11
+# 2 B_2k (2k-3)! / (2k)! for k = 2..7, a column: the weight of H's Taylor
+# coefficient of order 2k - 3 in the end terms; the last (k = 7) is the one left out
+_EM_WEIGHTS = np.array([-1 / 360, 1 / 2520, -1 / 5040, 1 / 4752, -691 / 1801800, 1 / 936])[:, None]
+# the highest order of H's Taylor coefficients taken, and the steps 1..11 (shape (11, 1, 1))
 _EM_ORDER = 11
-_EM_STEPS = np.arange(1.0, _EM_ORDER + 1.0)
+_EM_STEPS = np.arange(1.0, _EM_ORDER + 1.0)[:, None, None]
 
 # Most quadrature pieces one variance integral is cut into, for a mixture of
 # up to VARIANCE_COMPONENTS components: the J - first + 1 kink pieces, one
@@ -138,7 +138,7 @@ class VolumePdf:
         return self.atom_at_zero + float(np.sum(self.cell_masses()))
 
 
-def _end_terms(s0, lattice_j, R, dist):
+def _end_terms(s0, lattice_j, R, frame):
     """Euler-Maclaurin end terms at the lattice point r = lattice_j, s0 = R/r:
     the sum of their first five, and the first one left out, per element.
 
@@ -146,28 +146,25 @@ def _end_terms(s0, lattice_j, R, dist):
     _EM_WEIGHTS[k-2] * h_(2k-3) for k = 2..7. Each h_n is a finite sum over
     the Taylor coefficients of s^4 g at s0, and the mixture's derivatives
     there are g^(n) = sum of norm * phi(z) (-1)^n He_n(z) / sd^n over its
-    components. Every sum runs in a fixed order over elementwise operations,
-    so an element's terms do not depend on the others.
+    components, whose columns the quadrature frame holds. Every sum runs in a
+    fixed order over elementwise operations, so an element's terms do not
+    depend on the others.
     """
-    z = (s0 - dist._means[:, None]) / dist._sds[:, None]
-    phi = np.exp(z * -0.5 * z) * (dist._norms * kernels._INV_SQRT_2PI)[:, None]
+    z = (s0 - frame.means) / frame.sds
+    phi = np.exp(z * -0.5 * z) * frame.peaks
     live = phi > 0.0
     # where phi underflows the component adds 0; z = 0 keeps its series finite
     z[~live] = 0.0
-    q = -s0 / dist._sds[:, None]
+    q = -s0 / frame.sds
     # e_n = He_n(z) q^n / n! = sum over i of (qz)^(n-2i)/(n-2i)! (-q^2/2)^i/i!
     # (DLMF 18.5.13), so that phi e_n = s0^n g^(n)(s0) / n! per component
     powers = np.empty((_EM_ORDER + 1, *z.shape))
     powers[0] = 1.0
-    powers[1:] = q * z / _EM_STEPS[:, None, None]
-    np.cumprod(powers, axis=0, out=powers)
-    halves = np.empty((_EM_ORDER // 2 + 1, *z.shape))
-    halves[0] = 1.0
-    halves[1:] = q * q * -0.5 / _EM_STEPS[: _EM_ORDER // 2, None, None]
-    np.cumprod(halves, axis=0, out=halves)
+    np.cumprod(q * z / _EM_STEPS, axis=0, out=powers[1:])
+    halves = np.cumprod(q * q * -0.5 / _EM_STEPS[: _EM_ORDER // 2], axis=0)
     e = powers.copy()
-    for i in range(1, halves.shape[0]):
-        e[2 * i :] += powers[: -2 * i] * halves[i]
+    for i, half in enumerate(halves, 1):
+        e[2 * i :] += powers[: -2 * i] * half
     # b_n = s0^(n+4) g^(n)(s0) / (n! R), the components added in their order
     e *= np.where(live, phi * s0**4 / R, 0.0)
     b = kernels._add_rows(None, (e[:, c] for c in range(z.shape[0])))
@@ -181,47 +178,39 @@ def _end_terms(s0, lattice_j, R, dist):
     for k in range(_EM_ORDER):
         v[k] = rows[0]
         rows = rows[:-1] + rows[1:]
-    h = -v[::2] / lattice_j ** _EM_STEPS[::2, None]
-    kept = _EM_WEIGHTS[4] * h[4]
-    for k in (3, 2, 1, 0):
-        kept = kept + _EM_WEIGHTS[k] * h[k]
-    return kept, _EM_WEIGHTS[5] * h[5]
+    terms = _EM_WEIGHTS * (-v[::2] / lattice_j ** _EM_STEPS[::2, 0])
+    return terms[4] + terms[3] + terms[2] + terms[1] + terms[0], terms[5]
 
 
-def _variance_integrals(d, t, R, first, J, Je, dist):
-    """The variance integrals for cordon lengths d (R = d/t), kinks resolved
-    from first to J, each with its first omitted end term.
+def _variance_integrals(d, t, R, J, Je, kinks, dist):
+    """The variance integrals for cordon lengths d (R = d/t), with kinks[i]
+    kink pieces resolved down from J, each with its first omitted end term.
 
     One integrate_weighted pass takes them all: the exact kernel above R/J
     and below R/Je, the kernel's cycle mean s^2/6 between (a lattice only
-    where J < Je), and the end terms are subtracted after.
+    where J < Je), and the end terms are subtracted after. It runs under
+    vmr's errstate, which lets R/Je divide by a Je of 0.
     """
     lattice = J < Je
     end = lattice & (Je < math.inf)
-    count = np.maximum(J - first + 1.0, 0.0).astype(np.int64) + end
-    owner = np.repeat(np.arange(d.size), count)
-    local = np.arange(owner.size) - np.repeat(np.cumsum(count) - count, count)
-    # ascending: R/Je where the lattice ends above lower, then R/J, ..., R/first
-    j = J[owner] - (local - end[owner])
-    j = np.where(end[owner] & (local == 0), Je[owner], j)
-    with np.errstate(divide="ignore"):
-        top = np.where(lattice, R / J, 0.0)
-        bottom = np.where(end, R / Je, 0.0)
+    top, bottom = np.where(lattice, R / J, 0.0), np.where(end, R / Je, 0.0)
+    # ascending: R/Je where the lattice ends above lower, then R/J, R/(J-1), ...:
+    # J less each piece's index in its integral (less end), exact below 2**53
+    starts = kinks.cumsum() - kinks
+    j = J.repeat(kinks) - (np.arange(kinks.sum()) - (starts + end).repeat(kinks))
+    points = R.repeat(kinks) / j
+    points[starts[end]] = bottom[end]
 
     def weight(s, of):  # s: a row of nodes per piece; of: each piece's integral
         smooth = (bottom[of, None] < s) & (s < top[of, None])
         return np.where(smooth, s * s / 6.0, _var_term(s, d[of, None], t))
 
-    integral = integrate_weighted(dist, weight, R[owner] / j, count)
-    omitted = np.zeros_like(integral)
-    for at, sign in ((lattice, 1.0), (end, -1.0)):
-        i = np.flatnonzero(at)
-        if not i.size:
-            continue
-        point = J[i] if sign > 0 else Je[i]
-        kept, left = _end_terms(R[i] / point, point, R[i], dist)
-        integral[i] -= sign * kept
-        omitted[i] += sign * left
+    integral, omitted = integrate_weighted(dist, weight, points, kinks), np.zeros(d.size)
+    for at, point, sign in ((lattice, J, 1.0), (end, Je, -1.0)):
+        if at.any():
+            kept, left = _end_terms(R[at] / point[at], point[at], R[at], dist.frame)
+            integral[at] -= sign * kept
+            omitted[at] += sign * left
     return integral, omitted
 
 
@@ -238,6 +227,7 @@ def vmr(d, t: float, dist: SpeedDistribution):
     if len(shape) > 1:
         raise ValueError(f"d must be a number or a 1-D array, got shape {shape}")
     d, t = positives(d, "d").reshape(-1), positive(t, "t")
+    frame = dist.frame
     # for small d/t, the VMR is about (t/d) E[s - d/t]: infinite with t/d
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         over = t / d == math.inf
@@ -246,11 +236,9 @@ def vmr(d, t: float, dist: SpeedDistribution):
         R = d / t
         first = np.floor(R / dist.upper) + 1.0
         # each component bounds J by its anchor scale, unless its density term
-        # is 0 in double precision at and below R/J
-        zero_below = dist.frame.zero_below
-        smooth = np.ceil(np.sqrt(8.0 * R / dist.frame.scales[:, None]))
-        vanish = np.where(zero_below[:, None] > 0.0, np.ceil(R / zero_below[:, None]), math.inf)
-        J = np.maximum(np.maximum(first, EM_MIN_J), np.max(np.minimum(smooth, vanish), axis=0))
+        # is 0 in double precision at and below R/J (R/0 is inf: no such speed)
+        bound = np.minimum(np.ceil(np.sqrt(8.0 * R / frame.scales)), np.ceil(R / frame.zero_below))
+        J = np.maximum(np.maximum(first, EM_MIN_J), bound.max(axis=0))
         Je = np.full_like(R, math.inf)
         if dist.lower > 0.0:
             # the last whole unit, R/Je >= lower; past 2**53 no longer an exact float
@@ -258,28 +246,25 @@ def vmr(d, t: float, dist: SpeedDistribution):
             Je -= R / Je < dist.lower
             Je[Je >= 2.0**53] = math.inf
         J = np.minimum(J, Je)
-        integral = np.empty_like(R)
-        todo = np.arange(d.size)
+        integral, todo = np.empty_like(R), np.arange(d.size)
         while todo.size:
-            pieces = _check_pieces(d[todo], t, first[todo], J[todo], Je[todo], dist)
-            total, again, start = np.cumsum(pieces), [], 0
+            kinks, pieces = _kink_pieces(d[todo], t, first[todo], J[todo], Je[todo], dist)
+            total, omitted, start = pieces.cumsum(), np.empty(todo.size), 0
+            limit = total - pieces + kernels.CHUNK_PIECES  # a chunk's bound from its first
             while start < todo.size:
-                end = total[start] - pieces[start] + kernels.CHUNK_PIECES
-                stop = np.searchsorted(total, end, "right")
-                stop = max(int(stop), start + 1)
+                stop = max(int(total.searchsorted(limit[start], "right")), start + 1)
                 c = todo[start:stop]
-                got, omitted = _variance_integrals(d[c], t, R[c], first[c], J[c], Je[c], dist)
-                integral[c] = got
-                again.append(c[np.abs(omitted) > EM_TERM_TOL * np.abs(got)])
+                integral[c], omitted[start:stop] = _variance_integrals(
+                    d[c], t, R[c], J[c], Je[c], kinks[start:stop], dist
+                )
                 start = stop
             # J doubles where the first end term left out is too large
-            todo = np.concatenate(again)
+            todo = todo[np.abs(omitted) > EM_TERM_TOL * np.abs(integral[todo])]
             J[todo] = np.minimum(2.0 * J[todo], Je[todo])
         # t and d enter as mantissa times a power of two, which is exact: the
         # result is t^2 / d^2 times the integral to the last bit wherever that
         # product does not over- or underflow, and d*d cannot underflow
-        tm, te = math.frexp(t)
-        dm, de = np.frexp(d)
+        (tm, te), (dm, de) = math.frexp(t), np.frexp(d)
         out = np.ldexp((tm * tm) / (dm * dm) * integral, 2 * (te - de))
     infinite = ~np.isfinite(out)
     if infinite.any():
@@ -287,24 +272,25 @@ def vmr(d, t: float, dist: SpeedDistribution):
     return float(out[0]) if not shape else out
 
 
-def _check_pieces(d, t, first, J, Je, dist):
-    """Each integral's piece count, once all are under the cap; ValueError
-    naming the first d over it."""
-    kinks = np.maximum(J - first + 1.0, 0.0) + ((J < Je) & (Je < math.inf))
-    k = len(dist.components)
-    pieces = kinks + k * CUTS_PER_COMPONENT + 1
-    cap = MAX_VARIANCE_PIECES * VARIANCE_COMPONENTS // max(k, VARIANCE_COMPONENTS)
+def _kink_pieces(d, t, first, J, Je, dist):
+    """Each integral's kink pieces, first to J and one at Je where the lattice ends
+    above lower, and all its pieces, once all are under the cap; ValueError naming
+    the first d over it."""
     # past 2**53 a kink index is no longer an exact float
     inexact = ~(J < 2.0**53)
     if inexact.any():
         raise ValueError(f"variance at d={d[inexact][0]}, t={t} has kink indices past 2**53")
+    kinks = np.maximum(J - first + 1.0, 0.0).astype(np.int64) + ((J < Je) & (Je < math.inf))
+    k = len(dist.components)
+    pieces = kinks + (k * CUTS_PER_COMPONENT + 1)
+    cap = MAX_VARIANCE_PIECES * VARIANCE_COMPONENTS // max(k, VARIANCE_COMPONENTS)
     over = ~(pieces < cap)
     if over.any():
         raise ValueError(
             f"variance at d={d[over][0]}, t={t} needs over {cap} quadrature pieces (kink "
             f"pieces and {CUTS_PER_COMPONENT} per component) for a mixture of {k} components"
         )
-    return pieces
+    return kinks, pieces
 
 
 def precision_report(m: int, d: float, t: float, dist: SpeedDistribution) -> PrecisionReport:
@@ -314,15 +300,23 @@ def precision_report(m: int, d: float, t: float, dist: SpeedDistribution) -> Pre
     return moments_report(m, float(d), float(t), ratio)
 
 
-def moments_report(m: int, d: float, t: float, ratio: float) -> PrecisionReport:
+def moments_report(m: int, d, t: float, ratio) -> PrecisionReport:
     """The moments of m >= 1 probes whose VMR is ``ratio``: the one place a
-    VMR becomes moments, for precision_report and the cv objective alike."""
+    VMR becomes moments, for precision_report and the cv objective alike. A
+    curve's arrays of d and ratio give arrays, each element the bits of its own
+    call, and ValueError names the first d whose variance is not finite."""
     try:
-        var, cv_m, mean = m * ratio, math.sqrt(ratio / m), float(m)
+        mean = float(m)
     except OverflowError:  # m past the float range
-        var = math.inf
-    if not math.isfinite(var):
+        mean = math.inf
+    ratios = np.asarray(ratio)
+    with np.errstate(over="ignore", invalid="ignore"):
+        var, cv_m = mean * ratios, np.sqrt(ratios / mean)
+    if not (finite := np.isfinite(var)).all():
+        d = np.asarray(d)[~finite].flat[0]
         raise ValueError(f"the variance for m={m} probes at d={d}, t={t} is not finite")
+    if not ratios.ndim:
+        var, cv_m = float(var), float(cv_m)
     return PrecisionReport(m=m, d=d, t=t, mean=mean, variance=var, vmr=ratio, cv=cv_m)
 
 

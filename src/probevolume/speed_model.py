@@ -60,12 +60,15 @@ _PDF_ZERO_SDS = 40.0
 
 
 class QuadratureFrame(NamedTuple):
-    """What every quadrature over one distribution is cut at; the arrays are read-only."""
+    """Where every quadrature over one distribution is cut, and (k, 1) columns; read-only."""
 
-    scales: np.ndarray  # per component: its sd, or sd/z for a mean z > 1 sd outside the support
-    zero_below: np.ndarray  # per component: the speed at and below which its density term is 0
     top: float  # where the top piece ends: upper, or where every density term is 0 if lower
     edges: np.ndarray  # the fixed edges: lower, top and the anchor cuts strictly between them
+    scales: np.ndarray  # column: its sd, or sd/z for a mean z > 1 sd outside the support
+    zero_below: np.ndarray  # column: the speed > 0 at and below which its density term is 0, or 0
+    means: np.ndarray  # column: its mean
+    sds: np.ndarray  # column: its sd
+    peaks: np.ndarray  # column: its density term at its mean, norm / sqrt(2 pi)
 
 
 @dataclass(frozen=True)
@@ -126,10 +129,12 @@ class SpeedDistribution:
         centre = np.clip(means, lower, upper)
         cuts = (centre[:, None] + scales[:, None] * _ANCHOR_OFFSETS).ravel()
         edges = np.concatenate(([lower, top], cuts[(cuts > lower) & (cuts < top)]))
-        zero_below = means - _PDF_ZERO_SDS * sds
-        for array in (scales, zero_below, edges):
+        zero_below = np.maximum(means - _PDF_ZERO_SDS * sds, 0.0)
+        peaks = self._norms * kernels._INV_SQRT_2PI
+        columns = [c[:, None] for c in (scales, zero_below, means, sds, peaks)]
+        for array in (edges, *columns):
             array.setflags(write=False)
-        return QuadratureFrame(scales, zero_below, top, edges)
+        return QuadratureFrame(top, edges, *columns)
 
     # -- evaluation ---------------------------------------------------------
     # pdf and cdf keep the shape of s: a float for a 0-d s, else an array
@@ -222,13 +227,17 @@ def integrate_weighted(
     """
     pts = finites(breakpoints, "breakpoints").reshape(-1)
     counts = [pts.size]
-    if sizes is not None:  # each size checked, as Python ints whose sum cannot wrap
-        counts = [probe_count(c, 0, "sizes") for c in np.array(sizes, dtype=object).flat]
+    if sizes is not None:  # integers >= 0 whose sum, of Python ints, cannot wrap
+        whole = isinstance(sizes, np.ndarray) and sizes.dtype.kind in "iu"  # tested whole
+        if whole and (negative := sizes < 0).any():
+            probe_count(sizes[negative][0], 0, "sizes")  # raises, naming the first
+        counts = sizes.ravel().tolist() if whole else [
+            probe_count(c, 0, "sizes") for c in np.array(sizes, dtype=object).flat]
         if sum(counts) != pts.size:
             raise ValueError(f"sizes must sum to the number of breakpoints, {pts.size}")
     n = len(counts)
-    owner = np.repeat(np.arange(n), counts)
-    if np.any((pts[1:] < pts[:-1]) & (owner[1:] == owner[:-1])):
+    owner = np.arange(n).repeat(counts)
+    if ((pts[1:] < pts[:-1]) & (owner[1:] == owner[:-1])).any():
         raise ValueError("breakpoints must be sorted ascending")
     top, fixed = dist.frame.top, dist.frame.edges
     inner = (pts > dist.lower) & (pts < top)
@@ -241,20 +250,15 @@ def integrate_weighted(
     rows[:, width:] = fixed
     rows.sort(axis=1)
     piece = rows[:, 1:] != rows[:, :-1]
-    lo, hi, piece_owner = rows[:, :-1][piece], rows[:, 1:][piece], np.nonzero(piece)[0]
+    lo, hi, piece_owner = rows[:, :-1][piece], rows[:, 1:][piece], piece.nonzero()[0]
 
-    # kernels' shared GL8 rule: the 8 nodes of each piece contiguous, flattened
+    # kernels' shared GL8 rule: the 8 nodes of each piece contiguous, a row per piece
     node_rows, half, _ = kernels._gl8_nodes(lo, hi)
-    nodes = node_rows.ravel()
-    wts = (half[:, None] * kernels._GL8_W).ravel()
-
-    gv = dist.pdf(nodes)
-    if sizes is None:
-        shape, wv = nodes.shape, weight(nodes)
-    else:
-        shape, wv = node_rows.shape, weight(node_rows, piece_owner)
-    wv = np.broadcast_to(np.asarray(wv, dtype=np.float64), shape).reshape(-1)
-    if not np.all(np.isfinite(wv)):
+    nodes = node_rows.ravel() if sizes is None else node_rows
+    wv = np.asarray(weight(nodes) if sizes is None else weight(nodes, piece_owner), np.float64)
+    if wv.shape != nodes.shape:
+        wv = np.broadcast_to(wv, nodes.shape)
+    if not np.isfinite(wv).all():
         bad = nodes[~np.isfinite(wv)]
         raise ValueError(
             f"weight function returned non-finite values, first at s={float(bad.flat[0])!r}"
@@ -262,10 +266,11 @@ def integrate_weighted(
     # each integral's nodes summed pairwise by np.add.reduceat, single-threaded
     # and in a fixed order (no BLAS dot): reruns are bit-identical whatever the
     # thread count, and an integral's sum does not depend on the others
-    first_node = kernels._GL8_X.size * np.searchsorted(piece_owner, np.arange(n))
-    wts *= gv  # wts * gv * wv in place, in that order: the same bits
+    first_node = kernels._GL8_X.size * piece_owner.searchsorted(np.arange(n))
+    wts = (half[:, None] * kernels._GL8_W).reshape(nodes.shape)
+    wts *= dist.pdf(node_rows.ravel()).reshape(nodes.shape)  # wts * gv * wv, in that order
     wts *= wv
-    sums = np.add.reduceat(wts, first_node)
+    sums = np.add.reduceat(wts.ravel(), first_node)
     return float(sums[0]) if sizes is None else sums
 
 

@@ -1,10 +1,12 @@
 import math
+import re
 
 import numpy as np
 import pytest
 
 from probevolume.cordon_optimizer import objective_curve, optimize_cordon
-from probevolume.distribution_engine import vmr
+from probevolume.distribution_engine import moments_report, precision_report, vmr
+from probevolume.speed_model import PRESET_NAMES, load_distribution
 
 
 class TestObjectiveCurve:
@@ -87,3 +89,33 @@ class TestCurveConsistency:
         curve = objective_curve(10.0, 20.0, 5.0, 4.0, park, "vmr")
         for d, value in curve:
             assert value == vmr(d, 4.0, park)
+
+
+class TestCvCurve:
+    """The cv objective is one array step over the curve's VMRs, through
+    moments_report: each value and each error is precision_report's."""
+
+    @pytest.mark.parametrize("name", PRESET_NAMES)
+    @pytest.mark.parametrize("m", [1, 3, 2**53 + 1, 10**300], ids=["1", "3", "2^53+1", "1e300"])
+    def test_values_are_precision_reports(self, name, m):
+        dist = load_distribution(name)
+        curve = objective_curve(2.0, 50.0, 2.0, 2.0, dist, "cv", m)
+        got = [value.hex() for _, value in curve]
+        assert got == [precision_report(m, d, 2.0, dist).cv.hex() for d, _ in curve]
+
+    @pytest.mark.parametrize("m", [10**308, 10**309, 10**400], ids=["1e308", "1e309", "1e400"])
+    def test_not_finite_names_the_first_d(self, park, m):
+        # 10**308 probes: m * vmr overflows from d = 5 on; past 2**1024, m is
+        # no float and every d fails
+        text = f"the variance for m={m} probes at d=5.0, t=1.0 is not finite"
+        with pytest.raises(ValueError, match=re.escape(text)) as curve_error:
+            objective_curve(5.0, 7.0, 1.0, 1.0, park, "cv", m)
+        with pytest.raises(ValueError) as report_error:
+            precision_report(m, 5.0, 1.0, park)
+        assert str(curve_error.value) == str(report_error.value) == text
+
+    def test_array_error_names_the_first_failing_d(self):
+        # only the ratios past 1.7976931348623157 overflow at m = 10**308
+        text = "the variance for m=" + "1" + "0" * 308 + " probes at d=20.0, t=1.0 is not finite"
+        with pytest.raises(ValueError, match=re.escape(text)):
+            moments_report(10**308, np.array([10.0, 20.0, 30.0]), 1.0, np.array([1.0, 2.0, 3.0]))

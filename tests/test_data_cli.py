@@ -13,6 +13,8 @@ from probevolume.data_cli import (
     EXIT_IO_FAILURE,
     EXIT_OK,
     EXIT_UNKNOWN_COMMAND,
+    _fields,
+    _fmt_float,
     _write_csv,
     dumps_json,
     main,
@@ -932,6 +934,64 @@ class TestOutputLayout:
             lines = paths["{csv}"].read_text(encoding="utf-8").splitlines()
             for pattern, line in zip(heads, lines):
                 assert re.fullmatch(pattern, line), (pattern, line)
+
+
+def _recursive_dumps(obj, indent=0):
+    """The emitter as it was before list items were formatted inline: one
+    recursive call per value. dumps_json must write its bytes."""
+    if isinstance(obj, float):
+        return _fmt_float(obj)
+    pad = "  " * indent
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        items = ",\n".join(
+            f"{pad}  {json.dumps(str(k))}: {_recursive_dumps(v, indent + 1)}"
+            for k, v in obj.items()
+        )
+        return "{\n" + items + "\n" + pad + "}"
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        items = ",\n".join(f"{pad}  {_recursive_dumps(v, indent + 1)}" for v in obj)
+        return "[\n" + items + "\n" + pad + "]"
+    if isinstance(obj, bool):
+        return "true" if obj else "false"
+    if isinstance(obj, int):
+        return str(obj)
+    if obj is None:
+        return "null"
+    return json.dumps(str(obj))
+
+
+class TestJsonBytes:
+    SCALARS = [
+        1.0, 0.1, np.float64(1.0 / 3.0), np.float64(-0.0), -0.0, 5e-324, -5e-324, 1e308,
+        math.nan, math.inf, -math.inf, np.float64(math.nan), np.float32(0.1),
+        0, -7, 2**70, np.int64(3), True, False, np.True_, None, "s", 'q"\\\u00e9', "",
+    ]
+
+    @pytest.mark.parametrize("value", SCALARS, ids=repr)
+    def test_nested_items_as_the_recursive_emitter(self, value):
+        docs = [
+            [value], (value,), [value, [value, (value, [])], ()],
+            {"a": [value, {"b": (value, value)}], "c": {}},
+            [[[value]], ({"k": value},)],
+        ]
+        for doc in docs:
+            assert dumps_json(doc).encode() == _recursive_dumps(doc).encode()
+
+    def test_mixed_lists(self):
+        doc = {"xs": self.SCALARS, "t": tuple(self.SCALARS), "nested": [self.SCALARS, []]}
+        assert dumps_json(doc).encode() == _recursive_dumps(doc).encode()
+        assert json.loads(dumps_json(doc))["xs"][8:11] == [None, None, None]
+
+    def test_experiment_report_with_500_trials(self):
+        sites = probe_simulator.load_sites("table2")
+        report = probe_simulator.run_regression_experiment(sites, 500, all_pairs=False, seed=3)
+        doc = _fields(report)
+        assert len(doc["mape_ols"]) == len(doc["mape_wls"]) == 500
+        assert dumps_json(doc).encode() == _recursive_dumps(doc).encode()
 
 
 class TestJsonRoundTrip:

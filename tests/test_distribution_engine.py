@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import re
+import sys
 from unittest import mock
 
 import numpy as np
@@ -189,6 +190,55 @@ class TestVmr:
         ratio = vmr(40.0, 1.0, park)
         for m in (1, 2, 4, 8):
             assert variance(m, 40.0, 1.0, park) / m == ratio
+
+
+class TestCallBudget:
+    """The fixed cost of a vmr call, counted rather than timed: Python-level
+    calls and calls of C functions and methods, as ``sys.setprofile`` sees
+    them (numpy ufuncs are not counted). Each budget is the count measured
+    with numpy 2.4 plus a margin of about 15%; before the budgets were set a
+    scalar call made 135-138 Python-level calls and a 25-point grid 202, two
+    of them per point. A budget may be raised only with the reason the
+    fixed cost grew."""
+
+    @staticmethod
+    def _calls(call):
+        seen = {"call": 0, "c_call": 0}
+
+        def count(frame, event, arg):
+            if event in seen:
+                seen[event] += 1
+
+        sys.setprofile(count)
+        try:
+            call()
+        finally:
+            sys.setprofile(None)
+        return seen["call"], seen["c_call"]
+
+    # a long and a short park-i35 cordon and two table2 sites: (73, 101) and (70, 101) measured
+    @pytest.mark.parametrize(
+        "name, d, t, budget",
+        [
+            ("park-i35", 300.0, 4.0, (84, 116)),
+            ("park-i35", 40.0, 1.0, (84, 116)),
+            ("table2-60mph", 14.0, 1.0, (81, 116)),
+            ("table2-30mph", 41.0, 1.0, (81, 116)),
+        ],
+    )
+    def test_scalar_vmr(self, name, d, t, budget):
+        dist = load_distribution(name)
+        want = vmr(d, t, dist)  # the frame is built on first use, outside the count
+        calls = self._calls(lambda: vmr(d, t, dist))
+        assert calls[0] <= budget[0] and calls[1] <= budget[1], calls
+        assert vmr(d, t, dist) == want
+
+    def test_grid_costs_no_call_per_point(self, m30):
+        # 25 points measured (65, 96); the sizes check and the gathers are array steps
+        grid = 2.0 * np.arange(1, 26)
+        vmr(grid, 2.0, m30)
+        calls = self._calls(lambda: vmr(grid, 2.0, m30))
+        assert calls[0] <= 75 and calls[1] <= 110, calls
 
 
 class TestCv:

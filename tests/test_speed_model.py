@@ -386,17 +386,36 @@ class TestIntegrateWeightedBatch:
             ([2**70, 0], "sizes must sum to the number of breakpoints, 2"),
             # an int64 sum that wraps to the count: 4 * 2**62 + 2 is 2 modulo 2**64
             (np.array([2**62] * 4 + [2]), "sizes must sum to the number of breakpoints, 2"),
+            # a uint64 sum that wraps to the count, and the other integer widths
+            (np.array([2**63, 2**63, 2], dtype=np.uint64),
+             "sizes must sum to the number of breakpoints, 2"),
+            (np.array([3, -1], dtype=np.int8), "sizes must be an integer >= 0, got -1"),
+            (np.array([[3], [-1]]), "sizes must be an integer >= 0, got -1"),
+            # a bool array is no integer array: its elements are checked one by one
+            (np.array([True, True]), "sizes must be an integer >= 0, got True"),
         ],
     )
     def test_sizes_refused(self, park, sizes, refused):
         with pytest.raises(ValueError, match=re.escape(refused)):
             integrate_weighted(park, lambda s, of: s, [10.0, 20.0], sizes)
 
-    @pytest.mark.parametrize("sizes", [[1.0, 1.0], (np.int64(1), np.uint8(1)), np.array([1, 1])])
+    @pytest.mark.parametrize(
+        "sizes",
+        [
+            [1.0, 1.0], (np.int64(1), np.uint8(1)), np.array([1, 1]),
+            np.array([1, 1], dtype=np.uint64), np.array([1, 1], dtype=np.int8),
+            np.array([[1], [1]]),  # taken in order, as its elements are
+        ],
+    )
     def test_integral_sizes_run_as_integers(self, park, sizes):
         got, want = (integrate_weighted(park, lambda s, of: s, [10.0, 20.0], counts)
                      for counts in (sizes, [1, 1]))
         assert got.tobytes() == want.tobytes()
+
+    def test_no_integrals(self, park):
+        for sizes in (np.array([], dtype=np.int64), []):
+            got = integrate_weighted(park, lambda s, of: s, [], sizes)
+            assert got.shape == (0,) and got.dtype == np.float64
 
 
 class TestValue:
