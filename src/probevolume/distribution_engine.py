@@ -7,7 +7,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.fft import irfft, next_fast_len, rfft
 
 from . import kernels
 from .estimator import _var_term, as_float, positive, positives, probe_count
@@ -206,11 +205,17 @@ def _variance_integrals(d, t, R, J, Je, kinks, dist):
         return np.where(smooth, s * s / 6.0, _var_term(s, d[of, None], t))
 
     integral, omitted = integrate_weighted(dist, weight, points, kinks), np.zeros(d.size)
-    for at, point, sign in ((lattice, J, 1.0), (end, Je, -1.0)):
-        if at.any():
-            kept, left = _end_terms(R[at] / point[at], point[at], R[at], dist.frame)
-            integral[at] -= sign * kept
-            omitted[at] += sign * left
+    # the end terms at J, less those at Je where the lattice ends above lower:
+    # _end_terms is elementwise, so one call takes both sets of points
+    at_j, at_je = lattice.nonzero()[0], end.nonzero()[0]
+    if at_j.size:
+        at, n = np.concatenate((at_j, at_je)), at_j.size
+        point = np.concatenate((J[at_j], Je[at_je]))
+        kept, left = _end_terms(R[at] / point, point, R[at], dist.frame)
+        integral[at_j] -= kept[:n]
+        omitted[at_j] += left[:n]
+        integral[at_je] += kept[n:]
+        omitted[at_je] -= left[n:]
     return integral, omitted
 
 
@@ -425,6 +430,8 @@ def m_fold_pdf(single: VolumePdf, m: int) -> VolumePdf:
     _check_normalized(single, "m_fold_pdf input")
     if m == 1:
         return single
+    # scipy is imported where it is called, so that importing the package loads none of it
+    from scipy.fft import irfft, next_fast_len, rfft
 
     q = single.atom_at_zero
     masses = single.cell_masses()

@@ -10,7 +10,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.special import erf as _sc_erf
 
 _SQRT2 = math.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
@@ -74,6 +73,9 @@ def mixture_pdf(s, means, sds, norms, lower, upper):
 
 
 def mixture_cdf(s, means, sds, cdf_lo, cdf_w, lower, upper):
+    # scipy is imported where it is called, so that importing the package loads none of it
+    from scipy.special import erf
+
     x = np.clip(np.asarray(s, dtype=np.float64), lower, upper)
     flat = x.ravel()
     acc = None
@@ -84,7 +86,7 @@ def mixture_cdf(s, means, sds, cdf_lo, cdf_w, lower, upper):
         terms = flat - means[c, None]
         terms /= sds[c, None]
         terms /= _SQRT2
-        _sc_erf(terms, out=terms)
+        erf(terms, out=terms)
         terms += 1.0
         terms *= 0.5
         terms -= cdf_lo[c, None]

@@ -9,7 +9,6 @@ from pathlib import Path
 from typing import Callable, Mapping, NamedTuple, Sequence
 
 import numpy as np
-from scipy.special import ndtr, ndtri
 
 from . import kernels
 from .estimator import as_float, finite, finites, is_number, positive, probe_count
@@ -86,6 +85,9 @@ class SpeedDistribution:
     upper: float
 
     def __post_init__(self):
+        # scipy is imported where it is called, so that importing the package loads none of it
+        from scipy.special import ndtr
+
         comps = tuple(self.components)
         if not comps:
             raise ValueError("mixture needs at least one component")
@@ -175,6 +177,8 @@ def sample_with_rng(dist: SpeedDistribution, count: int, rng: np.random.Generato
     same IEEE operations in the same order as the textbook expression
     ``mean + sd * ndtri(lo + (1 - u) * span)`` of each draw's component.
     """
+    from scipy.special import ndtri
+
     if count == 0:
         return np.empty(0, dtype=np.float64)
     comp = _pick_components(dist._cum_inner, rng.random(count))

@@ -1,11 +1,16 @@
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import probevolume
 from probevolume import distribution_engine, probe_simulator
 from probevolume.cordon_optimizer import optimize_cordon
 from probevolume.data_cli import (
@@ -867,6 +872,59 @@ class TestApply:
     def test_scalar(self, capsys):
         doc = run_json(capsys, "apply", "--beta", "50", "--m-hat", "2")
         assert doc["volume"] == 100.0
+
+
+# run in a fresh interpreter: after importing the package and after each request in
+# turn, which scipy modules are loaded
+_STARTUP = """
+import contextlib, io, json, sys
+import probevolume
+from probevolume import data_cli
+
+def scipy_loaded():
+    return sorted(name for name in sys.modules if name.split(".")[0] == "scipy")
+
+seen = [["import probevolume", 0, scipy_loaded()]]
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = data_cli.main(argv)
+    seen.append([argv[0], code, scipy_loaded()])
+print(json.dumps(seen))
+"""
+
+
+class TestStartupImports:
+    """The estimator, the calibration and the CLI's own options run without
+    scipy; only the exact theory loads it, where it is called."""
+
+    def test_scipy_loads_only_where_called(self, tmp_path):
+        footprints, pairs = tmp_path / "footprints.csv", tmp_path / "pairs.csv"
+        footprints.write_text("position_m,speed_mps\n10,20.0\n30,20.0\n55,30.0\n",
+                              encoding="utf-8")
+        pairs.write_text("m_hat,adt\n1.0,60.0\n2.0,100.0\n", encoding="utf-8")
+        requests = [
+            ["--help"],
+            ["--version"],
+            ["apply", "--beta", "50", "--m-hat", "2"],
+            ["calibrate", "--pairs", str(pairs), "--method", "ols"],
+            ["estimate", "--footprints", str(footprints), "--start", "0", "--d", "100",
+             "--t", "1"],
+            ["precision", "--m", "1", "--d", "300", "--t", "4", "--dist", "park-i35"],
+            ["pdf", "--m", "2", "--d", "300", "--t", "4", "--dist", "park-i35",
+             "--grid-step", "0.01", "--out", str(tmp_path / "pdf.csv")],
+        ]
+        src = str(Path(probevolume.__file__).parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, (src, os.environ.get("PYTHONPATH")))))
+        done = subprocess.run([sys.executable, "-c", _STARTUP, json.dumps(requests)],
+                              env=env, capture_output=True, text=True, check=True)
+        seen = json.loads(done.stdout)
+        assert [code for _, code, _ in seen] == [0] * 8, seen
+        for step, _, loaded in seen[:6]:
+            assert loaded == [], step
+        (_, _, theory), (_, _, fold) = seen[6:]
+        assert "scipy.special" in theory and "scipy.fft" not in theory
+        assert "scipy.fft" in fold
 
 
 class TestExperimentCli:

@@ -18,6 +18,8 @@ from probevolume.cordon_optimizer import objective_curve, optimize_cordon
 from probevolume.distribution_engine import (
     FOLD_TAIL_BOUND,
     VolumePdf,
+    _end_terms,
+    _variance_integrals,
     cv,
     interval_estimate,
     m_fold_pdf,
@@ -47,6 +49,13 @@ from probevolume.speed_model import (
     load_distribution,
 )
 
+from conftest import random_mixture
+
+
+# a support above 0 on which the variance lattice ends above lower
+_LOWER_5 = SpeedDistribution(
+    (SpeedComponent(18.0, 4.0, 0.6), SpeedComponent(9.0, 2.5, 0.4)), 5.0, 35.0
+)
 
 _FOOTPRINTS = Footprints(np.array([1.0, 2.0]), np.array([20.0, 25.0]),
                          np.array([None, None], dtype=object))
@@ -116,7 +125,7 @@ def _full_grid_fold(single, m):
 
 def _fold_nfft(single, m):
     """m_fold_pdf(single, m), and the length of the transform it took."""
-    with mock.patch.object(distribution_engine, "irfft", wraps=irfft) as spy:
+    with mock.patch("scipy.fft.irfft", wraps=irfft) as spy:
         pdf = m_fold_pdf(single, m)
     return pdf, spy.call_args.args[1]
 
@@ -216,7 +225,9 @@ class TestCallBudget:
             sys.setprofile(None)
         return seen["call"], seen["c_call"]
 
-    # a long and a short park-i35 cordon and two table2 sites: (73, 101) and (70, 101) measured
+    # a long and a short park-i35 cordon and two table2 sites: (73, 101) and (70, 101)
+    # measured; a support above 0 whose lattice ends above lower, (82, 108) measured
+    # with an _end_terms call at J and one at Je, (69, 97) with one call for both
     @pytest.mark.parametrize(
         "name, d, t, budget",
         [
@@ -224,10 +235,11 @@ class TestCallBudget:
             ("park-i35", 40.0, 1.0, (84, 116)),
             ("table2-60mph", 14.0, 1.0, (81, 116)),
             ("table2-30mph", 41.0, 1.0, (81, 116)),
+            ("lower-5", 4000.0, 1.0, (80, 112)),
         ],
     )
     def test_scalar_vmr(self, name, d, t, budget):
-        dist = load_distribution(name)
+        dist = _LOWER_5 if name == "lower-5" else load_distribution(name)
         want = vmr(d, t, dist)  # the frame is built on first use, outside the count
         calls = self._calls(lambda: vmr(d, t, dist))
         assert calls[0] <= budget[0] and calls[1] <= budget[1], calls
@@ -239,6 +251,67 @@ class TestCallBudget:
         vmr(grid, 2.0, m30)
         calls = self._calls(lambda: vmr(grid, 2.0, m30))
         assert calls[0] <= 75 and calls[1] <= 110, calls
+
+
+def _two_call_integrals(d, t, R, J, Je, kinks, dist):
+    """_variance_integrals with its end terms taken as they were before one
+    call took both: an _end_terms call at J, then one at Je."""
+    def no_terms(s0, lattice_j, R, frame):
+        return np.zeros(s0.size), np.zeros(s0.size)
+
+    with mock.patch.object(distribution_engine, "_end_terms", no_terms):
+        integral, omitted = _variance_integrals(d, t, R, J, Je, kinks, dist)
+    lattice = J < Je
+    end = lattice & (Je < math.inf)
+    for at, point, sign in ((lattice, J, 1.0), (end, Je, -1.0)):
+        if at.any():
+            kept, left = _end_terms(R[at] / point[at], point[at], R[at], dist.frame)
+            integral[at] -= sign * kept
+            omitted[at] += sign * left
+    return integral, omitted
+
+
+class TestEndTermsOneCall:
+    """Where the support starts above 0 and the lattice ends above it, the end
+    terms at J and at Je are one _end_terms call, the same bits as two."""
+
+    @staticmethod
+    def _assert_same_bits(dist):
+        # each pass of vmr's calls on a grid and at single d, taken again both ways
+        with mock.patch.object(distribution_engine, "_variance_integrals",
+                               wraps=_variance_integrals) as spy:
+            for t in (0.5, 1.0, 4.0):
+                grid = np.geomspace(0.5, 5000.0, 40)
+                vmr(grid, t, dist)
+                for d in grid[::9]:
+                    vmr(d, t, dist)
+        ends = 0
+        for call in spy.call_args_list:
+            _, _, _, J, Je, _, _ = call.args
+            ends += int(np.sum((J < Je) & (Je < math.inf)))
+            with np.errstate(over="ignore", divide="ignore", invalid="ignore"):  # vmr's
+                got, want = _variance_integrals(*call.args), _two_call_integrals(*call.args)
+            assert _bits(got) == _bits(want)
+        assert ends  # the lattice ends above lower somewhere
+
+    def test_same_bits_as_two_calls(self):
+        self._assert_same_bits(_LOWER_5)
+
+    def test_random_mixtures_above_zero(self):
+        rng = np.random.default_rng(29)
+        mixtures = [random_mixture(rng) for _ in range(12)]
+        assert all(dist.lower > 0.0 for dist in mixtures)
+        for dist in mixtures:
+            self._assert_same_bits(dist)
+
+    def test_one_call_per_pass(self):
+        # the one call takes J and Je = 800, where R/Je = 4000/800 is lower
+        with mock.patch.object(distribution_engine, "_end_terms",
+                               wraps=_end_terms) as spy:
+            vmr(4000.0, 1.0, _LOWER_5)
+        assert spy.call_count == 1
+        point = spy.call_args.args[1].tolist()
+        assert len(point) == 2 and point[0] < point[1] == 800.0
 
 
 class TestCv:
