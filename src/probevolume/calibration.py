@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 
 from .estimator import finite, finites, positive, positives
-from .footprint_data import read_csv_rows
+from .footprint_data import blank_row, read_csv_rows
 
 log = logging.getLogger(__name__)
 
@@ -28,8 +28,8 @@ def read_pairs_csv(path: str | Path, weighted: bool) -> tuple[np.ndarray, np.nda
     Returns float64 columns ``(m_hat, adt, weight)``, one row per pair: a
     finite ``m_hat``, a positive finite known volume and a positive finite
     weight. Weights are read only when ``weighted``, which needs the weight
-    column; otherwise every weight is 1. A bad or unreadable row raises
-    ``ValueError`` with its line number.
+    column; otherwise every weight is 1. Blank rows are skipped; a bad or
+    unreadable row raises ``ValueError`` with its line number.
     """
     path = Path(path)
 
@@ -41,21 +41,26 @@ def read_pairs_csv(path: str | Path, weighted: bool) -> tuple[np.ndarray, np.nda
     if weighted and not has_weight:
         raise ValueError("wls calibration needs a weight column")
     m_hats, adts, weights = array("d"), array("d"), array("d")
+    # the loop's names, bound once
+    isfinite, inf = math.isfinite, math.inf
+    add_m_hat, add_adt, add_weight = m_hats.append, adts.append, weights.append
     for lineno, row in rows:
         try:
             weight = float(row[2]) if weighted else 1.0
             m_hat = float(row[0])
             adt = float(row[1])
             # one comparison a row; a refused row's error is the number rule's
-            if not (math.isfinite(m_hat) and 0.0 < adt < math.inf and 0.0 < weight < math.inf):
+            if not (isfinite(m_hat) and 0.0 < adt < inf and 0.0 < weight < inf):
                 finite(m_hat, "m_hat")
                 positive(adt, "known_volume")
                 positive(weight, "weight")
-            m_hats.append(m_hat)
-            adts.append(adt)
-            weights.append(weight)
         except (IndexError, ValueError) as exc:
-            bad(f"{path}:{lineno}: bad row {row!r} ({exc})", exc)
+            if not blank_row(row):
+                bad(f"{path}:{lineno}: bad row {row!r} ({exc})", exc)
+            continue
+        add_m_hat(m_hat)
+        add_adt(adt)
+        add_weight(weight)
     return np.asarray(m_hats), np.asarray(adts), np.asarray(weights)
 
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 import logging
 import math
 from array import array
@@ -43,7 +44,12 @@ class Footprints:
 
 @dataclass(frozen=True)
 class CordonSpec:
-    """A virtual cordon: half-open interval (start, start + length]."""
+    """A virtual cordon: half-open interval (start, start + length].
+
+    ``label_filter`` follows the reader's label rule: it is stripped, and a
+    blank one, which no row can carry (a blank label is read as ``None``),
+    raises ``ValueError``, as does one that is not a ``str``.
+    """
 
     start: float
     length: float
@@ -52,6 +58,11 @@ class CordonSpec:
     def __post_init__(self):
         object.__setattr__(self, "start", finite(self.start, "cordon start"))
         object.__setattr__(self, "length", positive(self.length, "cordon length"))
+        label = self.label_filter
+        if label is not None:
+            if not (isinstance(label, str) and label.strip()):
+                raise ValueError(f"label filter must be a non-blank string, got {label!r}")
+            object.__setattr__(self, "label_filter", label.strip())
 
 
 @dataclass(frozen=True, eq=False)
@@ -105,15 +116,27 @@ class CsvReadResult:
     warnings: list[str]
 
 
+def blank_row(row: list[str]) -> bool:
+    """Whether no field of a CSV row has a non-whitespace character.
+
+    A blank row never parses as numbers (``float`` of a blank field raises
+    ``ValueError``, and a row of no fields ``IndexError``), so the readers
+    ask only of a row that failed to parse, and skip it without a word.
+    """
+    return not "".join(row).strip()
+
+
 def read_csv_rows(path: Path, columns: tuple[str, str, str], unreadable):
     """Stream a CSV file whose header is ``columns[0],columns[1][,columns[2]]``.
 
     Yields whether the header has the optional third column, then
-    ``(line, row)`` for each data row that is not blank; an empty file yields
-    nothing and any other header raises ``ValueError``. ``line`` counts CSV
-    rows, the header being 1. A row the csv module cannot read, such as one
-    with a field over its size limit, goes to ``unreadable(message, exc)``
-    with a line-numbered message, and reading goes on with the next row.
+    ``(line, row)`` for every row after it, blank rows included: a caller
+    tests a row for blankness (``blank_row``) only when it fails to parse.
+    An empty file yields nothing and any other header raises ``ValueError``.
+    ``line`` counts CSV rows, the header being 1. A row the csv module cannot
+    read, such as one with a field over its size limit, goes to
+    ``unreadable(message, exc)`` with a line-numbered message, and reading
+    goes on with the next row.
     """
     with path.open("r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
@@ -130,18 +153,15 @@ def read_csv_rows(path: Path, columns: tuple[str, str, str], unreadable):
                 f"got {','.join(header)}"
             )
         yield header[2:3] == [columns[2]]
-        start = 2
+        lines = itertools.count(2)
         while True:  # csv.reader goes on with the next row after a csv.Error
-            lineno = start - 1
             try:
-                for lineno, row in enumerate(reader, start):
-                    # blank: no field has a non-whitespace character
-                    if row and (row[0].strip() or "".join(row).strip()):
-                        yield lineno, row
+                yield from zip(lines, reader)  # zip takes a row's number before the row
                 return
             except csv.Error as exc:
-                unreadable(f"{path}:{lineno + 1}: unreadable row ({exc})", exc)
-                start = lineno + 2
+                after = next(lines)  # the unreadable row has taken after - 1
+                unreadable(f"{path}:{after - 1}: unreadable row ({exc})", exc)
+                lines = itertools.count(after)
 
 
 def read_footprints_csv(path: str | Path, strict: bool = False) -> CsvReadResult:
@@ -149,7 +169,8 @@ def read_footprints_csv(path: str | Path, strict: bool = False) -> CsvReadResult
 
     One pass over the rows fills the ``Footprints`` columns: float64
     positions and speeds, and a label per row (``None`` when blank or when
-    the file has no label column). Rows that fail to parse, or whose
+    the file has no label column; one ``str`` object per distinct label).
+    Blank rows are skipped silently. Rows that fail to parse, or whose
     position is not finite or speed not positive and finite, are skipped
     and reported with their line number; with ``strict=True`` the first bad
     row raises instead.
@@ -167,25 +188,31 @@ def read_footprints_csv(path: str | Path, strict: bool = False) -> CsvReadResult
     distinct: dict[str | None, str | None] = {}
     rows = read_csv_rows(path, CSV_FIELDS, skip)
     has_label = next(rows, False)
+    # the loop's names, bound once
+    isfinite, inf = math.isfinite, math.inf
+    add_position, add_speed, add_label = positions.append, speeds.append, labels.append
+    one_label = distinct.setdefault
     for lineno, row in rows:
         try:
             position = float(row[0])
             speed = float(row[1])
             # one comparison a row; a refused row's error is the number rule's
-            if not (math.isfinite(position) and 0.0 < speed < math.inf):
+            if not (isfinite(position) and 0.0 < speed < inf):
                 finite(position, "position")
                 positive(speed, "speed")
         except (IndexError, ValueError) as exc:
-            skip(f"{path}:{lineno}: skipped unparseable row {row!r} ({exc})", exc)
+            if not blank_row(row):
+                skip(f"{path}:{lineno}: skipped unparseable row {row!r} ({exc})", exc)
             continue
-        positions.append(position)
-        speeds.append(speed)
+        add_position(position)
+        add_speed(speed)
         if has_label:
             label = row[2].strip() or None if len(row) > 2 else None
-            labels.append(distinct.setdefault(label, label))  # one str per distinct label
-    if not has_label:
-        labels = [None] * len(positions)
-    labels = np.array(labels, dtype=object)
+            add_label(one_label(label, label))  # one str per distinct label
+    n = len(positions)
+    # fromiter and full fill an object column without probing each item as a sequence
+    labels = (np.fromiter(labels, dtype=object, count=n) if has_label
+              else np.full(n, None, dtype=object))
     return CsvReadResult(Footprints(np.asarray(positions), np.asarray(speeds), labels), warnings)
 
 

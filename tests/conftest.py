@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -63,6 +64,23 @@ def random_mixture(rng: np.random.Generator) -> SpeedDistribution:
         for mu, sd, w in zip(means, sds, weights)
     )
     return SpeedDistribution(comps, lower, upper)
+
+
+def count_calls(call) -> tuple[int, int]:
+    """(Python-level calls, calls of C functions and methods) that ``call()``
+    makes, as ``sys.setprofile`` sees them; numpy ufuncs are not counted."""
+    seen = {"call": 0, "c_call": 0}
+
+    def count(frame, event, arg):
+        if event in seen:
+            seen[event] += 1
+
+    sys.setprofile(count)
+    try:
+        call()
+    finally:
+        sys.setprofile(None)
+    return seen["call"], seen["c_call"]
 
 
 def kink_sum_vmr(d, t, dist, tail=1e-15, chunk=1 << 13):

@@ -633,6 +633,27 @@ class TestEstimate:
         assert doc["m_hat"] == pytest.approx(1.9, abs=1e-12)
         assert doc["n"] == 8
 
+    @pytest.mark.parametrize("label", ["aug", " aug ", "aug  "])
+    def test_label_is_stripped_as_labels_are_read(self, capsys, tmp_path, label):
+        path = tmp_path / "f.csv"
+        path.write_text("position_m,speed_mps,label\n10,20, aug \n20,30,aug\n30,25,jul\n",
+                        encoding="utf-8")
+        doc = run_json(capsys, "estimate", "--footprints", str(path),
+                       "--start", "0", "--d", "100", "--t", "1", "--label", label)
+        assert (doc["n"], doc["m_hat"]) == (2, 0.5)
+
+    @pytest.mark.parametrize("label", ["", " ", "\t"])
+    def test_blank_label_exits_3_before_the_file_is_read(self, capsys, tmp_path, label):
+        # blank labels are read as none, so a blank filter could match no row;
+        # the file does not exist, and the label is refused first
+        code, out, err = run_cli(
+            capsys, "estimate", "--footprints", str(tmp_path / "missing.csv"),
+            "--start", "0", "--d", "100", "--t", "1", "--label", label,
+        )
+        assert (code, out) == (EXIT_BAD_PARAMETER, "")
+        message = f"label filter must be a non-blank string, got {label!r}"
+        assert err == dumps_json({"error": message, "code": EXIT_BAD_PARAMETER}) + "\n"
+
 
 class TestSimulateEstimateRoundTrip:
     def test_bit_for_bit(self, capsys, tmp_path):

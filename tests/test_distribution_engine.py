@@ -1,7 +1,6 @@
 import dataclasses
 import math
 import re
-import sys
 from unittest import mock
 
 import numpy as np
@@ -49,7 +48,7 @@ from probevolume.speed_model import (
     load_distribution,
 )
 
-from conftest import random_mixture
+from conftest import count_calls, random_mixture
 
 
 # a support above 0 on which the variance lattice ends above lower
@@ -210,21 +209,6 @@ class TestCallBudget:
     of them per point. A budget may be raised only with the reason the
     fixed cost grew."""
 
-    @staticmethod
-    def _calls(call):
-        seen = {"call": 0, "c_call": 0}
-
-        def count(frame, event, arg):
-            if event in seen:
-                seen[event] += 1
-
-        sys.setprofile(count)
-        try:
-            call()
-        finally:
-            sys.setprofile(None)
-        return seen["call"], seen["c_call"]
-
     # a long and a short park-i35 cordon and two table2 sites: (73, 101) and (70, 101)
     # measured; a support above 0 whose lattice ends above lower, (82, 108) measured
     # with an _end_terms call at J and one at Je, (69, 97) with one call for both
@@ -241,7 +225,7 @@ class TestCallBudget:
     def test_scalar_vmr(self, name, d, t, budget):
         dist = _LOWER_5 if name == "lower-5" else load_distribution(name)
         want = vmr(d, t, dist)  # the frame is built on first use, outside the count
-        calls = self._calls(lambda: vmr(d, t, dist))
+        calls = count_calls(lambda: vmr(d, t, dist))
         assert calls[0] <= budget[0] and calls[1] <= budget[1], calls
         assert vmr(d, t, dist) == want
 
@@ -249,7 +233,7 @@ class TestCallBudget:
         # 25 points measured (65, 96); the sizes check and the gathers are array steps
         grid = 2.0 * np.arange(1, 26)
         vmr(grid, 2.0, m30)
-        calls = self._calls(lambda: vmr(grid, 2.0, m30))
+        calls = count_calls(lambda: vmr(grid, 2.0, m30))
         assert calls[0] <= 75 and calls[1] <= 110, calls
 
 

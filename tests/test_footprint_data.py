@@ -1,4 +1,5 @@
 import csv
+import logging
 import math
 from collections import namedtuple
 
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from probevolume.calibration import read_pairs_csv
 from probevolume.estimator import estimate_probe_volume
 from probevolume.footprint_data import (
     CSV_FIELDS,
@@ -20,6 +22,8 @@ from probevolume.footprint_data import (
 )
 from probevolume.probe_simulator import ScenarioConfig, simulate_footprints
 from probevolume.speed_model import load_distribution
+
+from conftest import count_calls
 
 # one footprint of the per-row oracles below; rows may be plain (position, speed, label)
 _Record = namedtuple("_Record", "position speed label")
@@ -79,6 +83,27 @@ class TestCrop:
         spec = CordonSpec(0.0, 100.0, label_filter="july")
         result = crop_to_cordon(_footprints(rows), spec, t=1.0)
         assert len(result.sample.speeds) == 1
+
+    def test_label_filter_follows_the_reader_rule(self, tmp_path):
+        # labels are read stripped, so a padded filter matches a padded label
+        path = tmp_path / "f.csv"
+        path.write_text("position_m,speed_mps,label\n10,20, aug \n20,30,jul\n30,25,\n",
+                        encoding="utf-8")
+        records = read_footprints_csv(path).records
+        spec = CordonSpec(0.0, 100.0, label_filter=" aug ")
+        assert spec.label_filter == "aug"
+        assert_speeds(crop_to_cordon(records, spec, t=1.0).sample, [20.0])
+
+    @pytest.mark.parametrize("label", ["", " ", "\t\r\n"])
+    def test_blank_label_filter_refused(self, label):
+        # a blank label is read as None, so a blank filter could match no row
+        with pytest.raises(ValueError, match="^label filter must be a non-blank string, got "):
+            CordonSpec(0.0, 100.0, label_filter=label)
+
+    @pytest.mark.parametrize("label", [1, 1.5, b"aug", ["aug"], True])
+    def test_label_filter_not_a_str_refused(self, label):
+        with pytest.raises(ValueError, match="^label filter must be a non-blank string, got "):
+            CordonSpec(0.0, 100.0, label_filter=label)
 
     def test_nonpositive_speed_dropped_and_counted(self):
         # the reader rejects speed <= 0, so only hand-built columns hold one
@@ -195,6 +220,93 @@ class TestCsv:
         result = read_footprints_csv(path)
         assert len(result.records) == 1
         assert len(result.warnings) == 1
+
+
+class TestLabelsColumn:
+    """The labels column: a 1-D object array, ``None`` for a blank or absent
+    label and one ``str`` object for every row that carries the same label."""
+
+    @staticmethod
+    def _read(tmp_path, text):
+        path = tmp_path / "f.csv"
+        path.write_text(text, encoding="utf-8")
+        labels = read_footprints_csv(path).records.labels
+        assert isinstance(labels, np.ndarray)
+        assert labels.dtype == object and labels.ndim == 1
+        return labels
+
+    def test_one_object_per_distinct_label(self, tmp_path):
+        rows = ["1,20,jul", "2,20, aug ", "3,20,", "4,20,aug", "5,20", "6,20,jul ", "7,20, "]
+        labels = self._read(tmp_path, "position_m,speed_mps,label\n" + "\n".join(rows) + "\n")
+        assert labels.tolist() == ["jul", "aug", None, "aug", None, "jul", None]
+        assert labels[0] is labels[5] and labels[1] is labels[3]
+        assert all(type(x) is str for x in labels if x is not None)
+
+    @pytest.mark.parametrize("text", ["", "position_m,speed_mps\n",
+                                      "position_m,speed_mps,label\n"])
+    def test_no_rows(self, tmp_path, text):
+        assert self._read(tmp_path, text).shape == (0,)
+
+    def test_no_label_column(self, tmp_path):
+        labels = self._read(tmp_path, "position_m,speed_mps\n1,20\n2,20,jul\nx,1\n3,20\n")
+        assert labels.tolist() == [None, None, None]
+
+
+def _labelled_row(i):
+    return f"{i * 0.5!r},{20.0 + i % 7!r},{('jul', ' aug ', '')[i % 3]}"
+
+
+def _dirty_row(i):
+    """Row i of a dirty labelled file: per 50 rows an unparseable row, a blank
+    one, a blank one of two fields and a zero speed, among labelled rows."""
+    bad = {7: "x,12.5,jul", 21: "", 33: " , ", 40: f"{i},0,aug"}
+    return bad[i % 50] if i % 50 in bad else _labelled_row(i)
+
+
+class TestReaderCallBudget:
+    """The readers' per-row cost, counted rather than timed: calls of C
+    functions and methods, and Python-level calls (a generator's resumption
+    is one), as ``sys.setprofile`` sees them, over 1,000-row files. A
+    blank-row test per row costs one more C call per row (1,000 per file):
+    each C budget is the count measured with Python 3.11 and numpy 2.4 plus
+    half a call per row, so an added per-row call fails it; the Python-level
+    budgets carry about 15%. A budget may be raised only with the reason the
+    per-row cost grew."""
+
+    ROWS = 1000
+
+    # per file: header, row i, reader, budget (Python-level calls, C calls);
+    # measured (1028, 3034), (1026, 7035), (1470, 6877) and (1025, 4034), and
+    # with a blank-row test per row (1026, 4034), (1026, 8034), (1350, 7736)
+    # and (1025, 5034)
+    CASES = {
+        "clean": ("position_m,speed_mps", lambda i: f"{i * 0.5!r},{20.0 + i % 7!r}",
+                  read_footprints_csv, (1180, 3500)),
+        "labelled": ("position_m,speed_mps,label", _labelled_row,
+                     read_footprints_csv, (1180, 7500)),
+        "dirty labelled": ("position_m,speed_mps,label", _dirty_row,
+                           read_footprints_csv, (1690, 7400)),
+        "weighted pairs": ("m_hat,adt,weight",
+                           lambda i: f"{1.0 + i!r},{50.0 + i!r},{1.0 + i % 3!r}",
+                           lambda path: read_pairs_csv(path, weighted=True), (1180, 4500)),
+    }
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_calls_per_file(self, tmp_path, case, caplog):
+        header, row, read, budget = self.CASES[case]
+        path = tmp_path / "f.csv"
+        path.write_text("\n".join([header, *map(row, range(self.ROWS))]) + "\n",
+                        encoding="utf-8")
+        got = read(path)  # first-use costs are paid outside the count
+        with caplog.at_level(logging.CRITICAL):  # count the reader, not the log handlers
+            calls = count_calls(lambda: read(path))
+        assert calls[0] <= budget[0] and calls[1] <= budget[1], calls
+        if case == "weighted pairs":
+            assert len(got[0]) == self.ROWS
+        elif case != "dirty labelled":
+            assert (len(got.records), got.warnings) == (self.ROWS, [])
+        else:  # 4 in 50 rows skipped, 2 of them with a warning
+            assert (len(got.records), len(got.warnings)) == (920, 40)
 
 
 # -- oracles: one record per row, a per-record crop loop and a csv.writer loop,
