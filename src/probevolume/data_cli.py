@@ -11,9 +11,9 @@ from __future__ import annotations
 
 import argparse
 import functools
-import itertools
 import json
 import math
+import re
 import sys
 from dataclasses import fields
 from pathlib import Path
@@ -29,6 +29,7 @@ from . import (
     footprint_data,
     probe_simulator,
 )
+from .footprint_data import write_csv
 from .speed_model import load_distribution
 
 EXIT_OK = 0
@@ -89,22 +90,6 @@ def _emit(doc: dict, out: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _write_csv(path: str, header: str, row_format: str, *columns: np.ndarray) -> None:
-    """The header line, then ``row_format`` over each row of the equal-length columns.
-
-    A block of ``footprint_data.WRITE_BLOCK`` rows is formatted at once, by
-    ``row_format`` repeated once per row over the block's values taken row by
-    row from the columns' ``tolist()``, so the text is that of formatting each
-    row on its own.
-    """
-    with Path(path).open("w", encoding="utf-8", newline="") as fh:
-        fh.write(header + "\n")
-        for i in range(0, len(columns[0]), footprint_data.WRITE_BLOCK):
-            block = [c[i : i + footprint_data.WRITE_BLOCK].tolist() for c in columns]
-            values = tuple(itertools.chain.from_iterable(zip(*block)))
-            fh.write(row_format * len(block[0]) % values)
-
-
 # -- handlers ----------------------------------------------------------------
 
 
@@ -134,7 +119,7 @@ def _run_pdf(args) -> None:
     header = "# atom_at_zero=%s mean=%s variance=%s vmr=%s cv=%s\nm_hat,density" % tuple(
         _fmt_float(x) for x in stats
     )
-    _write_csv(args.out, header, "%.9g,%.9g\n", pdf.grid(), pdf.densities)
+    write_csv(args.out, header, "%.9g,%.9g\n", pdf.grid(), pdf.densities)
 
 
 def _run_optimize(args) -> dict:
@@ -142,7 +127,7 @@ def _run_optimize(args) -> dict:
         args.dmax, args.t, load_distribution(args.dist), args.objective, args.m, args.step
     )
     if args.curve_out:
-        _write_csv(args.curve_out, "d,objective", "%.9g,%.9g\n", *np.array(report.curve).T)
+        write_csv(args.curve_out, "d,objective", "%.9g,%.9g\n", *np.array(report.curve).T)
     return _fields(report)
 
 
@@ -161,10 +146,8 @@ def _run_simulate(args) -> dict:
     }
     if args.hist_out:
         edges = summary.hist_edges
-        _write_csv(
-            args.hist_out, "bin_start,bin_end,count", "%.9g,%.9g,%d\n",
-            edges[:-1], edges[1:], summary.hist_counts,
-        )
+        write_csv(args.hist_out, "bin_start,bin_end,count", "%.9g,%.9g,%d\n",
+                  edges[:-1], edges[1:], summary.hist_counts)
     if args.emit_footprints:
         footprints, m_hat = probe_simulator.simulate_footprints(config)
         footprint_data.write_footprints_csv(args.emit_footprints, footprints)
@@ -195,6 +178,11 @@ def _run_apply(args) -> dict:
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # argparse's negative-number pattern has no exponent, which repr writes
+        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
+
     def error(self, message):  # argparse would exit 2; a bad parameter exits 3
         raise ValueError(message)
 

@@ -18,8 +18,7 @@ from .estimator import finite, positive, positives
 log = logging.getLogger(__name__)
 
 CSV_FIELDS = ("position_m", "speed_mps", "label")
-# rows per block of both CSV writers (here and data_cli): the text is that of
-# writing row by row at any block size; only the block's Python objects grow
+# rows per block of write_csv: only the block's Python objects grow with it, not the text
 WRITE_BLOCK = 1024
 
 
@@ -28,15 +27,20 @@ class Footprints:
     """Footprint columns: float64 ``positions`` and ``speeds``, one ``label`` per row.
 
     ``labels`` is an object array holding a string or ``None`` per row.
-    The reader checks every row; the columns themselves are not checked, so a
-    hand-built ``Footprints`` may hold a non-positive speed, which
-    ``crop_to_cordon`` drops and counts. Arrays have no single truth value,
-    so ``==`` is identity: compare columns.
+    The reader checks every row; of the columns only the shapes are checked
+    (1-D, one length), so a hand-built ``Footprints`` may hold a non-positive
+    speed, which ``crop_to_cordon`` drops and counts. Arrays have no single
+    truth value, so ``==`` is identity: compare columns.
     """
 
     positions: np.ndarray
     speeds: np.ndarray
     labels: np.ndarray
+
+    def __post_init__(self):
+        shapes = [np.shape(c) for c in (self.positions, self.speeds, self.labels)]
+        if len(set(shapes)) != 1 or len(shapes[0]) != 1:
+            raise ValueError(f"footprint columns must be 1-D and of one length, got {shapes}")
 
     def __len__(self) -> int:
         return len(self.positions)
@@ -131,14 +135,15 @@ def read_csv_rows(path: Path, columns: tuple[str, str, str], unreadable):
 
     Yields whether the header has the optional third column, then
     ``(line, row)`` for every row after it, blank rows included: a caller
-    tests a row for blankness (``blank_row``) only when it fails to parse.
-    An empty file yields nothing and any other header raises ``ValueError``.
+    tests a row for blankness (``blank_row``) only when it fails to parse. A
+    leading UTF-8 byte-order mark, as spreadsheet exports write, is skipped;
+    an empty file yields nothing and any other header raises ``ValueError``.
     ``line`` counts CSV rows, the header being 1. A row the csv module cannot
     read, such as one with a field over its size limit, goes to
     ``unreadable(message, exc)`` with a line-numbered message, and reading
     goes on with the next row.
     """
-    with path.open("r", encoding="utf-8", newline="") as fh:
+    with path.open("r", encoding="utf-8-sig", newline="") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader, None)
@@ -219,11 +224,9 @@ def read_footprints_csv(path: str | Path, strict: bool = False) -> CsvReadResult
 class _LabelFields(dict):
     """The CSV field of each label, made by ``csv.writer`` once per distinct label.
 
-    ``None`` and ``""`` are written empty (a one-field row would quote them).
+    Made as ``_LabelFields({None: "", "": ""})``: ``None`` and ``""`` are
+    written empty (a one-field row would quote them).
     """
-
-    def __init__(self):
-        super().__init__({None: "", "": ""})
 
     def __missing__(self, label: str) -> str:
         buf = io.StringIO()
@@ -232,21 +235,29 @@ class _LabelFields(dict):
         return field
 
 
+def write_csv(path: str | Path, header: str, row_format: str, *columns: np.ndarray) -> None:
+    """The header line, ended as ``row_format`` ends a row, then ``row_format`` per row.
+
+    ``WRITE_BLOCK`` rows of the equal-length 1-D columns are formatted by one ``%``
+    over their ``tolist()`` values (Python floats: a numpy 2 scalar's repr is
+    "np.float64(...)"), with the text of formatting each row alone. A label
+    column (object or ``str`` dtype) is written as ``csv.writer`` writes each label.
+    """
+    fields = _LabelFields({None: "", "": ""})
+    is_label = [c.dtype.kind in "OU" for c in columns]
+    with Path(path).open("w", encoding="utf-8", newline="") as fh:
+        fh.write(header + row_format[len(row_format.rstrip("\r\n")) :])
+        for i in range(0, len(columns[0]), WRITE_BLOCK):
+            block = [c[i : i + WRITE_BLOCK].tolist() for c in columns]
+            rows = zip(*[map(fields.__getitem__, b) if f else b for b, f in zip(block, is_label)])
+            fh.write(row_format * len(block[0]) % tuple(itertools.chain.from_iterable(rows)))
+
+
 def write_footprints_csv(path: str | Path, footprints: Footprints) -> None:
     """Write footprints at full float precision so round-trips are lossless.
 
     The rows are csv's: ``repr`` of each float, the label quoted as
-    ``csv.writer`` quotes it, CRLF line ends. They go out in blocks of
-    ``WRITE_BLOCK``, one ``writelines`` each, over ``tolist()`` of the
-    columns: Python floats, since under numpy 2 the repr of a numpy scalar
-    is "np.float64(...)", which no CSV reader parses as a number.
+    ``csv.writer`` quotes it, CRLF line ends.
     """
-    fields = _LabelFields()
-    row = "%r,%r,%s\r\n".__mod__
-    with Path(path).open("w", encoding="utf-8", newline="") as fh:
-        fh.write(",".join(CSV_FIELDS) + "\r\n")
-        for start in range(0, len(footprints), WRITE_BLOCK):
-            block = slice(start, start + WRITE_BLOCK)
-            labels = map(fields.__getitem__, footprints.labels[block].tolist())
-            positions = footprints.positions[block].tolist()
-            fh.writelines(map(row, zip(positions, footprints.speeds[block].tolist(), labels)))
+    write_csv(path, ",".join(CSV_FIELDS), "%r,%r,%s\r\n",
+              footprints.positions, footprints.speeds, footprints.labels)

@@ -228,3 +228,19 @@ class TestReaderOracle:
         assert [c.dtype for c in got] == [np.float64] * 3
         assert [c.tobytes() for c in got] == [np.array(c, dtype=np.float64).tobytes()
                                               for c in expected]
+
+
+@given(header=_pair_headers, rows=st.lists(_pair_rows, max_size=12), weighted=st.booleans())
+@settings(max_examples=100, deadline=None)
+def test_byte_order_mark_reads_as_no_mark(tmp_path_factory, header, rows, weighted):
+    # spreadsheet exports start the file with a UTF-8 byte-order mark
+    path = tmp_path_factory.getbasetemp() / "pairs-bom.csv"
+    text = "".join(line + "\r\n" for line in [header, *rows])
+    seen = []
+    for bom in ("", "\ufeff"):
+        path.write_text(bom + text, encoding="utf-8", newline="")
+        try:
+            seen.append([c.tobytes() for c in read_pairs_csv(path, weighted)])
+        except ValueError as exc:
+            seen.append(str(exc))
+    assert seen[0] == seen[1]

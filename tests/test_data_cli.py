@@ -9,6 +9,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import probevolume
 from probevolume import distribution_engine, probe_simulator
@@ -20,11 +22,11 @@ from probevolume.data_cli import (
     EXIT_UNKNOWN_COMMAND,
     _fields,
     _fmt_float,
-    _write_csv,
+    _parser,
     dumps_json,
     main,
 )
-from probevolume.footprint_data import WRITE_BLOCK
+from probevolume.footprint_data import WRITE_BLOCK, write_csv
 from probevolume.speed_model import from_dict, integrate_weighted, load_distribution
 
 from conftest import kink_sum_vmr
@@ -655,6 +657,79 @@ class TestEstimate:
         assert err == dumps_json({"error": message, "code": EXIT_BAD_PARAMETER}) + "\n"
 
 
+_BOM_FOOTPRINTS = "position_m,speed_mps,label\r\n10,20,aug\r\nx,5,jul\r\n\r\n30,25,jul\r\n"
+_BOM_FILES = [
+    ("estimate", _BOM_FOOTPRINTS, ("--start", "0", "--d", "100", "--t", "1")),
+    ("estimate", _BOM_FOOTPRINTS, ("--start", "0", "--d", "100", "--t", "1", "--strict")),
+    ("calibrate", "m_hat,adt,weight\r\n1,60,4\r\n\r\n2,100,1\r\n", ("--method", "wls")),
+    ("calibrate", "m_hat,adt\r\n1,60\r\n2,x\r\n", ("--method", "ols")),
+]
+
+
+class TestByteOrderMark:
+    """Spreadsheet exports start a CSV with a UTF-8 byte-order mark: a file read
+    with it prints what the same file without it prints."""
+
+    @pytest.mark.parametrize("command,text,flags", _BOM_FILES,
+                             ids=["estimate", "estimate-strict", "calibrate-wls", "calibrate-ols"])
+    def test_same_output(self, capsys, tmp_path, command, text, flags):
+        path = tmp_path / "in.csv"
+        file_flag = "--footprints" if command == "estimate" else "--pairs"
+        seen = []
+        for bom in ("", "\ufeff"):
+            path.write_text(bom + text, encoding="utf-8", newline="")
+            seen.append(run_cli(capsys, command, file_flag, str(path), *flags))
+        assert seen[0] == seen[1]
+        assert "expected header" not in seen[1][2]
+
+
+def _float_flags() -> list[tuple[str, str, str, list[str]]]:
+    """(subcommand, flag, dest, its other required flags filled) for every float flag."""
+    flags = []
+    for command, parser in _parser()[1].items():
+        options = [a for a in parser._actions if a.option_strings]
+        for flag in options:
+            if flag.type is not float:
+                continue
+            filled = []
+            for other in options:
+                if other.required and other is not flag:
+                    filled += [other.option_strings[0], other.choices[0] if other.choices else "1"]
+            flags.append((command, flag.option_strings[0], flag.dest, filled))
+    return flags
+
+
+_FLOAT_FLAGS = _float_flags()
+
+
+class TestNegativeNumbers:
+    """A float flag takes any finite float as ``repr`` writes it: a negative one
+    in exponent form is a value, not an unknown option."""
+
+    def test_every_subcommand_with_float_flags_is_covered(self):
+        assert {command for command, *_ in _FLOAT_FLAGS} == {
+            "estimate", "precision", "pdf", "optimize", "apply"}
+
+    @pytest.mark.parametrize("command,flag,dest,filled", _FLOAT_FLAGS,
+                             ids=[f"{c}{f}" for c, f, _, _ in _FLOAT_FLAGS])
+    @given(x=st.floats(allow_nan=False, allow_infinity=False))
+    @example(x=-1e16)
+    @example(x=-2.5e-05)
+    @example(x=-5e-324)
+    @settings(max_examples=100, deadline=None)
+    def test_repr_parses_back(self, command, flag, dest, filled, x):
+        args = _parser()[1][command].parse_args([*filled, flag, repr(x)])
+        assert repr(getattr(args, dest)) == repr(x)
+
+    def test_cli(self, capsys, tmp_path):
+        assert run_json(capsys, "apply", "--beta", "2", "--m-hat", "-2e0") == {"volume": -4}
+        path = tmp_path / "f.csv"
+        path.write_text("position_m,speed_mps\n-999,20\n-500,10\n", encoding="utf-8")
+        doc = run_json(capsys, "estimate", "--footprints", str(path), "--start", "-1e3",
+                       "--d", "1e3", "--t", "1")
+        assert (doc["n"], doc["m_hat"]) == (2, 0.03)
+
+
 class TestSimulateEstimateRoundTrip:
     def test_bit_for_bit(self, capsys, tmp_path):
         fp = tmp_path / "footprints.csv"
@@ -767,7 +842,7 @@ class TestCsvWriters:
         x = np.concatenate((special, rng.standard_normal(n) * 10.0 ** rng.integers(-20, 20, n)))[:n]
         y = rng.random(n)
         k = rng.integers(0, 2**62, n)
-        _write_csv(tmp_path / "a.csv", "x,y,k", "%.9g,%.9g,%d\n", x, y, k)
+        write_csv(tmp_path / "a.csv", "x,y,k", "%.9g,%.9g,%d\n", x, y, k)
         want = _per_row("x,y,k", "%.9g,%.9g,%d\n", zip(x, y, k))
         assert (tmp_path / "a.csv").read_text(encoding="utf-8") == want
 

@@ -154,6 +154,20 @@ class TestCordonSample:
             CordonSample(speeds=(0.0,), d=1.0, t=1.0)
 
 
+class TestFootprintsColumns:
+    @pytest.mark.parametrize("lengths", [(3, 2, 3), (2, 3, 3), (3, 3, 2), (0, 0, 1)])
+    def test_unequal_lengths_refused(self, lengths):
+        p, s, n = lengths
+        with pytest.raises(ValueError, match=r"\(%d,\), \(%d,\), \(%d,\)" % lengths):
+            Footprints(np.zeros(p), np.ones(s), np.full(n, None, dtype=object))
+
+    def test_columns_not_1d_refused(self):
+        with pytest.raises(ValueError, match="1-D"):
+            Footprints(np.zeros((2, 2)), np.ones((2, 2)), np.full((2, 2), None, dtype=object))
+        with pytest.raises(ValueError, match="1-D"):
+            Footprints(np.float64(1.0), np.float64(20.0), np.array(None, dtype=object))
+
+
 class TestCsv:
     def test_round_trip(self, tmp_path):
         path = tmp_path / "f.csv"
@@ -449,6 +463,29 @@ class TestReaderOracle:
             with pytest.raises(ValueError) as raised:
                 read_footprints_csv(path, strict=True)
             assert str(raised.value) == expected
+
+
+class TestByteOrderMark:
+    """A leading UTF-8 byte-order mark, as spreadsheet exports write, reads as no mark."""
+
+    @given(header=_headers, rows=st.lists(_rows, max_size=12), strict=st.booleans())
+    @settings(max_examples=100, deadline=None)
+    def test_same_columns_warnings_and_line_numbers(self, tmp_path_factory, header, rows,
+                                                     strict):
+        path = tmp_path_factory.getbasetemp() / "bom.csv"
+        text = "".join(line + "\r\n" for line in [header, *rows])
+        seen = []
+        for bom in ("", "\ufeff"):
+            path.write_text(bom + text, encoding="utf-8", newline="")
+            try:
+                result = read_footprints_csv(path, strict=strict)
+            except ValueError as exc:
+                seen.append(str(exc))
+                continue
+            records = result.records
+            seen.append((records.positions.tobytes(), records.speeds.tobytes(),
+                         records.labels.tolist(), result.warnings))
+        assert seen[0] == seen[1]
 
 
 _speeds = st.one_of(st.floats(0.1, 60.0), st.sampled_from([0.0, -0.0, -2.5, 5e-324]))
