@@ -180,8 +180,10 @@ def _run_apply(args) -> dict:
 class _Parser(argparse.ArgumentParser):
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        # argparse's negative-number pattern has no exponent, which repr writes
-        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
+        # argparse's negative-number pattern takes neither repr's exponents nor inf and nan
+        self._negative_number_matcher = re.compile(
+            r"^-((\d+\.?\d*|\.\d+)([eE][-+]?\d+)?|(?i:inf|infinity|nan))$"
+        )
 
     def error(self, message):  # argparse would exit 2; a bad parameter exits 3
         raise ValueError(message)

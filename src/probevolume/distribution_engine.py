@@ -406,6 +406,19 @@ def _check_normalized(pdf: VolumePdf, what: str) -> None:
         raise ValueError(f"{what}: pdf mass is {mass}, expected 1 within 1e-6")
 
 
+def _fast_len(n: int) -> int:
+    """The least 2*3*5-smooth integer >= n >= 1, as scipy's next_fast_len(n, real=True)."""
+    best = 1 << (n - 1).bit_length()
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:  # p35 times the least power of 2 that reaches n
+            best = min(best, p35 << ((n - 1) // p35).bit_length())
+            p35 *= 3
+        p5 *= 5
+    return best
+
+
 def m_fold_pdf(single: VolumePdf, m: int) -> VolumePdf:
     """Density of the estimate from m probes: m-fold self-convolution.
 
@@ -430,9 +443,6 @@ def m_fold_pdf(single: VolumePdf, m: int) -> VolumePdf:
     _check_normalized(single, "m_fold_pdf input")
     if m == 1:
         return single
-    # scipy is imported where it is called, so that importing the package loads none of it
-    from scipy.fft import irfft, next_fast_len, rfft
-
     q = single.atom_at_zero
     masses = single.cell_masses()
     # with all the mass in the atom, the first cell stands for the support
@@ -462,10 +472,10 @@ def m_fold_pdf(single: VolumePdf, m: int) -> VolumePdf:
             f"over {MAX_FOLD_CELLS}"
         )
 
-    nfft = next_fast_len(hi - lo + 1, real=True)
+    nfft = _fast_len(hi - lo + 1)
     spectrum = np.bincount(cells % nfft, masses, minlength=nfft)
     spectrum[0] += q
-    folded = irfft(rfft(spectrum) ** m, nfft)
+    folded = np.fft.irfft(np.fft.rfft(spectrum) ** m, nfft)
     folded[0] -= atom
     folded = folded[np.arange(lo, hi + 1) % nfft]
     # rounding in the transforms leaves ulp-sized negatives; clamp them

@@ -18,6 +18,7 @@ from probevolume.distribution_engine import (
     FOLD_TAIL_BOUND,
     VolumePdf,
     _end_terms,
+    _fast_len,
     _variance_integrals,
     cv,
     interval_estimate,
@@ -124,7 +125,7 @@ def _full_grid_fold(single, m):
 
 def _fold_nfft(single, m):
     """m_fold_pdf(single, m), and the length of the transform it took."""
-    with mock.patch("scipy.fft.irfft", wraps=irfft) as spy:
+    with mock.patch("numpy.fft.irfft", wraps=np.fft.irfft) as spy:
         pdf = m_fold_pdf(single, m)
     return pdf, spy.call_args.args[1]
 
@@ -1068,6 +1069,26 @@ class TestFoldFloor:
         modes = np.flatnonzero(is_mode) + 1
         assert k <= modes[0] and modes[-1] < k + size
         assert modes.size >= (3 if d / t < 2.0 else 1)
+
+
+class TestFastLen:
+    """The fold's transform length: the least 2*3*5-smooth integer >= n,
+    against a sieve of the smooth numbers and against scipy's own choice,
+    next_fast_len(n, real=True)."""
+
+    def test_every_length_to_20000_and_random_ones_to_3e6(self):
+        rest = np.arange(1, 3_000_001)
+        for p in (2, 3, 5):  # divide every factor p out of every number
+            hit = np.flatnonzero(rest % p == 0)
+            while hit.size:
+                rest[hit] //= p
+                hit = hit[rest[hit] % p == 0]
+        smooth = np.flatnonzero(rest == 1) + 1
+        rng = np.random.default_rng(14)
+        ns = np.concatenate((np.arange(1, 20_001), rng.integers(1, 3_000_001, 20_000)))
+        want = smooth[np.searchsorted(smooth, ns)].tolist()
+        assert [_fast_len(n) for n in ns.tolist()] == want
+        assert [next_fast_len(n, real=True) for n in ns.tolist()] == want
 
 
 def _kolmogorov(pdf, m, ratio):

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from probevolume import kernels
-from probevolume.distribution_engine import vmr
+from probevolume.distribution_engine import m_fold_pdf, single_probe_pdf, vmr
 from probevolume.estimator import estimate_probe_volume, extra_record_prob, min_records
 from probevolume.footprint_data import CordonSpec, crop_to_cordon
 from probevolume.probe_simulator import (
@@ -28,7 +28,12 @@ from probevolume.probe_simulator import (
     simulate_footprints,
     summarize,
 )
-from probevolume.speed_model import SpeedComponent, SpeedDistribution, sample_with_rng
+from probevolume.speed_model import (
+    SpeedComponent,
+    SpeedDistribution,
+    load_distribution,
+    sample_with_rng,
+)
 
 from conftest import config_doc
 
@@ -185,6 +190,71 @@ class TestRunScenario:
         ScenarioConfig(d=300.0, t=4.0, m=MAX_TRIAL_PASSES, dist=park, trials=1, seed=1)
         with pytest.raises(ValueError, match="per trial"):
             ScenarioConfig(d=300.0, t=4.0, m=MAX_TRIAL_PASSES + 1, dist=park, trials=1, seed=1)
+
+
+def _law_cases():
+    """(dist, d, t, m) for the sampler-vs-law test: the presets at C4's cordon,
+    the zero-atom short cordons of TestFoldFloor, and 15 random mixtures of
+    1-3 components with means inside supports starting at 0 or in (0.5, 5)."""
+    park = load_distribution("park-i35")
+    cases = [(load_distribution(preset), 300.0, 4.0, m)
+             for preset in ("park-i35", "table2-30mph", "table2-60mph") for m in (1, 2, 8)]
+    cases += [(park, d, 4.0, m) for d in (5.0, 8.0) for m in (1, 2, 8)]
+    rng = np.random.default_rng(16)
+    for i in range(15):
+        k = int(rng.integers(1, 4))
+        lower = 0.0 if i % 2 == 0 else float(rng.uniform(0.5, 5.0))
+        upper = lower + float(rng.uniform(10.0, 50.0))
+        comps = tuple(SpeedComponent(float(mu), float(sd), float(w)) for mu, sd, w in zip(
+            rng.uniform(lower, upper, k), rng.uniform(0.5, 8.0, k), rng.dirichlet(np.ones(k))))
+        cases.append((SpeedDistribution(comps, lower, upper), float(rng.uniform(5.0, 300.0)),
+                      float(rng.choice([1.0, 2.0, 4.0])), int(rng.choice([1, 2, 8]))))
+    return cases
+
+
+class TestSamplerAgainstExactLaw:
+    """run_scenario's estimates against the exact law, m_fold_pdf of
+    single_probe_pdf, by Pearson's chi-square: two implementations of one law
+    (the sampler, offsets and pass counts; the band partition, the lump and
+    the fold) that share no code past the speed mixture. Each case's samples
+    go to the atom (an estimate of exactly 0) or to the cell of width 1e-2
+    nearest them, runs of categories pooled to 20 or more expected. One
+    threshold serves every case: a family-wise false alarm of 1e-3,
+    Bonferroni over the 30 cases, 3.3e-5. The smallest p measured is 0.036,
+    about 1,000 times over it."""
+
+    STEP, TRIALS, MIN_EXPECTED, FAMILY_ALPHA = 1e-2, 200_000, 20.0, 1e-3
+
+    def test_every_case_fits(self):
+        from scipy.special import chdtrc  # chi-square survival function
+
+        cases = _law_cases()
+        fits = []
+        for seed, (dist, d, t, m) in enumerate(cases, start=1600):
+            pdf = m_fold_pdf(single_probe_pdf(d, t, dist, self.STEP), m)
+            # category 0 is the atom, category 1 + j the pdf's j-th kept cell
+            law = np.concatenate(([pdf.atom_at_zero], pdf.cell_masses()))
+            samples, _ = run_scenario(ScenarioConfig(d, t, m, dist, self.TRIALS, seed))
+            cells = np.rint(samples / self.STEP).astype(np.int64) - pdf.first_cell
+            observed = np.bincount(
+                np.where(samples == 0.0, 0, 1 + np.clip(cells, 0, law.size - 2)),
+                minlength=law.size)
+            expected = self.TRIALS * law / law.sum()
+            pooled_e, pooled_o, e, o = [], [], 0.0, 0
+            for e_i, o_i in zip(expected.tolist(), observed.tolist()):
+                e, o = e + e_i, o + o_i
+                if e >= self.MIN_EXPECTED:
+                    pooled_e.append(e)
+                    pooled_o.append(o)
+                    e, o = 0.0, 0
+            pooled_e[-1] += e  # the last run under MIN_EXPECTED joins the one before
+            pooled_o[-1] += o
+            pooled_e, pooled_o = np.array(pooled_e), np.array(pooled_o)
+            stat = float(np.sum((pooled_o - pooled_e) ** 2 / pooled_e))
+            fits.append((float(chdtrc(pooled_e.size - 1, stat)), seed, d, t, m))
+        assert len(cases) == 30
+        worst = min(fits)
+        assert worst[0] > self.FAMILY_ALPHA / len(cases), sorted(fits)[:3]
 
 
 def _loop_footprints(config):
