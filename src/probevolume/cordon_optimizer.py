@@ -52,8 +52,8 @@ def objective_curve(
         raise ValueError(f"objective kind must be one of {OBJECTIVES}, got {kind!r}")
     step, m = positive(step, "step"), probe_count(m)  # step first: optimize's d_min is step
     d_min, d_max = positive(d_min, "d_min"), positive(d_max, "d_max")
-    if not d_min < d_max:
-        raise ValueError(f"need 0 < d_min < d_max < inf, got ({d_min}, {d_max})")
+    if not d_min <= d_max:
+        raise ValueError(f"need 0 < d_min <= d_max < inf, got ({d_min}, {d_max})")
 
     # inclusive endpoint; build by index so accumulation error cannot drop it
     intervals = (d_max - d_min) / step + 1e-9

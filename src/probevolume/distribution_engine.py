@@ -159,25 +159,25 @@ def _end_terms(s0, lattice_j, R, frame):
     # (DLMF 18.5.13), so that phi e_n = s0^n g^(n)(s0) / n! per component
     powers = np.empty((_EM_ORDER + 1, *z.shape))
     powers[0] = 1.0
-    np.cumprod(q * z / _EM_STEPS, axis=0, out=powers[1:])
-    halves = np.cumprod(q * q * -0.5 / _EM_STEPS[: _EM_ORDER // 2], axis=0)
-    e = powers.copy()
-    for i, half in enumerate(halves, 1):
-        e[2 * i :] += powers[: -2 * i] * half
+    np.multiply.accumulate(q * z / _EM_STEPS, axis=0, out=powers[1:])
+    halves = np.multiply.accumulate(q * q * -0.5 / _EM_STEPS[: _EM_ORDER // 2], axis=0)
+    e, products = powers.copy(), halves[:, None] * powers
+    for i, product in enumerate(products, 1):
+        e[2 * i :] += product[: -2 * i]
     # b_n = s0^(n+4) g^(n)(s0) / (n! R), the components added in their order
     e *= np.where(live, phi * s0**4 / R, 0.0)
     b = kernels._add_rows(None, (e[:, c] for c in range(z.shape[0])))
     # u_m = s0^m F^(m)(s0) / (m! R) for F = s^4 g: b times (1 + y)^4
-    u = b.copy()
-    for i, binom in ((1, 4.0), (2, 6.0), (3, 4.0), (4, 1.0)):
-        u[i:] += binom * b[:-i]
-    # v_k = sum over m of C(k-1, m-1) u_m by Pascal's rule, and for odd k
-    # h_k = -v_k / r^k
-    v, rows = np.empty_like(u[1:]), u[1:]
-    for k in range(_EM_ORDER):
-        v[k] = rows[0]
-        rows = rows[:-1] + rows[1:]
-    terms = _EM_WEIGHTS * (-v[::2] / lattice_j ** _EM_STEPS[::2, 0])
+    u, products = b.copy(), np.array((4.0, 6.0, 4.0, 1.0))[:, None, None] * b
+    for i, product in enumerate(products, 1):
+        u[i:] += product[:-i]
+    # v_k = sum over m of C(k-1, m-1) u_m by Pascal's rule, two rows of the
+    # triangle a step, as only odd k are taken; and h_k = -v_k / r^k
+    u, v = u[1:], np.empty((_EM_ORDER // 2 + 1, *u.shape[1:]))
+    for k in range(v.shape[0]):
+        v[k], u = u[0], u[:-1] + u[1:]
+        u = u[:-1] + u[1:]
+    terms = _EM_WEIGHTS * (-v / lattice_j ** _EM_STEPS[::2, 0])
     return terms[4] + terms[3] + terms[2] + terms[1] + terms[0], terms[5]
 
 
@@ -186,36 +186,34 @@ def _variance_integrals(d, t, R, J, Je, kinks, dist):
     kink pieces resolved down from J, each with its first omitted end term.
 
     One integrate_weighted pass takes them all: the exact kernel above R/J
-    and below R/Je, the kernel's cycle mean s^2/6 between (a lattice only
-    where J < Je), and the end terms are subtracted after. It runs under
-    vmr's errstate, which lets R/Je divide by a Je of 0.
+    and below R/Je, the kernel's cycle mean s^2/6 between (empty where J =
+    Je), and the end terms are subtracted after. It runs under vmr's
+    errstate, which lets R/Je divide by a Je of 0.
     """
     lattice = J < Je
     end = lattice & (Je < math.inf)
-    top, bottom = np.where(lattice, R / J, 0.0), np.where(end, R / Je, 0.0)
+    top, bottom = R / J, R / Je
     # ascending: R/Je where the lattice ends above lower, then R/J, R/(J-1), ...:
     # J less each piece's index in its integral (less end), exact below 2**53
-    starts = kinks.cumsum() - kinks
-    j = J.repeat(kinks) - (np.arange(kinks.sum()) - (starts + end).repeat(kinks))
-    points = R.repeat(kinks) / j
+    owner, starts = np.arange(d.size).repeat(kinks), kinks.cumsum() - kinks
+    j = J[owner] - (np.arange(owner.size) - (starts + end)[owner])
+    points = R[owner] / j
     points[starts[end]] = bottom[end]
 
     def weight(s, of):  # s: a row of nodes per piece; of: each piece's integral
         smooth = (bottom[of, None] < s) & (s < top[of, None])
         return np.where(smooth, s * s / 6.0, _var_term(s, d[of, None], t))
 
-    integral, omitted = integrate_weighted(dist, weight, points, kinks), np.zeros(d.size)
+    integral = integrate_weighted(dist, weight, points, kinks)
     # the end terms at J, less those at Je where the lattice ends above lower:
-    # _end_terms is elementwise, so one call takes both sets of points
-    at_j, at_je = lattice.nonzero()[0], end.nonzero()[0]
-    if at_j.size:
-        at, n = np.concatenate((at_j, at_je)), at_j.size
-        point = np.concatenate((J[at_j], Je[at_je]))
-        kept, left = _end_terms(R[at] / point, point, R[at], dist.frame)
-        integral[at_j] -= kept[:n]
-        omitted[at_j] += left[:n]
-        integral[at_je] += kept[n:]
-        omitted[at_je] -= left[n:]
+    # _end_terms is elementwise, so one call takes both sets of points; at J,
+    # where J = Je, the term is absent and 0.0 taken off (x - 0.0 is x bit for bit)
+    n, point, ratio = d.size, np.concatenate((J, Je[end])), np.concatenate((R, R[end]))
+    kept, left = _end_terms(ratio / point, point, ratio, dist.frame)
+    integral = integral - np.where(lattice, kept[:n], 0.0)
+    omitted = 0.0 + np.where(lattice, left[:n], -0.0)
+    integral[end] += kept[n:]
+    omitted[end] -= left[n:]
     return integral, omitted
 
 
@@ -242,22 +240,22 @@ def vmr(d, t: float, dist: SpeedDistribution):
         first = np.floor(R / dist.upper) + 1.0
         # each component bounds J by its anchor scale, unless its density term
         # is 0 in double precision at and below R/J (R/0 is inf: no such speed)
-        bound = np.minimum(np.ceil(np.sqrt(8.0 * R / frame.scales)), np.ceil(R / frame.zero_below))
-        J = np.maximum(np.maximum(first, EM_MIN_J), bound.max(axis=0))
-        Je = np.full_like(R, math.inf)
+        bound = np.minimum(np.sqrt(8.0 * R / frame.scales), R / frame.zero_below)
+        J = np.maximum(np.ceil(bound.max(axis=0, initial=EM_MIN_J)), first)
+        Je = R * math.inf  # inf everywhere, as R > 0
         if dist.lower > 0.0:
             # the last whole unit, R/Je >= lower; past 2**53 no longer an exact float
             Je = np.floor(R / dist.lower)
             Je -= R / Je < dist.lower
             Je[Je >= 2.0**53] = math.inf
-        J = np.minimum(J, Je)
+            J = np.minimum(J, Je)
         integral, todo = np.empty_like(R), np.arange(d.size)
         while todo.size:
             kinks, pieces = _kink_pieces(d[todo], t, first[todo], J[todo], Je[todo], dist)
             total, omitted, start = pieces.cumsum(), np.empty(todo.size), 0
-            limit = total - pieces + kernels.CHUNK_PIECES  # a chunk's bound from its first
             while start < todo.size:
-                stop = max(int(total.searchsorted(limit[start], "right")), start + 1)
+                limit = total[start] - pieces[start] + kernels.CHUNK_PIECES  # from its first
+                stop = max(int(total.searchsorted(limit, "right")), start + 1)
                 c = todo[start:stop]
                 integral[c], omitted[start:stop] = _variance_integrals(
                     d[c], t, R[c], J[c], Je[c], kinks[start:stop], dist
@@ -265,7 +263,8 @@ def vmr(d, t: float, dist: SpeedDistribution):
                 start = stop
             # J doubles where the first end term left out is too large
             todo = todo[np.abs(omitted) > EM_TERM_TOL * np.abs(integral[todo])]
-            J[todo] = np.minimum(2.0 * J[todo], Je[todo])
+            if todo.size:
+                J[todo] = np.minimum(2.0 * J[todo], Je[todo])
         # t and d enter as mantissa times a power of two, which is exact: the
         # result is t^2 / d^2 times the integral to the last bit wherever that
         # product does not over- or underflow, and d*d cannot underflow
@@ -281,19 +280,17 @@ def _kink_pieces(d, t, first, J, Je, dist):
     """Each integral's kink pieces, first to J and one at Je where the lattice ends
     above lower, and all its pieces, once all are under the cap; ValueError naming
     the first d over it."""
-    # past 2**53 a kink index is no longer an exact float
-    inexact = ~(J < 2.0**53)
-    if inexact.any():
-        raise ValueError(f"variance at d={d[inexact][0]}, t={t} has kink indices past 2**53")
     kinks = np.maximum(J - first + 1.0, 0.0).astype(np.int64) + ((J < Je) & (Je < math.inf))
     k = len(dist.components)
     pieces = kinks + (k * CUTS_PER_COMPONENT + 1)
     cap = MAX_VARIANCE_PIECES * VARIANCE_COMPONENTS // max(k, VARIANCE_COMPONENTS)
-    over = ~(pieces < cap)
-    if over.any():
+    # past 2**53 a kink index is no longer an exact float
+    if not ((J < 2.0**53) & (pieces < cap)).all():
+        if (inexact := ~(J < 2.0**53)).any():
+            raise ValueError(f"variance at d={d[inexact][0]}, t={t} has kink indices past 2**53")
         raise ValueError(
-            f"variance at d={d[over][0]}, t={t} needs over {cap} quadrature pieces (kink "
-            f"pieces and {CUTS_PER_COMPONENT} per component) for a mixture of {k} components"
+            f"variance at d={d[~(pieces < cap)][0]}, t={t} needs over {cap} quadrature pieces "
+            f"(kink pieces and {CUTS_PER_COMPONENT} per component) for a mixture of {k} components"
         )
     return kinks, pieces
 

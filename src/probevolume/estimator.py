@@ -39,6 +39,8 @@ def _each(check, low: float, x, name: str) -> np.ndarray:
     check(v, name) takes each v, a check that takes exactly the floats in (low, inf): a
     float or integer ndarray tested whole, else each element."""
     if not (isinstance(x, np.ndarray) and x.dtype.kind in "fiu"):
+        if is_number(x):
+            return np.array(check(x, name))
         x = np.array(x, dtype=object)
         return np.array([check(v, name) for v in x.flat], dtype=np.float64).reshape(x.shape)
     x = np.asarray(x, dtype=np.float64)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from functools import cache, cached_property
 from pathlib import Path
@@ -233,25 +234,24 @@ def integrate_weighted(
     counts = [pts.size]
     if sizes is not None:  # integers >= 0 whose sum, of Python ints, cannot wrap
         whole = isinstance(sizes, np.ndarray) and sizes.dtype.kind in "iu"  # tested whole
-        if whole and (negative := sizes < 0).any():
-            probe_count(sizes[negative][0], 0, "sizes")  # raises, naming the first
         counts = sizes.ravel().tolist() if whole else [
             probe_count(c, 0, "sizes") for c in np.array(sizes, dtype=object).flat]
+        if min(counts, default=0) < 0:  # raises, naming the first
+            probe_count(next(c for c in counts if c < 0), 0, "sizes")
         if sum(counts) != pts.size:
             raise ValueError(f"sizes must sum to the number of breakpoints, {pts.size}")
-    n = len(counts)
-    owner = np.arange(n).repeat(counts)
-    if ((pts[1:] < pts[:-1]) & (owner[1:] == owner[:-1])).any():
-        raise ValueError("breakpoints must be sorted ascending")
+    n, width = len(counts), max(counts, default=0)
     top, fixed = dist.frame.top, dist.frame.edges
-    inner = (pts > dist.lower) & (pts < top)
-    # one row per integral: its inner breakpoints, padded with top, then the
-    # fixed edges; sorted, each unequal neighbour pair is one piece
-    per_row = np.bincount(owner[inner], minlength=n)
-    width = int(per_row.max(initial=0))
-    rows = np.full((n, width + fixed.size), top)
-    rows[:, :width][np.arange(width) < per_row[:, None]] = pts[inner]
+    # one row per integral: its breakpoints, padded with inf, then the fixed edges;
+    # clipped to [lower, top], where a breakpoint outside falls on a fixed edge and
+    # the padding on top, and sorted, each unequal neighbour pair is one piece
+    rows = np.full((n, width + fixed.size), math.inf)
+    given = rows[:, :width]
+    given[np.arange(width) < np.array(counts)[:, None]] = pts
+    if (given[:, 1:] < given[:, :-1]).any():
+        raise ValueError("breakpoints must be sorted ascending")
     rows[:, width:] = fixed
+    np.minimum(np.maximum(rows, dist.lower, out=rows), top, out=rows)
     rows.sort(axis=1)
     piece = rows[:, 1:] != rows[:, :-1]
     lo, hi, piece_owner = rows[:, :-1][piece], rows[:, 1:][piece], piece.nonzero()[0]

@@ -31,6 +31,15 @@ class TestObjectiveCurve:
         curve = objective_curve(10.0, 30.0, 5.0, 4.0, park, "vmr")
         assert [d for d, _ in curve] == [10.0, 15.0, 20.0, 25.0, 30.0]
 
+    def test_one_point_grid(self, park):
+        # d_min = d_max is the grid {d_min}; past d_max it is refused
+        assert objective_curve(30.0, 30.0, 5.0, 4.0, park, "vmr") == [(30.0, vmr(30.0, 4.0, park))]
+        report = optimize_cordon(50.0, 4.0, park, "cv", step=50.0)
+        assert report.curve == ((50.0, precision_report(1, 50.0, 4.0, park).cv),)
+        refused = re.escape("need 0 < d_min <= d_max < inf, got (30.0, 29.0)")
+        with pytest.raises(ValueError, match=refused):
+            objective_curve(30.0, 29.0, 1.0, 4.0, park, "vmr")
+
     def test_validation(self, park):
         with pytest.raises(ValueError):
             objective_curve(0.0, 10.0, 1.0, 4.0, park, "cv")

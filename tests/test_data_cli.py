@@ -346,7 +346,7 @@ class TestOneCheckPerInput:
             (("pdf", "--m", "-3", "--d", "300", "--t", "4", "--out", "{out}", *_P),
              "m must be an integer >= 1, got -3"),
             (("optimize", "--dmax", "0.2", "--t", "4", "--objective", "cv", *_P),
-             "need 0 < d_min < d_max < inf, got (0.5, 0.2)"),
+             "need 0 < d_min <= d_max < inf, got (0.5, 0.2)"),
             (("simulate", "--scenario", "s1", "--m", "-1", "--trials", "1", "--seed", "1"),
              "bad scenario config: m must be an integer >= 0, got -1"),
             ((*_EXPERIMENT, "{sites}"), "site 0: m must be an integer >= 1, got 0.0"),
@@ -925,6 +925,16 @@ class TestOptimize:
         lines = curve.read_text(encoding="utf-8").strip().splitlines()
         assert lines[0] == "d,objective"
         assert len(lines) == 5
+
+    @pytest.mark.parametrize("grid", [("--dmax", "50", "--step", "50"), ("--dmax", "0.5")])
+    def test_dmax_equal_to_step_is_one_point(self, capsys, tmp_path, grid):
+        # the grid {step, 2*step, ..., <= dmax} is {dmax} when dmax = step
+        curve = tmp_path / "curve.csv"
+        doc = run_json(capsys, "optimize", *grid, "--t", "4", "--dist", "park-i35",
+                       "--objective", "cv", "--curve-out", str(curve))
+        assert doc["best_d"] == float(grid[1])
+        assert curve.read_text(encoding="utf-8").splitlines()[1:] == [
+            "%.9g,%.9g" % (doc["best_d"], doc["best_objective"])]
 
 
 class TestCalibrate:
