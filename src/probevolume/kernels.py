@@ -2,7 +2,10 @@
 band accumulation and the leave-pair-out calibration sweep.
 
 Each is one plain numpy function. Kernels are single-threaded on purpose:
-results must be bit-identical across reruns regardless of thread count.
+results must be bit-identical across reruns regardless of thread count. Only
+independent blocks run at once: ``probe_simulator.run_scenario`` draws its
+blocks of whole trials on worker threads, each calling the kernels on its own
+arrays, so no kernel's result depends on how many run beside it.
 """
 
 from __future__ import annotations

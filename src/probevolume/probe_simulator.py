@@ -13,7 +13,10 @@ trial i is pass k = i * m + j. This is exactly the order of one
 ``default_rng(seed)`` drawing all n passes at once, so ``run_scenario`` can
 draw blocks of whole trials from three copies of the generator advanced to
 0, n and 2n (PCG64 jump-ahead, O'Neill 2014) and stay bit-identical to that
-one-shot draw in bounded memory.
+one-shot draw in bounded memory. Since a block's passes are found by
+jumping ahead, not by drawing the ones before, blocks are drawn on worker
+threads, one per usable CPU, and the samples are the same bits whatever the
+number of workers.
 
 Stream layout of the experiment: trial r of site i reads its own stream,
 ``default_rng(SeedSequence(seed, spawn_key=(r, i)))``, for its m passes:
@@ -31,6 +34,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -184,31 +188,58 @@ class _Streams:
         return next(self._sources)(size)
 
 
-def _scenario_streams(seed: int, n: int) -> _Streams:
+def _scenario_streams(seed: int, n: int) -> tuple[_Streams, list[np.random.PCG64]]:
     """The scenario stream of ``seed`` for n passes: the PCG64 generator
     advanced to outputs 0, n and 2n serves component uniforms, inverse-CDF
-    uniforms and offsets."""
+    uniforms and offsets. Also returns the three bit generators: advancing
+    each by k skips k passes."""
     seq = np.random.SeedSequence(seed)
-    return _Streams(
-        [np.random.Generator(np.random.PCG64(seq).advance(j * n)).random for j in range(3)]
-    )
+    bits = [np.random.PCG64(seq).advance(j * n) for j in range(3)]
+    return _Streams([np.random.Generator(b).random for b in bits]), bits
+
+
+def _usable_cpus() -> int:
+    """The CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def run_scenario(config: ScenarioConfig) -> tuple[np.ndarray, SimSummary]:
     """Draw config.trials estimates, each from m independent probe passes.
 
     Output is a pure function of (config, seed): trial i uses passes i*m to
-    (i+1)*m - 1 of the stream layout in the module docstring. Trials are
-    drawn in blocks of about ``BLOCK_PASSES`` passes, so memory beyond the
-    8-byte sample per trial does not grow with the request.
+    (i+1)*m - 1 of the stream layout in the module docstring, whatever the
+    number of workers. Trials are drawn in blocks on W worker threads, W the
+    least of the usable CPUs, the blocks of about ``BLOCK_PASSES`` passes
+    and ``BLOCK_PASSES // m`` (at least one). The W blocks in flight share
+    that budget, so memory beyond the 8-byte sample per trial is a few MB
+    whatever the request and W. Worker w draws blocks w, w + W, ... into its
+    own slices of the samples; with W = 1 the blocks are drawn inline.
     """
     m, trials = config.m, config.trials
     samples = np.zeros(trials, dtype=np.float64)
     if m:
-        streams = _scenario_streams(config.seed, trials * m)
-        block = max(1, BLOCK_PASSES // m)
-        for start in range(0, trials, block):
-            _estimates(config.dist, m, config.d, config.t, streams, samples[start:start + block])
+        full = max(1, BLOCK_PASSES // m)
+        workers = max(1, min(_usable_cpus(), -(-trials // full), BLOCK_PASSES // m))
+        block = max(1, BLOCK_PASSES // (workers * m))
+
+        def draw(first: int) -> None:
+            streams, bits = _scenario_streams(config.seed, trials * m)
+            done = 0  # trials whose passes the generators are past
+            for start in range(first * block, trials, workers * block):
+                for b in bits:
+                    b.advance((start - done) * m)
+                done = min(start + block, trials)
+                _estimates(config.dist, m, config.d, config.t, streams, samples[start:done])
+
+        if workers == 1:
+            draw(0)
+        else:
+            from concurrent.futures import ThreadPoolExecutor
+
+            with ThreadPoolExecutor(workers) as pool:
+                list(pool.map(draw, range(workers)))
     return samples, summarize(samples)
 
 
@@ -256,7 +287,7 @@ def _footprint_columns(config: ScenarioConfig) -> Footprints:
     -1..count_k at ``first + j * spacing``, pass by pass; the columns are
     filled ``BLOCK_PASSES`` passes at a time."""
     m = config.m
-    streams = _scenario_streams(config.seed, config.trials * m)
+    streams, _ = _scenario_streams(config.seed, config.trials * m)
     speeds, offsets, counts = _passes(config.dist, m, config.d, config.t, streams)
     first = speeds * offsets
     spacing = speeds * config.t

@@ -1004,20 +1004,20 @@ class TestApply:
 
 
 # run in a fresh interpreter: after importing the package and after each request in
-# turn, which scipy modules are loaded
+# turn, which scipy and concurrent modules are loaded
 _STARTUP = """
 import contextlib, io, json, sys
 import probevolume
 from probevolume import data_cli
 
-def scipy_loaded():
-    return sorted(name for name in sys.modules if name.split(".")[0] == "scipy")
+def loaded():
+    return sorted(name for name in sys.modules if name.split(".")[0] in ("scipy", "concurrent"))
 
-seen = [["import probevolume", 0, scipy_loaded()]]
+seen = [["import probevolume", 0, loaded()]]
 for argv in json.loads(sys.argv[1]):
     with contextlib.redirect_stdout(io.StringIO()):
         code = data_cli.main(argv)
-    seen.append([argv[0], code, scipy_loaded()])
+    seen.append([argv[0], code, loaded()])
 print(json.dumps(seen))
 """
 
@@ -1025,7 +1025,9 @@ print(json.dumps(seen))
 class TestStartupImports:
     """The estimator, the calibration and the CLI's own options run without
     scipy; only the exact theory loads it, scipy.special alone, where it is
-    called."""
+    called. A simulate request of one block draws it inline and loads no
+    thread pool (scipy.special brings concurrent.futures, through
+    numpy.testing, but not its thread module)."""
 
     def test_scipy_loads_only_where_called(self, tmp_path):
         footprints, pairs = tmp_path / "footprints.csv", tmp_path / "pairs.csv"
@@ -1042,6 +1044,7 @@ class TestStartupImports:
             ["precision", "--m", "1", "--d", "300", "--t", "4", "--dist", "park-i35"],
             ["pdf", "--m", "2", "--d", "300", "--t", "4", "--dist", "park-i35",
              "--grid-step", "0.01", "--out", str(tmp_path / "pdf.csv")],
+            ["simulate", "--scenario", "s1", "--m", "2", "--trials", "20", "--seed", "1"],
         ]
         src = str(Path(probevolume.__file__).parents[1])
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
@@ -1049,12 +1052,13 @@ class TestStartupImports:
         done = subprocess.run([sys.executable, "-c", _STARTUP, json.dumps(requests)],
                               env=env, capture_output=True, text=True, check=True)
         seen = json.loads(done.stdout)
-        assert [code for _, code, _ in seen] == [0] * 8, seen
+        assert [code for _, code, _ in seen] == [0] * 9, seen
         for step, _, loaded in seen[:6]:
             assert loaded == [], step
-        (_, _, theory), (_, _, fold) = seen[6:]
+        (_, _, theory), (_, _, fold), (_, _, simulate) = seen[6:]
         assert "scipy.special" in theory and "scipy.fft" not in theory
         assert fold == theory  # the fold loads no scipy module: it runs on numpy.fft
+        assert simulate == theory and "concurrent.futures.thread" not in simulate
 
 
 class TestExperimentCli:

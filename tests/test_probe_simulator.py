@@ -2,12 +2,14 @@ import dataclasses
 import itertools
 import json
 import math
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from probevolume import kernels
+from probevolume import kernels, probe_simulator
 from probevolume.distribution_engine import m_fold_pdf, single_probe_pdf, vmr
 from probevolume.estimator import estimate_probe_volume, extra_record_prob, min_records
 from probevolume.footprint_data import CordonSpec, crop_to_cordon
@@ -130,19 +132,25 @@ class TestRunScenario:
         for x in (rng.gamma(2.0, 0.5, n), 1e6 + rng.standard_normal(n)):
             assert summarize(x).variance == float(np.var(x, ddof=1))
 
+    @pytest.mark.parametrize("cpus", [1, 2, 3, 8])
     @pytest.mark.parametrize(
         "m,trials,seed",
         [
             (0, 100, 1),
-            (1, BLOCK_PASSES + 3, 42),
+            (1, BLOCK_PASSES + 3, 42),  # two blocks: fewer than 3 or 8 workers
             (1, 7, 987654),
             (8, 2 * (BLOCK_PASSES // 8) + 5, 7),
             (8, 1, 3),
             (BLOCK_PASSES + 1, 2, 11),  # one trial per block, wider than a block
+            (BLOCK_PASSES // 2 - 1, 5, 13),  # two trials fit a block: two workers, one each
+            (3, 4 * (BLOCK_PASSES // 3) + 1, 21),  # five workers at 8 CPUs, 21 blocks
         ],
     )
-    def test_matches_one_shot_oracle(self, park, m, trials, seed):
-        # the reference: all trials * m passes in one draw from one generator
+    def test_matches_one_shot_oracle(self, park, monkeypatch, m, trials, seed, cpus):
+        # the reference: all trials * m passes in one draw from one generator,
+        # which the samples equal whatever the number of workers, also with
+        # more workers than cores switching threads every microsecond
+        monkeypatch.setattr(probe_simulator, "_usable_cpus", lambda: cpus)
         cfg = ScenarioConfig(d=300.0, t=4.0, m=m, dist=park, trials=trials, seed=seed)
         rng = np.random.default_rng(seed)
         n = trials * m
@@ -151,7 +159,12 @@ class TestRunScenario:
         counts = kernels.pass_counts(speeds, offsets, cfg.d, cfg.t)
         want = (cfg.t / cfg.d) * (speeds * counts).reshape(trials, m).sum(axis=1)
 
-        samples, summary = run_scenario(cfg)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            samples, summary = run_scenario(cfg)
+        finally:
+            sys.setswitchinterval(interval)
         assert samples.dtype == want.dtype
         assert np.array_equal(samples, want)
         ref = summarize(want)
@@ -160,8 +173,12 @@ class TestRunScenario:
         assert np.array_equal(summary.hist_edges, ref.hist_edges)
         assert np.array_equal(summary.hist_counts, ref.hist_counts)
 
-    def test_memory_bounded_by_samples(self, park):
-        # 2e6 passes: a one-shot draw would trace about 100 MB
+    @pytest.mark.parametrize("cpus", [1, 4, 8])
+    def test_memory_bounded_by_samples(self, park, monkeypatch, cpus):
+        # 2e6 passes: a one-shot draw would trace about 100 MB; the workers'
+        # blocks in flight share one block's passes (a full block each traces
+        # about 15 MB at 8 workers)
+        monkeypatch.setattr(probe_simulator, "_usable_cpus", lambda: cpus)
         cfg = ScenarioConfig(d=300.0, t=4.0, m=8, dist=park, trials=250_000, seed=1)
         tracemalloc.start()
         try:
@@ -170,6 +187,31 @@ class TestRunScenario:
         finally:
             tracemalloc.stop()
         assert peak < 5 * 8 * cfg.trials
+
+    def test_worker_error_reaches_caller(self, park, monkeypatch):
+        # ten blocks on two workers; the third block drawn raises, and no
+        # worker thread outlives the call either way
+        monkeypatch.setattr(probe_simulator, "_usable_cpus", lambda: 2)
+        cfg = ScenarioConfig(d=300.0, t=4.0, m=8, dist=park, trials=5 * (BLOCK_PASSES // 8),
+                             seed=1)
+        threads = threading.active_count()
+        run_scenario(cfg)
+        assert threading.active_count() == threads
+
+        error = RuntimeError("the third block fails")
+        calls = itertools.count(1)
+        real = kernels.pass_counts
+
+        def pass_counts(*args):
+            if next(calls) == 3:
+                raise error
+            return real(*args)
+
+        monkeypatch.setattr(kernels, "pass_counts", pass_counts)
+        with pytest.raises(RuntimeError) as raised:
+            run_scenario(cfg)
+        assert raised.value is error
+        assert threading.active_count() == threads
 
     @pytest.mark.parametrize(
         "m,trials",
@@ -259,7 +301,7 @@ class TestSamplerAgainstExactLaw:
 
 def _loop_footprints(config):
     """(positions, speeds, m_hat): one record at a time, the reference."""
-    streams = _scenario_streams(config.seed, config.trials * config.m)
+    streams, _ = _scenario_streams(config.seed, config.trials * config.m)
     speeds, offsets, counts = _passes(config.dist, config.m, config.d, config.t, streams)
     positions, record_speeds, in_cordon_speeds = [], [], []
     for s, off, count in zip(speeds.tolist(), offsets.tolist(), counts.tolist()):
