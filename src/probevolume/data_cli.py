@@ -171,7 +171,9 @@ def _run_calibrate(args) -> dict:
 
 def _run_apply(args) -> dict:
     beta, m_hat = estimator.finite(args.beta, "--beta"), estimator.finite(args.m_hat, "--m-hat")
-    return {"volume": beta * m_hat}
+    if not math.isfinite(volume := beta * m_hat):
+        raise ValueError(f"the volume {beta} * {m_hat} is not finite")
+    return {"volume": volume}
 
 
 # -- argument tree -----------------------------------------------------------

@@ -84,11 +84,17 @@ def estimate_probe_volume(sample) -> VolumeEstimate:
     """m_hat = (t/d) * sum of the in-cordon speeds of a ``CordonSample``.
 
     Uses exact compensated summation (``math.fsum``), so the result is
-    bit-identical for any record ordering.
+    bit-identical for any record ordering. A sum or m_hat past the float
+    range raises ValueError.
     """
-    total = math.fsum(memoryview(sample.speeds))  # Python floats, faster than numpy scalars
+    try:
+        total = math.fsum(memoryview(sample.speeds))  # Python floats, faster than numpy scalars
+    except OverflowError as exc:
+        raise ValueError("cannot estimate: the in-cordon speeds sum past the float range") from exc
+    if not math.isfinite(m_hat := (sample.t / sample.d) * total):
+        raise ValueError(f"m_hat = (t/d) * {total} at t={sample.t}, d={sample.d} is not finite")
     return VolumeEstimate(
-        m_hat=(sample.t / sample.d) * total,
+        m_hat=m_hat,
         n=len(sample.speeds),
         d=sample.d,
         t=sample.t,

@@ -21,8 +21,10 @@ number of workers.
 Stream layout of the experiment: trial r of site i reads its own stream,
 ``default_rng(SeedSequence(seed, spawn_key=(r, i)))``, for its m passes:
 component uniforms, inverse-CDF uniforms, offsets, m outputs each. The
-experiment reads each stream once into a row of 3m uniforms and draws a
-block of trials of one site in one ``_passes`` call.
+experiment reads each stream once into a row of 3m uniforms, draws a block
+of trials of one site in one ``_passes`` call into that site's row of a
+sites-by-trials block, and scores the block with one leave-pair-out sweep
+per weighting.
 
 The multi-site experiment replaces a car-following microsimulation with
 uniform linear motion per probe (speed drawn once per pass). That is exactly
@@ -364,7 +366,8 @@ def run_regression_experiment(
     weights must not depend on realized noise. RNG streams are spawned per
     (trial, site), so results do not depend on evaluation order. Trials are
     drawn in blocks of about ``BLOCK_PASSES`` passes over all sites, one
-    ``_passes`` draw per site and block.
+    ``_passes`` draw per site and block, and a block's (sites, trials) m_hats
+    are scored by one ``kernels.all_pairs_mape`` call for OLS and one for WLS.
     """
     if len(sites) < 3:
         raise ValueError(f"need at least 3 sites, got {len(sites)}")
@@ -396,7 +399,7 @@ def run_regression_experiment(
     block = max(1, BLOCK_PASSES // passes)
     for start in range(0, trials, block):
         k = min(block, trials - start)
-        m_hats = np.empty((k, n), dtype=np.float64)
+        m_hats = np.empty((n, k), dtype=np.float64)  # sites by trials
         for i, site in enumerate(sites):
             rows = np.empty((k, 3 * site.m), dtype=np.float64)
             for r in range(k):
@@ -405,10 +408,9 @@ def run_regression_experiment(
             # column third j of the rows, trial by trial: what the trials' own
             # j-th random(m) calls return, bit for bit
             streams = _Streams([third.reshape for third in np.hsplit(rows, 3)])
-            _estimates(site.dist, site.m, site.d, site.t, streams, m_hats[:, i])
-        for r in range(k):
-            mape_ols[start + r] = kernels.all_pairs_mape(m_hats[r], volumes, ols_weights, pairs)
-            mape_wls[start + r] = kernels.all_pairs_mape(m_hats[r], volumes, wls_weights, pairs)
+            _estimates(site.dist, site.m, site.d, site.t, streams, m_hats[i])
+        mape_ols[start : start + k] = kernels.all_pairs_mape(m_hats, volumes, ols_weights, pairs)
+        mape_wls[start : start + k] = kernels.all_pairs_mape(m_hats, volumes, wls_weights, pairs)
 
     wins = float(np.mean(mape_wls < mape_ols))
     return ExperimentReport(

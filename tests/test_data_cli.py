@@ -297,6 +297,32 @@ class TestNonFiniteParameters:
         assert "NaN to integer" not in err
 
 
+class TestNonFiniteResults:
+    # finite inputs whose result leaves the float range: the first used to exit
+    # 1 with fsum's OverflowError, the others to exit 0 printing null
+    @pytest.mark.parametrize(
+        "rows,argv,message",
+        [
+            ("1,1.7e308\n2,1.7e308\n", ("estimate", "--footprints", "{csv}", "--start", "0",
+                                         "--d", "10", "--t", "1"), "float range"),
+            ("1,1e300\n", ("estimate", "--footprints", "{csv}", "--start", "0", "--d", "2",
+                           "--t", "1e10"), "m_hat = (t/d) * 1e+300 at t=10000000000.0, d=2.0"),
+            (None, ("apply", "--beta", "1e308", "--m-hat", "10"), "the volume 1e+308 * 10.0"),
+        ],
+        ids=["estimate-fsum-overflow", "estimate-m-hat-inf", "apply-volume-inf"],
+    )
+    def test_exit_3_naming_the_value(self, capsys, tmp_path, rows, argv, message):
+        csv_path = tmp_path / "f.csv"
+        if rows is not None:
+            csv_path.write_text("position_m,speed_mps\n" + rows, encoding="utf-8")
+        code, out, err = run_cli(capsys, *(str(csv_path) if a == "{csv}" else a for a in argv))
+        assert code == EXIT_BAD_PARAMETER
+        assert out == ""
+        error = json.loads(err)
+        assert error["code"] == EXIT_BAD_PARAMETER
+        assert message in error["error"]
+
+
 class TestProbeCount:
     # a 401-digit m used to exit 1 with an OverflowError traceback, and a
     # negative m to run the vmr objective

@@ -216,8 +216,19 @@ def random_case(rng):
     n = int(rng.integers(3, 40))
     x = rng.uniform(0.5, 120.0, n)
     x[rng.random(n) < 0.1] = 0.0  # some sites with no records
+    x[rng.random(n) < 0.1] *= -1.0  # calibration takes any finite m_hat
     y = rng.uniform(5.0, 900.0, n)
     w = rng.uniform(0.01, 60.0, n)
+    kind = int(rng.integers(4))
+    if kind == 1:  # beta = 0 on the pair (0, 1) by exact cancellation
+        x[1], y[1], w[1] = -x[0], y[0], w[0]
+    elif kind == 2 and n > 3:  # site 0 at exactly 1/beta of the pair (1, 2)
+        numer = w[1] * x[1] * y[1] + w[2] * x[2] * y[2]
+        denom = w[1] * x[1] * x[1] + w[2] * x[2] * x[2]
+        if denom > 0.0 and numer != 0.0:
+            x[0], y[0] = 1.0 / (numer / denom), 1.0
+    elif kind == 3:  # identical rows: sites 0 and 1 near 1/beta of the pair (1, 2)
+        x[:2], y[:2], w[:2] = x[2], y[2], w[2]
     return x, y, w
 
 
@@ -262,6 +273,44 @@ class TestAllPairsMape:
         w = np.ones(3)
         assert math.isnan(kernels.all_pairs_mape(x, y, w, [(0, 1)]))
         assert math.isnan(kernels.all_pairs_mape(x, y, w, []))
+
+    @pytest.mark.parametrize(
+        "x,y,w",
+        [
+            ([2.0, -2.0, 1.0, 3.0], [10.0, 10.0, 20.0, 30.0], [1.0] * 4),
+            # each w * m_hat * y underflows to -0.0 while w * m_hat^2 stays positive
+            ([-1e-160, -1e-160, 1.0, 3.0], [1e-200, 1e-200, 20.0, 30.0], [1e10, 1e10, 1.0, 1.0]),
+        ],
+        ids=["plus-zero", "minus-zero"],
+    )
+    def test_zero_beta_scores_every_site_one(self, x, y, w):
+        # 1/beta is +inf or -inf; either way every held-out term is |0 - 1| = 1
+        x, y, w = np.array(x), np.array(y), np.array(w)
+        assert kernels.all_pairs_mape(x, y, w, [(0, 1)]) == 1.0
+        assert loop_mape(x, y, w, [(0, 1)]) == 1.0
+
+    @pytest.mark.parametrize("k", [1, 2, 51])
+    def test_block_rows_are_the_one_trial_calls(self, k):
+        # a block of k trials, sites by trials, gives each trial's bits
+        rng = np.random.default_rng(10 + k)
+        for n in (3, 4, 34):
+            x = rng.uniform(0.5, 120.0, (n, k))
+            x[rng.random((n, k)) < 0.1] = 0.0
+            x[rng.random((n, k)) < 0.1] *= -1.0
+            if k > 1:
+                x[:, 1] = 0.0  # a trial whose every pair is unusable
+            y = rng.uniform(5.0, 900.0, n)
+            w = rng.uniform(0.01, 60.0, n)
+            every = list(itertools.combinations(range(n), 2))
+            some = [every[p] for p in rng.permutation(len(every))[: len(every) // 2]]
+            consecutive = [(i, i + 1) for i in range(n - 1)]
+            for pairs in (consecutive, every, some, []):
+                got = kernels.all_pairs_mape(x, y, w, pairs)
+                want = [kernels.all_pairs_mape(x[:, r], y, w, pairs) for r in range(k)]
+                assert got.shape == (k,)
+                assert np.array_equal(got, want, equal_nan=True)
+                assert k == 1 or math.isnan(got[1])
+            assert math.isnan(kernels.all_pairs_mape(np.zeros((n, 1)), y, w, every)[0])
 
 
 def loop_band_masses(dist, d, t, step, n_cells, u_max):
@@ -360,6 +409,16 @@ class TestBandMasses:
                 )
                 atoms.add(atom.hex())
             assert len(atoms) == 1, (d, t, atoms)
+
+    def test_gl8_nodes_are_c_contiguous_rows(self):
+        # band_masses sums each piece's values with a matrix-vector product
+        # whose summation order follows its operand's layout: nodes in another
+        # layout move the density's last bits
+        lo = np.linspace(0.0, 3.0, 7)
+        nodes, half, mid = kernels._gl8_nodes(lo, lo + 0.5)
+        assert nodes.shape == (7, 8)
+        assert nodes.flags.c_contiguous
+        np.testing.assert_array_equal(nodes[:, 0], mid + half * kernels._GL8_X[0])
 
     def test_memory_bounded_in_components(self):
         # the mixture is evaluated one component at a time, so 500 components
